@@ -128,7 +128,7 @@ void send_control(Fd& sock, NodeId self, NodeId dest,
 }  // namespace
 
 int run_node_daemon(const std::string& path, NodeId id) {
-  Fd sock = connect_unix(path, 10.0);
+  Fd sock = connect_unix(path);
   if (!sock.valid()) return 1;
 
   {
@@ -138,6 +138,10 @@ int run_node_daemon(const std::string& path, NodeId id) {
     reg.dest = kSwitchDest;
     if (!send_datagram(sock, encode_frame(reg))) return 1;
   }
+  // Announce right behind the Register frame: the switch routes a plug's
+  // frames in order, so by the time the harness sees this the plug is
+  // addressable and the Configure it sends back cannot be lost.
+  send_control(sock, id, kControllerId, encode_control(ControlOp::kAnnounce));
 
   // Phase 1: blocking wait for the harness's Configure.
   NodeSetup setup;
@@ -219,9 +223,12 @@ int run_node_daemon(const std::string& path, NodeId id) {
           node.start();
           break;
         case ControlOp::kStatusReq: {
+          const auto round = decode_status_req(frame->payload);
+          if (!round.has_value()) break;
           StatusReport report;
-          report.mutation_count = mutations.count();
+          report.round = *round;
           report.last_mutation = mutations.last_at();
+          report.quiet_for = medium.now() - mutations.last_at();
           report.digest = node.converged_digest();
           report.flooding_size =
               static_cast<std::uint16_t>(node.flooding_mpr().size());

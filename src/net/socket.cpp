@@ -7,7 +7,6 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
-#include <time.h>
 #include <unistd.h>
 
 namespace qolsr::net {
@@ -24,11 +23,6 @@ bool fill_addr(const std::string& path, sockaddr_un& addr) {
   addr.sun_family = AF_UNIX;
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
   return true;
-}
-
-void sleep_ms(long ms) {
-  timespec ts{ms / 1000, (ms % 1000) * 1000000L};
-  nanosleep(&ts, nullptr);
 }
 
 }  // namespace
@@ -59,23 +53,15 @@ Fd accept_unix(const Fd& listener) {
   }
 }
 
-Fd connect_unix(const std::string& path, double timeout_seconds) {
+Fd connect_unix(const std::string& path) {
   sockaddr_un addr;
   if (!fill_addr(path, addr)) return Fd();
-  const long budget_ms = static_cast<long>(timeout_seconds * 1000.0);
-  for (long waited_ms = 0;;) {
-    Fd fd(::socket(AF_UNIX, SOCK_SEQPACKET | SOCK_CLOEXEC, 0));
-    if (!fd.valid()) return Fd();
-    if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) == 0)
-      return fd;
-    // The switch may still be coming up: its socket file not created yet
-    // (ENOENT) or bound but not listening (ECONNREFUSED). Retry briefly.
-    if ((errno != ENOENT && errno != ECONNREFUSED) || waited_ms >= budget_ms)
-      return Fd();
-    sleep_ms(10);
-    waited_ms += 10;
-  }
+  Fd fd(::socket(AF_UNIX, SOCK_SEQPACKET | SOCK_CLOEXEC, 0));
+  if (!fd.valid()) return Fd();
+  if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0)
+    return Fd();
+  return fd;
 }
 
 std::pair<Fd, Fd> seqpacket_pair() {

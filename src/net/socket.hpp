@@ -41,9 +41,10 @@ class Fd {
 /// framing layer (net/wire_format) is already self-describing.
 Fd listen_unix(const std::string& path, int backlog);
 Fd accept_unix(const Fd& listener);
-/// Connects, retrying while the switch is still coming up (ENOENT /
-/// ECONNREFUSED), up to `timeout_seconds`. Invalid Fd on timeout.
-Fd connect_unix(const std::string& path, double timeout_seconds);
+/// Connects once; invalid Fd when nothing listens at `path`. A fleet needs
+/// no retry: the wire harness listens before it spawns the switch or any
+/// daemon, then hands the listener to the switch.
+Fd connect_unix(const std::string& path);
 
 /// A connected SOCK_SEQPACKET pair — the loopback harness for transport
 /// tests that need a real kernel socket without a switch process.

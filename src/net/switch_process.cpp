@@ -1,6 +1,7 @@
 #include "net/switch_process.hpp"
 
 #include <cerrno>
+#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <queue>
@@ -47,7 +48,12 @@ struct Delayed {
 }  // namespace
 
 int run_switch(const std::string& path) {
-  Fd listener = listen_unix(path, 64);
+  // Socket activation: a harness that already listens at `path` hands its
+  // listener over, so its plugs connect at once instead of retrying while
+  // this process starts.
+  const char* inherited = std::getenv(kSwitchListenFdEnv);
+  Fd listener = inherited != nullptr ? Fd(std::atoi(inherited))
+                                     : listen_unix(path, 64);
   if (!listener.valid()) return 1;
 
   SwitchCore core;

@@ -89,6 +89,25 @@ std::vector<std::byte> encode_control(ControlOp op) {
   return out;
 }
 
+std::vector<std::byte> encode_status_req(std::uint32_t round) {
+  std::vector<std::byte> out;
+  Writer w(out);
+  w.u8(static_cast<std::uint8_t>(ControlOp::kStatusReq));
+  w.u32(round);
+  return out;
+}
+
+std::optional<std::uint32_t> decode_status_req(
+    const std::vector<std::byte>& p) {
+  Reader r(p);
+  std::uint8_t op = 0;
+  std::uint32_t round = 0;
+  if (!r.u8(op) || op != static_cast<std::uint8_t>(ControlOp::kStatusReq) ||
+      !r.u32(round) || !r.done())
+    return std::nullopt;
+  return round;
+}
+
 std::vector<std::byte> encode_configure(const NodeSetup& setup) {
   std::vector<std::byte> out;
   Writer w(out);
@@ -138,8 +157,9 @@ std::vector<std::byte> encode_status(const StatusReport& report) {
   std::vector<std::byte> out;
   Writer w(out);
   w.u8(static_cast<std::uint8_t>(ControlOp::kStatus));
-  w.u64(report.mutation_count);
+  w.u32(report.round);
   w.f64(report.last_mutation);
+  w.f64(report.quiet_for);
   w.u64(report.digest);
   w.u16(report.flooding_size);
   w.u16(report.ans_size);
@@ -151,7 +171,7 @@ std::optional<StatusReport> decode_status(const std::vector<std::byte>& p) {
   std::uint8_t op = 0;
   StatusReport s;
   if (!r.u8(op) || op != static_cast<std::uint8_t>(ControlOp::kStatus) ||
-      !r.u64(s.mutation_count) || !r.f64(s.last_mutation) ||
+      !r.u32(s.round) || !r.f64(s.last_mutation) || !r.f64(s.quiet_for) ||
       !r.u64(s.digest) || !r.u16(s.flooding_size) || !r.u16(s.ans_size) ||
       !r.done())
     return std::nullopt;

@@ -64,11 +64,12 @@ enum class ControlOp : std::uint8_t {
   kConfigure = 1,  ///< harness→daemon: NodeSetup
   kReady = 2,      ///< daemon→harness: configured, timers not yet running
   kStart = 3,      ///< harness→daemon: start the protocol
-  kStatusReq = 4,  ///< harness→daemon: report your state
+  kStatusReq = 4,  ///< harness→daemon: report your state (u32 round id)
   kStatus = 5,     ///< daemon→harness: StatusReport
   kShutdown = 6,   ///< harness→daemon (or →switch): exit cleanly
   kLink = 7,       ///< harness→switch: adjacency edge (a,b) up
   kImpair = 8,     ///< harness→switch: per-port loss/delay knobs
+  kAnnounce = 9,   ///< daemon→harness: registered, send my Configure
 };
 
 /// Everything a daemon needs to run one OlsrNode: who it is, the world
@@ -100,13 +101,15 @@ struct NodeSetup {
   friend bool operator==(const NodeSetup&, const NodeSetup&) = default;
 };
 
-/// What a daemon reports when polled: the monotonic mutation count and
-/// exact last-change time of its MutationClock (the harness's quiescence
-/// test: counts stable across a dwell-spaced poll pair), its converged
-/// digest, and the set sizes the eval backend reports.
+/// What a daemon reports when polled: the status round it answers, how
+/// long its MutationClock has been quiet when it replies (the harness's
+/// quiescence test: the fleet stops at last mutation + dwell, see
+/// next_status_round), the exact last-change time, its converged digest,
+/// and the set sizes the eval backend reports.
 struct StatusReport {
-  std::uint64_t mutation_count = 0;
+  std::uint32_t round = 0;     ///< echo of the StatusReq's round id
   double last_mutation = 0.0;  ///< daemon wall clock, seconds since start
+  double quiet_for = 0.0;      ///< seconds since last_mutation, at reply
   std::uint64_t digest = 0;
   std::uint16_t flooding_size = 0;
   std::uint16_t ans_size = 0;
@@ -129,11 +132,13 @@ struct Impairment {
 ControlOp peek_control_op(const std::vector<std::byte>& payload);
 
 std::vector<std::byte> encode_control(ControlOp op);  ///< op-only message
+std::vector<std::byte> encode_status_req(std::uint32_t round);
 std::vector<std::byte> encode_configure(const NodeSetup& setup);
 std::vector<std::byte> encode_status(const StatusReport& report);
 std::vector<std::byte> encode_link(NodeId a, NodeId b);
 std::vector<std::byte> encode_impair(const Impairment& impairment);
 
+std::optional<std::uint32_t> decode_status_req(const std::vector<std::byte>& p);
 std::optional<NodeSetup> decode_configure(const std::vector<std::byte>& p);
 std::optional<StatusReport> decode_status(const std::vector<std::byte>& p);
 std::optional<std::pair<NodeId, NodeId>> decode_link(

@@ -1,21 +1,29 @@
 #include "net/wire_harness.hpp"
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
-#include <map>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
 
+#include <fcntl.h>
 #include <poll.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <time.h>
 #include <unistd.h>
 
 #include "net/socket.hpp"
+#include "net/switch_process.hpp"
+
+extern char** environ;
 
 namespace qolsr::net {
 
@@ -28,74 +36,87 @@ double monotonic_now() {
          static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-void sleep_seconds(double s) {
-  timespec ts;
-  ts.tv_sec = static_cast<time_t>(s);
-  ts.tv_nsec = static_cast<long>((s - static_cast<double>(ts.tv_sec)) * 1e9);
-  nanosleep(&ts, nullptr);
+/// poll() timeout for a wait of `seconds`, rounded up so a wait never
+/// wakes before its instant.
+int poll_timeout_ms(double seconds) {
+  return static_cast<int>(std::ceil(std::max(seconds, 0.0) * 1000.0));
 }
 
-pid_t spawn(const std::vector<std::string>& argv) {
-  std::vector<char*> cargv;
-  cargv.reserve(argv.size() + 1);
-  for (const std::string& a : argv)
-    cargv.push_back(const_cast<char*>(a.c_str()));
-  cargv.push_back(nullptr);
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    ::execv(cargv[0], cargv.data());
-    _exit(127);  // exec failed; the parent sees a fast nonzero exit
-  }
-  return pid;
+std::string exit_text(int status) {
+  if (WIFSIGNALED(status))
+    return "was killed by signal " + std::to_string(WTERMSIG(status));
+  return "exited with status " + std::to_string(WEXITSTATUS(status));
 }
 
-/// Owns the child process tree and the temp socket dir; the destructor
-/// guarantees no child outlives a throw anywhere in the run.
-class ProcessTree {
+/// One run's process tree, its temp socket dir and the harness's switch
+/// plug. Every wait polls the plug beside one pidfd per child, so a child
+/// that exits before shutdown throws at once, naming itself and its exit
+/// status; the destructor guarantees no child outlives a throw anywhere in
+/// the run.
+class Fleet {
  public:
-  explicit ProcessTree(std::string dir) : dir_(std::move(dir)) {}
+  Fleet(std::string dir, double deadline)
+      : dir_(std::move(dir)), deadline_(deadline) {}
+  Fleet(const Fleet&) = delete;
+  Fleet& operator=(const Fleet&) = delete;
 
-  ~ProcessTree() {
-    for (const pid_t pid : children_) ::kill(pid, SIGKILL);
-    for (const pid_t pid : children_) ::waitpid(pid, nullptr, 0);
+  ~Fleet() {
+    for (const Child& c : children_) ::kill(c.pid, SIGKILL);
+    for (const Child& c : children_) ::waitpid(c.pid, nullptr, 0);
     std::error_code ec;
     std::filesystem::remove_all(dir_, ec);
   }
 
-  void track(pid_t pid) {
-    if (pid > 0) children_.push_back(pid);
-  }
-
-  /// Orderly teardown: give every child `budget` seconds to exit after the
-  /// shutdown frames, then escalate to SIGKILL (handled by the dtor).
-  void reap(double budget) {
-    const double deadline = monotonic_now() + budget;
-    std::vector<pid_t> pending = children_;
-    while (!pending.empty() && monotonic_now() < deadline) {
-      std::vector<pid_t> still;
-      for (const pid_t pid : pending)
-        if (::waitpid(pid, nullptr, WNOHANG) == 0) still.push_back(pid);
-      pending = std::move(still);
-      if (!pending.empty()) sleep_seconds(0.01);
+  /// fork + exec of `argv`. A `listener` is handed to the child under
+  /// kSwitchListenFdEnv (socket activation of the switch).
+  void spawn(const std::vector<std::string>& argv, std::string name,
+             const Fd* listener = nullptr) {
+    // Everything is built before fork: the child only execs.
+    std::vector<char*> cargv;
+    for (const std::string& a : argv)
+      cargv.push_back(const_cast<char*>(a.c_str()));
+    cargv.push_back(nullptr);
+    std::string listen_env;
+    std::vector<char*> envp;
+    for (char** e = environ; *e != nullptr; ++e) envp.push_back(*e);
+    if (listener != nullptr) {
+      listen_env = std::string(kSwitchListenFdEnv) + "=" +
+                   std::to_string(listener->get());
+      envp.push_back(listen_env.data());
     }
-    if (pending.empty()) children_.clear();
+    envp.push_back(nullptr);
+
+    const pid_t pid = ::fork();
+    if (pid < 0)
+      throw std::runtime_error("wire harness: cannot fork " + name + ": " +
+                               std::strerror(errno));
+    if (pid == 0) {
+      if (listener != nullptr) ::fcntl(listener->get(), F_SETFD, 0);
+      ::execve(cargv[0], cargv.data(), envp.data());
+      _exit(127);  // exec failed: the parent's pidfd sees the exit at once
+    }
+    children_.push_back(
+        {pid, Fd(static_cast<int>(::syscall(SYS_pidfd_open, pid, 0))),
+         std::move(name)});
+    if (!children_.back().pidfd.valid())
+      throw std::runtime_error(std::string("wire harness: pidfd_open: ") +
+                               std::strerror(errno));
   }
 
- private:
-  std::string dir_;
-  std::vector<pid_t> children_;
-};
+  /// Names the phase the run is in, for its errors.
+  void enter(const char* stage) { stage_ = stage; }
 
-/// The harness's switch plug: control frames out, steered replies in.
-class Controller {
- public:
-  explicit Controller(Fd sock) : sock_(std::move(sock)) {
-    set_nonblocking(sock_);
+  /// Takes the harness's connected switch plug and registers it.
+  void plug_in(Fd sock) {
+    if (!sock.valid())
+      throw std::runtime_error("wire harness: cannot reach the switch");
+    plug_ = std::move(sock);
+    set_nonblocking(plug_);
     Frame reg;
     reg.kind = kKindRegister;
     reg.sender = kControllerId;
     reg.dest = kSwitchDest;
-    require(send_datagram(sock_, encode_frame(reg)), "register controller");
+    if (!send_datagram(plug_, encode_frame(reg))) fail("register failed");
   }
 
   void send_to(NodeId dest, std::vector<std::byte> payload) {
@@ -104,44 +125,94 @@ class Controller {
     f.sender = kControllerId;
     f.dest = dest;
     f.payload = std::move(payload);
-    require(send_datagram(sock_, encode_frame(f)), "send control frame");
+    if (!send_datagram(plug_, encode_frame(f))) fail("control send failed");
   }
 
-  /// Next well-formed control frame before `deadline` (monotonic seconds);
-  /// nullopt on deadline.
-  std::optional<Frame> recv_until(double deadline) {
+  /// The next well-formed control frame, or nullopt once `until` passes.
+  /// Throws when a child exits, and when the run's budget ends first.
+  std::optional<Frame> recv_until(double until) {
     std::vector<std::byte> datagram;
     for (;;) {
-      const RecvStatus st = try_recv_datagram(sock_, datagram);
+      const RecvStatus st = try_recv_datagram(plug_, datagram);
       if (st == RecvStatus::kOk) {
         if (auto frame = decode_frame(datagram);
             frame.has_value() && frame->kind == kKindControl)
           return frame;
         continue;
       }
-      if (st == RecvStatus::kClosed)
-        throw std::runtime_error("wire harness: switch closed the plug");
-      const double wait = deadline - monotonic_now();
-      if (wait <= 0.0) return std::nullopt;
-      pollfd pfd{sock_.get(), POLLIN, 0};
-      ::poll(&pfd, 1, static_cast<int>(wait * 1000.0) + 1);
+      if (st == RecvStatus::kClosed) fail("the switch closed the plug");
+      const double now = monotonic_now();
+      if (now >= until) return std::nullopt;
+      if (now >= deadline_) fail_now("timeout");
+      wait(true, std::min(until, deadline_) - now);
     }
   }
 
-  /// Drains anything already queued (stale replies from a prior round).
-  void drain() {
-    std::vector<std::byte> datagram;
-    while (try_recv_datagram(sock_, datagram) == RecvStatus::kOk) {
-    }
+  Frame recv() {
+    return *recv_until(std::numeric_limits<double>::infinity());
   }
 
-  static void require(bool ok, const char* what) {
-    if (!ok) throw std::runtime_error(std::string("wire harness: ") + what +
-                                      " failed");
+  /// Orderly teardown after the shutdown frames: waits on each pidfd, then
+  /// reaps. Children still running at the budget's end are SIGKILLed by
+  /// the destructor.
+  void reap() {
+    const double until = std::max(deadline_, monotonic_now() + 1.0);
+    while (!children_.empty()) {
+      pollfd pfd{children_.back().pidfd.get(), POLLIN, 0};
+      const int rc =
+          ::poll(&pfd, 1, poll_timeout_ms(until - monotonic_now()));
+      if (rc == 0) return;
+      if (rc < 0) continue;  // EINTR
+      ::waitpid(children_.back().pid, nullptr, 0);
+      children_.pop_back();
+    }
   }
 
  private:
-  Fd sock_;
+  struct Child {
+    pid_t pid = -1;
+    Fd pidfd;  ///< polls readable once the child has exited
+    std::string name;
+  };
+
+  /// Polls the plug (when `plug`) and every pidfd for up to `seconds`;
+  /// throws if a child exited.
+  void wait(bool plug, double seconds) {
+    std::vector<pollfd> pfds;
+    pfds.push_back({plug ? plug_.get() : -1, POLLIN, 0});
+    for (const Child& c : children_)
+      pfds.push_back({c.pidfd.get(), POLLIN, 0});
+    if (::poll(pfds.data(), pfds.size(), poll_timeout_ms(seconds)) <= 0)
+      return;
+    for (std::size_t i = 1; i < pfds.size(); ++i) {
+      if (pfds[i].revents == 0) continue;
+      Child& c = children_[i - 1];
+      int status = 0;
+      ::waitpid(c.pid, &status, 0);
+      const std::string what = c.name + " (pid " + std::to_string(c.pid) +
+                               ") " + exit_text(status);
+      children_.erase(children_.begin() + static_cast<std::ptrdiff_t>(i - 1));
+      fail_now(what);
+    }
+  }
+
+  /// The plug broke: most likely the switch died, so wait for a child's
+  /// exit to name it; report `what` if none exits before the deadline.
+  [[noreturn]] void fail(const std::string& what) {
+    while (monotonic_now() < deadline_)
+      wait(false, deadline_ - monotonic_now());
+    fail_now(what);
+  }
+
+  [[noreturn]] void fail_now(const std::string& what) const {
+    throw std::runtime_error("wire harness: " + what + " during " + stage_);
+  }
+
+  std::string dir_;
+  double deadline_;
+  const char* stage_ = "spawn";
+  std::vector<Child> children_;
+  Fd plug_;
 };
 
 NodeSetup setup_for(const Graph& graph, NodeId id,
@@ -170,18 +241,22 @@ std::string find_sibling_binary(const char* env_var, const char* name) {
   return name;  // last resort: rely on PATH-less execv failing loudly
 }
 
+std::optional<double> next_status_round(const std::vector<StatusReply>& replies,
+                                        std::uint32_t round, double round_sent,
+                                        double start_sent, double dwell) {
+  double quiet_since = start_sent;
+  for (const StatusReply& r : replies)
+    if (r.report.round == round)
+      quiet_since = std::max(quiet_since, r.received_at - r.report.quiet_for);
+  if (round_sent - quiet_since >= dwell) return std::nullopt;
+  return quiet_since + dwell;
+}
+
 WireRunResult run_wire_network(const Graph& graph,
                                const WireRunConfig& config) {
   const std::size_t n = graph.node_count();
   if (n == 0) return {};
   const double deadline = monotonic_now() + config.timeout_seconds;
-  const auto time_left = [&](const char* stage) {
-    const double left = deadline - monotonic_now();
-    if (left <= 0.0)
-      throw std::runtime_error(
-          std::string("wire harness: timeout during ") + stage);
-    return left;
-  };
 
   const std::string switch_bin =
       config.switch_binary.empty()
@@ -195,112 +270,98 @@ WireRunResult run_wire_network(const Graph& graph,
   char dir_template[] = "/tmp/qolsr_wire_XXXXXX";
   if (::mkdtemp(dir_template) == nullptr)
     throw std::runtime_error("wire harness: mkdtemp failed");
-  ProcessTree tree(dir_template);
+  Fleet fleet(dir_template, deadline);
   const std::string sock_path = std::string(dir_template) + "/switch.sock";
 
-  tree.track(spawn({switch_bin, sock_path}));
-
-  Fd plug = connect_unix(sock_path, time_left("switch connect"));
-  if (!plug.valid())
-    throw std::runtime_error("wire harness: cannot reach the switch at " +
-                             sock_path);
-  Controller controller(std::move(plug));
+  {
+    // Socket activation: the harness listens before the switch exists and
+    // hands it the listener, so no connect — the harness's or a daemon's —
+    // ever retries. Once the harness's copy closes, a dead switch refuses
+    // every later connect.
+    const Fd listener = listen_unix(sock_path, 64);
+    if (!listener.valid())
+      throw std::runtime_error("wire harness: cannot listen at " + sock_path);
+    fleet.plug_in(connect_unix(sock_path));
+    fleet.spawn({switch_bin, sock_path}, "the switch", &listener);
+  }
+  for (NodeId id = 0; id < n; ++id)
+    fleet.spawn({node_bin, sock_path, std::to_string(id)},
+                "node " + std::to_string(id));
 
   // Radio topology upload: the switch becomes the shared ether.
+  fleet.enter("topology upload");
   for (NodeId u = 0; u < n; ++u)
     for (const Edge& e : graph.neighbors(u))
-      if (u < e.to) controller.send_to(kSwitchDest, encode_link(u, e.to));
+      if (u < e.to) fleet.send_to(kSwitchDest, encode_link(u, e.to));
 
-  for (NodeId id = 0; id < n; ++id)
-    tree.track(spawn({node_bin, sock_path, std::to_string(id)}));
-
-  // Configure with retry: a daemon is only addressable once its Register
-  // frame reached the switch, and we cannot observe that directly — so
-  // re-send Configure until the daemon's Ready proves the path works.
-  std::vector<bool> ready(n, false);
-  std::size_t ready_count = 0;
-  double next_configure = 0.0;
-  while (ready_count < n) {
-    const double now = monotonic_now();
-    if (now >= next_configure) {
-      for (NodeId id = 0; id < n; ++id)
-        if (!ready[id])
-          controller.send_to(id,
-                             encode_configure(setup_for(graph, id, config)));
-      next_configure = now + 0.05;
-    }
-    time_left("configure handshake");
-    const auto frame = controller.recv_until(
-        std::min(deadline, next_configure));
-    if (!frame.has_value()) continue;
-    if (peek_control_op(frame->payload) == ControlOp::kReady &&
-        frame->sender < n && !ready[frame->sender]) {
-      ready[frame->sender] = true;
-      ++ready_count;
-    }
+  // Each daemon announces itself right behind its Register frame and gets
+  // its Configure in reply. No Configure is lost: the controller registered
+  // before any daemon was spawned, and a plug's frames are routed in order.
+  fleet.enter("configure handshake");
+  for (std::size_t ready = 0; ready < n;) {
+    const Frame frame = fleet.recv();
+    if (frame.sender >= n) continue;
+    const ControlOp op = peek_control_op(frame.payload);
+    if (op == ControlOp::kAnnounce)
+      fleet.send_to(frame.sender,
+                    encode_configure(setup_for(graph, frame.sender, config)));
+    else if (op == ControlOp::kReady)
+      ++ready;
   }
 
   for (NodeId id = 0; id < n; ++id)
-    controller.send_to(id, encode_control(ControlOp::kStart));
+    fleet.send_to(id, encode_control(ControlOp::kStart));
+  const double start_sent = monotonic_now();
 
-  // Quiescence via the control socket: a status round asks every daemon
-  // for its mutation count; when a full round matches the previous round
-  // and the two rounds are at least a dwell apart, no daemon mutated
-  // anywhere inside the window — the event-driven convergence criterion
-  // (MutationClock) applied across process boundaries.
+  // Quiescence by the simulator's own rule (Simulator::run_to_convergence):
+  // stop at the fleet's last mutation + dwell. Each round's replies either
+  // certify that or name the instant the next round can; frames arriving
+  // in between, such as replies of an earlier round, are dropped.
   const double dwell = config.timing.convergence_dwell();
-  const double poll_gap = std::max(dwell / 3.0, 0.02);
-  std::vector<std::uint64_t> prev_counts;
-  double prev_round_at = 0.0;
-  std::vector<StatusReport> reports(n);
-  for (;;) {
-    controller.drain();
+  const bool debug = std::getenv("QOLSR_WIRE_DEBUG") != nullptr;
+  std::vector<StatusReply> replies(n);
+  double next_round_at = start_sent + dwell;
+  for (std::uint32_t round = 1;; ++round) {
+    fleet.enter("quiescence wait");
+    while (fleet.recv_until(next_round_at)) {
+    }
+    fleet.enter("status round");
+    const double round_sent = monotonic_now();
     for (NodeId id = 0; id < n; ++id)
-      controller.send_to(id, encode_control(ControlOp::kStatusReq));
-    const double round_at = monotonic_now();
-    std::vector<bool> got(n, false);
-    std::size_t got_count = 0;
-    while (got_count < n) {
-      time_left("status round");
-      const auto frame = controller.recv_until(deadline);
-      if (!frame.has_value()) continue;
-      if (peek_control_op(frame->payload) != ControlOp::kStatus) continue;
-      const auto report = decode_status(frame->payload);
-      if (!report.has_value() || frame->sender >= n) continue;
-      reports[frame->sender] = *report;
-      if (!got[frame->sender]) {
-        got[frame->sender] = true;
-        ++got_count;
-      }
+      fleet.send_to(id, encode_status_req(round));
+    for (std::size_t got = 0; got < n;) {
+      const Frame frame = fleet.recv();
+      const auto report = decode_status(frame.payload);
+      if (!report.has_value() || report->round != round || frame.sender >= n)
+        continue;
+      replies[frame.sender] = {*report, monotonic_now()};
+      ++got;
     }
-    std::vector<std::uint64_t> counts(n);
-    for (std::size_t i = 0; i < n; ++i) counts[i] = reports[i].mutation_count;
-    if (std::getenv("QOLSR_WIRE_DEBUG") != nullptr) {
-      std::string line = "round at " + std::to_string(round_at) + ":";
-      for (const std::uint64_t c : counts) line += " " + std::to_string(c);
-      ::fprintf(stderr, "%s\n", line.c_str());
+    const auto next =
+        next_status_round(replies, round, round_sent, start_sent, dwell);
+    if (debug) {
+      std::fprintf(stderr, "status round %u at +%.6f s: %s; quiet_for:", round,
+                   round_sent - start_sent,
+                   next ? ("next at +" + std::to_string(*next - start_sent) +
+                           " s").c_str()
+                        : "quiescent");
+      for (const StatusReply& r : replies)
+        std::fprintf(stderr, " %.6f", r.report.quiet_for);
+      std::fprintf(stderr, "\n");
     }
-    // Anchor at the round where the counts FIRST took their current value:
-    // convergence is "no daemon mutated for a full dwell", i.e. the counts
-    // held steady across the whole window, not merely across one poll gap.
-    if (prev_counts.empty() || counts != prev_counts) {
-      prev_counts = std::move(counts);
-      prev_round_at = round_at;
-    } else if (round_at - prev_round_at >= dwell) {
-      break;
-    }
-    time_left("quiescence wait");
-    sleep_seconds(std::min(poll_gap, std::max(deadline - monotonic_now(),
-                                              0.001)));
+    if (!next.has_value()) break;
+    next_round_at = *next;
   }
 
+  fleet.enter("shutdown");
   for (NodeId id = 0; id < n; ++id)
-    controller.send_to(id, encode_control(ControlOp::kShutdown));
-  controller.send_to(kSwitchDest, encode_control(ControlOp::kShutdown));
-  tree.reap(std::max(1.0, deadline - monotonic_now()));
+    fleet.send_to(id, encode_control(ControlOp::kShutdown));
+  fleet.send_to(kSwitchDest, encode_control(ControlOp::kShutdown));
+  fleet.reap();
 
   WireRunResult result;
-  result.reports = std::move(reports);
+  result.reports.reserve(n);
+  for (const StatusReply& r : replies) result.reports.push_back(r.report);
   return result;
 }
 

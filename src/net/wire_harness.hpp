@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,12 +43,37 @@ struct WireRunResult {
 
 /// Spawns the software switch plus one qolsr_node daemon per node of
 /// `graph` (Unix SOCK_SEQPACKET under a private temp dir), uploads the
-/// adjacency, configures and starts every daemon, waits for quiescence via
-/// the control socket (every daemon's mutation count stable across a
-/// dwell-spaced poll pair), collects each daemon's converged digest, and
+/// adjacency, configures and starts every daemon, and stops by the
+/// simulator's own rule — at the fleet's last mutation + the convergence
+/// dwell, certified by status rounds over the control socket (see
+/// next_status_round). Then it collects each daemon's converged digest and
 /// tears the whole process tree down. Throws std::runtime_error on
-/// timeout, a dead child, or a spawn failure — never leaks children.
+/// timeout, a spawn failure, or a child that exits before shutdown (at
+/// once, naming the node or the switch and its exit status) — never leaks
+/// children.
 WireRunResult run_wire_network(const Graph& graph, const WireRunConfig& config);
+
+/// One daemon's answer to a status round, stamped with its arrival time on
+/// the harness's monotonic clock.
+struct StatusReply {
+  StatusReport report;
+  double received_at = 0.0;
+};
+
+/// The stopping rule of a wire run, free of processes and sockets. Each
+/// daemon read `quiet_for` after the round was sent at `round_sent` and
+/// before its reply arrived, so it mutated last no later than
+/// `received_at - quiet_for` and stayed quiet from then until
+/// `round_sent`. Quiet time before Start (`start_sent`) never counts.
+/// The fleet is therefore quiet since
+///   max(start_sent, max_i(received_at_i - quiet_for_i)),
+/// and the round certifies quiescence when that window spans `dwell`.
+/// Returns nullopt when it does, else the instant a later round can first
+/// succeed. Replies carrying another round's id are skipped; the caller
+/// passes one reply of `round` per daemon.
+std::optional<double> next_status_round(const std::vector<StatusReply>& replies,
+                                        std::uint32_t round, double round_sent,
+                                        double start_sent, double dwell);
 
 /// The bundled-binary discovery used when WireRunConfig paths are empty:
 /// $QOLSR_NODE_BIN / $QOLSR_SWITCH_BIN, else `name` next to the running

@@ -114,6 +114,39 @@ TEST(SwitchCore, ControlFramesIgnoreAdjacency) {
   EXPECT_EQ(out[0].port, sw.p2);
 }
 
+TEST(SwitchCore, AnnounceBehindRegisterReachesTheController) {
+  // The harness's handshake order: the controller registers first, then a
+  // daemon plugs in and sends Register and its announce back to back. The
+  // announce, routed right after the Register, must reach the controller,
+  // and the Configure sent in reply must reach the new plug.
+  SwitchCore core;
+  std::vector<SwitchCore::Delivery> out;
+  const std::size_t pc = core.add_port();
+  core.route(pc, register_frame(kControllerId), out);
+  const std::size_t pd = core.add_port();
+  core.route(pd, register_frame(5), out);
+  EXPECT_TRUE(out.empty());
+
+  Frame announce;
+  announce.kind = kKindControl;
+  announce.sender = 5;
+  announce.dest = kControllerId;
+  announce.payload = encode_control(ControlOp::kAnnounce);
+  ASSERT_TRUE(core.route(pd, announce, out));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].port, pc);
+
+  Frame configure;
+  configure.kind = kKindControl;
+  configure.sender = kControllerId;
+  configure.dest = 5;
+  configure.payload = encode_configure(NodeSetup{});
+  out.clear();
+  ASSERT_TRUE(core.route(pc, configure, out));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].port, pd);
+}
+
 TEST(SwitchCore, SwitchAddressedOpsAreConsumedNotForwarded) {
   SmallSwitch sw;
   Frame link;

@@ -97,14 +97,29 @@ TEST(WireControl, ConfigureRoundTrips) {
 
 TEST(WireControl, StatusAndKnobsRoundTrip) {
   StatusReport r;
-  r.mutation_count = 123456789;
+  r.round = 0xA1B2C3D4u;
   r.last_mutation = 2.5;
+  r.quiet_for = 0.375;
   r.digest = 0xFEEDFACE12345678ULL;
   r.flooding_size = 3;
   r.ans_size = 5;
   const auto status_back = decode_status(encode_status(r));
   ASSERT_TRUE(status_back.has_value());
   EXPECT_EQ(*status_back, r);
+
+  const auto req = encode_status_req(0x01020304u);
+  EXPECT_EQ(peek_control_op(req), ControlOp::kStatusReq);
+  const auto round_back = decode_status_req(req);
+  ASSERT_TRUE(round_back.has_value());
+  EXPECT_EQ(*round_back, 0x01020304u);
+  // The round id travels little-endian right behind the op byte.
+  ASSERT_EQ(req.size(), 5u);
+  EXPECT_EQ(static_cast<unsigned>(req[1]), 0x04u);
+  EXPECT_EQ(static_cast<unsigned>(req[4]), 0x01u);
+
+  const auto announce = encode_control(ControlOp::kAnnounce);
+  EXPECT_EQ(announce.size(), 1u);
+  EXPECT_EQ(peek_control_op(announce), ControlOp::kAnnounce);
 
   const auto link_back = decode_link(encode_link(2, 9));
   ASSERT_TRUE(link_back.has_value());
@@ -129,6 +144,37 @@ TEST(WireControl, DecodersRejectTruncationAndWrongOp) {
   EXPECT_FALSE(decode_configure(encode_status(StatusReport{})).has_value());
   EXPECT_FALSE(decode_status(encode_control(ControlOp::kStart)).has_value());
   EXPECT_FALSE(decode_link(encode_control(ControlOp::kLink)).has_value());
+
+  // Every new StatusReport field is required: dropping any tail byte
+  // (the last u16 set size back into quiet_for and the round id) fails.
+  const auto status = encode_status(StatusReport{});
+  for (std::size_t keep = 0; keep < status.size(); ++keep)
+    EXPECT_FALSE(decode_status({status.begin(),
+                                status.begin() +
+                                    static_cast<std::ptrdiff_t>(keep)})
+                     .has_value())
+        << keep;
+  auto padded_status = status;
+  padded_status.push_back(std::byte{0});
+  EXPECT_FALSE(decode_status(padded_status).has_value());
+
+  // A StatusReq must carry its whole round id, and nothing else decodes
+  // as one: not the op-only form, not a status reply, not an announce.
+  auto req = encode_status_req(7);
+  req.pop_back();
+  EXPECT_FALSE(decode_status_req(req).has_value());
+  EXPECT_FALSE(decode_status_req(encode_control(ControlOp::kStatusReq))
+                   .has_value());
+  auto long_req = encode_status_req(7);
+  long_req.push_back(std::byte{0});
+  EXPECT_FALSE(decode_status_req(long_req).has_value());
+  EXPECT_FALSE(decode_status_req(encode_status(StatusReport{})).has_value());
+  auto announce_as_req = encode_status_req(7);
+  announce_as_req[0] = static_cast<std::byte>(ControlOp::kAnnounce);
+  EXPECT_FALSE(decode_status_req(announce_as_req).has_value());
+  // Nor is a StatusReq (or an announce) mistaken for a status reply.
+  EXPECT_FALSE(decode_status(encode_status_req(7)).has_value());
+  EXPECT_FALSE(decode_status(encode_control(ControlOp::kAnnounce)).has_value());
 }
 
 }  // namespace
