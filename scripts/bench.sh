@@ -86,9 +86,11 @@ with open(out_path, "w") as f:
 print(f"wrote {out_path} ({len(merged['benchmarks'])} benchmarks)")
 PY
 
-# End-to-end sweep timing: the paper's Fig. 6 experiment through the
-# runtime engine (qolsr_eval), single-threaded for determinism and with
-# all cores, best of $SWEEP_REPS wall-clock reps each.
+# End-to-end sweep timing through the runtime engine (qolsr_eval), best of
+# $SWEEP_REPS wall-clock reps each: the paper's Fig. 6 experiment
+# (bandwidth, the concave first-hop engine) single-threaded for
+# determinism and with all cores, and its Fig. 7 experiment (delay, the
+# additive engine) single-threaded.
 python3 - "$BUILD_DIR/qolsr_eval" "$ROOT/BENCH_sweep.json" \
     "$SWEEP_RUNS" "$SWEEP_REPS" <<'PY'
 import json
@@ -101,8 +103,8 @@ binary, out_path, runs, reps = (sys.argv[1], sys.argv[2], sys.argv[3],
                                 int(sys.argv[4]))
 host = json.loads(os.environ["QOLSR_BENCH_HOST_JSON"])
 results = []
-for threads in ("1", "0"):
-    flags = [f"--figure=6", f"--runs={runs}", "--seed=42",
+for figure, threads in (("6", "1"), ("6", "0"), ("7", "1")):
+    flags = [f"--figure={figure}", f"--runs={runs}", "--seed=42",
              f"--threads={threads}", "--format=csv"]
     timings = []
     for _ in range(reps):
@@ -110,7 +112,7 @@ for threads in ("1", "0"):
         subprocess.run([binary, *flags], check=True,
                        stdout=subprocess.DEVNULL)
         timings.append(time.perf_counter() - start)
-    results.append({"name": f"fig6_sweep/runs={runs}/threads={threads}",
+    results.append({"name": f"fig{figure}_sweep/runs={runs}/threads={threads}",
                     "flags": flags, "reps": reps,
                     "best_seconds": min(timings),
                     "mean_seconds": sum(timings) / len(timings)})

@@ -54,7 +54,7 @@ struct FnbpOptions {
 /// `∩ N(u)` vacuous; "a node w such that the path uwv exists" is N(v)).
 ///
 /// Returns ascending global ids in `out` (cleared first). All scratch —
-/// the fP table, the inner Dijkstras, the selection flags — comes from
+/// the fP table, the path-engine scratch, the selection flags — comes from
 /// `ws`, so sweeping every node of a run allocates nothing in steady state.
 template <Metric M>
 void select_fnbp_ans(const LocalView& view, SelectionWorkspace& ws,

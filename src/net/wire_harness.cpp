@@ -42,6 +42,26 @@ int poll_timeout_ms(double seconds) {
   return static_cast<int>(std::ceil(std::max(seconds, 0.0) * 1000.0));
 }
 
+/// Whether `pid` has begun to exit. The kernel sets PF_EXITING in the
+/// task's flags (field 9 of /proc/<pid>/stat) early in do_exit, before the
+/// task closes any descriptor, and the flag stays until it is reaped.
+bool exiting(pid_t pid) {
+  std::FILE* f =
+      std::fopen(("/proc/" + std::to_string(pid) + "/stat").c_str(), "r");
+  if (f == nullptr) return false;
+  char buf[512];
+  const std::size_t len = std::fread(buf, 1, sizeof buf - 1, f);
+  std::fclose(f);
+  buf[len] = '\0';
+  const char* after_comm = std::strrchr(buf, ')');  // comm may hold spaces
+  unsigned flags = 0;
+  constexpr unsigned kPfExiting = 0x4;
+  return after_comm != nullptr &&
+         std::sscanf(after_comm + 1, " %*c %*d %*d %*d %*d %*d %u", &flags) ==
+             1 &&
+         (flags & kPfExiting) != 0;
+}
+
 std::string exit_text(int status) {
   if (WIFSIGNALED(status))
     return "was killed by signal " + std::to_string(WTERMSIG(status));
@@ -52,7 +72,9 @@ std::string exit_text(int status) {
 /// plug. Every wait polls the plug beside one pidfd per child, so a child
 /// that exits before shutdown throws at once, naming itself and its exit
 /// status; the destructor guarantees no child outlives a throw anywhere in
-/// the run.
+/// the run. The switch's death cuts every daemon's link, so its daemons
+/// exit right behind it and are often seen first: while the switch is
+/// down, the error names the switch.
 class Fleet {
  public:
   Fleet(std::string dir, double deadline)
@@ -101,6 +123,12 @@ class Fleet {
     if (!children_.back().pidfd.valid())
       throw std::runtime_error(std::string("wire harness: pidfd_open: ") +
                                std::strerror(errno));
+  }
+
+  /// Spawns the switch, handing it `listener` (see spawn).
+  void spawn_switch(const std::vector<std::string>& argv, const Fd& listener) {
+    spawn(argv, "the switch", &listener);
+    switch_pid_ = children_.back().pid;
   }
 
   /// Names the phase the run is in, for its errors.
@@ -186,22 +214,50 @@ class Fleet {
       return;
     for (std::size_t i = 1; i < pfds.size(); ++i) {
       if (pfds[i].revents == 0) continue;
-      Child& c = children_[i - 1];
-      int status = 0;
-      ::waitpid(c.pid, &status, 0);
-      const std::string what = c.name + " (pid " + std::to_string(c.pid) +
-                               ") " + exit_text(status);
-      children_.erase(children_.begin() + static_cast<std::ptrdiff_t>(i - 1));
-      fail_now(what);
+      if (children_[i - 1].pid != switch_pid_ && switch_down())
+        fail("the switch went down");
+      fail_child(children_.begin() + static_cast<std::ptrdiff_t>(i - 1));
     }
   }
 
-  /// The plug broke: most likely the switch died, so wait for a child's
-  /// exit to name it; report `what` if none exits before the deadline.
+  /// Whether the switch closed the harness's plug or has begun to exit. A
+  /// daemon sees its link close only after the switch began to exit, but
+  /// may exit before the switch's pidfd fires, hence the task-flag test.
+  bool switch_down() {
+    pollfd pfd{plug_.get(), 0, 0};
+    ::poll(&pfd, 1, 0);
+    return (pfd.revents & (POLLHUP | POLLERR)) != 0 ||
+           (switch_pid_ > 0 && exiting(switch_pid_));
+  }
+
+  /// The plug broke or the switch is down: wait for the switch to exit
+  /// and name it, ignoring daemons that go down with it; report `what` if
+  /// the switch is still running at the deadline.
   [[noreturn]] void fail(const std::string& what) {
-    while (monotonic_now() < deadline_)
-      wait(false, deadline_ - monotonic_now());
+    const auto sw = find_switch();
+    if (sw != children_.end()) {
+      pollfd pfd{sw->pidfd.get(), POLLIN, 0};
+      while (pfd.revents == 0 && monotonic_now() < deadline_)
+        ::poll(&pfd, 1, poll_timeout_ms(deadline_ - monotonic_now()));
+      if (pfd.revents != 0) fail_child(sw);
+    }
     fail_now(what);
+  }
+
+  /// Reaps an exited child and throws its name and exit status.
+  [[noreturn]] void fail_child(std::vector<Child>::iterator child) {
+    int status = 0;
+    ::waitpid(child->pid, &status, 0);
+    const std::string what = child->name + " (pid " +
+                             std::to_string(child->pid) + ") " +
+                             exit_text(status);
+    children_.erase(child);
+    fail_now(what);
+  }
+
+  std::vector<Child>::iterator find_switch() {
+    return std::find_if(children_.begin(), children_.end(),
+                        [this](const Child& c) { return c.pid == switch_pid_; });
   }
 
   [[noreturn]] void fail_now(const std::string& what) const {
@@ -212,6 +268,7 @@ class Fleet {
   double deadline_;
   const char* stage_ = "spawn";
   std::vector<Child> children_;
+  pid_t switch_pid_ = -1;
   Fd plug_;
 };
 
@@ -282,7 +339,7 @@ WireRunResult run_wire_network(const Graph& graph,
     if (!listener.valid())
       throw std::runtime_error("wire harness: cannot listen at " + sock_path);
     fleet.plug_in(connect_unix(sock_path));
-    fleet.spawn({switch_bin, sock_path}, "the switch", &listener);
+    fleet.spawn_switch({switch_bin, sock_path}, listener);
   }
   for (NodeId id = 0; id < n; ++id)
     fleet.spawn({node_bin, sock_path, std::to_string(id)},

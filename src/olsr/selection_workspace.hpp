@@ -19,7 +19,7 @@ namespace qolsr {
 /// One instance per worker thread; the fields are owned by whichever
 /// heuristic is currently running and carry no state between calls.
 struct SelectionWorkspace {
-  DijkstraWorkspace dijkstra;   ///< inner Dijkstras of compute_first_hops
+  DijkstraWorkspace dijkstra;   ///< compute_first_hops' path-engine scratch
   FirstHopTable first_hops;     ///< reused fP table (fp lists keep capacity)
   LocalView reduced_view;       ///< topology filtering's RNG-reduced copy
   RngWitnessScratch rng_witness;  ///< rng_reduce's stamped witness row

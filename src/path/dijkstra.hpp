@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -34,7 +35,9 @@ struct DijkstraResult {
 /// Metric-specialized CSR mirror of a LocalView: neighbor id + extracted
 /// link value, 16 bytes per directed edge instead of the 56-byte
 /// LocalEdge/LinkQos record. `compute_first_hops` extracts once per view
-/// and amortizes it over the deg(u) inner Dijkstras — the edge scan is the
+/// and scans it several times: the concave branch builds its bottleneck
+/// forest from it, the additive branch runs its Dijkstra from u and then
+/// its first-hop propagation over the same rows. The edge scan is the
 /// hottest loop of the eval pipeline, and the full QoS record drags six
 /// unused doubles through cache per scanned edge.
 class WeightedLocalView {
@@ -158,9 +161,10 @@ class BottleneckForest {
 /// Labels are epoch-stamped: `begin(n)` bumps the epoch instead of clearing
 /// the arrays, so consecutive runs touch only the nodes they actually reach
 /// and perform zero heap allocation once the arrays are warm (the eval
-/// pipeline runs deg(u) Dijkstras per node per sampled topology — see
-/// DESIGN.md §5). After a run, `reached(v)` tells whether v was labeled this
-/// epoch; `value/hops/parent(v)` are final labels, valid only when reached.
+/// pipeline runs a Dijkstra for every additive fP table and every routed
+/// hop of every sampled topology — see DESIGN.md §5). After a run,
+/// `reached(v)` tells whether v was labeled this epoch; `value/hops/
+/// parent(v)` are final labels, valid only when reached.
 ///
 /// The priority queue is an indexed 4-ary heap with decrease-key: each
 /// touched, unsettled node holds exactly one entry (improvements sift the
@@ -180,6 +184,12 @@ class DijkstraWorkspace {
   }
   /// Node count of the last run.
   std::size_t size() const { return size_; }
+  /// The nodes the last run reached, in the order it settled them: the
+  /// source first, then in the run's pop order (nondecreasing value, up to
+  /// the metric_equal band, for `dijkstra_values`).
+  std::span<const std::uint32_t> settle_order() const {
+    return settle_order_;
+  }
 
   /// Exports the labels in the legacy dense form.
   template <Metric M>
@@ -220,6 +230,7 @@ class DijkstraWorkspace {
       epoch_ = 1;
     }
     heap_.clear();
+    settle_order_.clear();
   }
 
   /// (Re)labels v; first touch this epoch also clears its settled bit.
@@ -232,18 +243,30 @@ class DijkstraWorkspace {
   bool settled(std::uint32_t v) const {
     return state_[v] == ((epoch_ << 1) | 1u);
   }
-  void settle(std::uint32_t v) { state_[v] |= 1u; }
+  void settle(std::uint32_t v) {
+    state_[v] |= 1u;
+    settle_order_.push_back(v);
+  }
 
   bool heap_empty() const { return heap_.empty(); }
 
-  /// Scratch for callers that mirror a LocalView before running several
-  /// Dijkstras on it (compute_first_hops); lives here so one per-thread
-  /// workspace carries all path-engine scratch.
+  /// compute_first_hops' metric-specialized mirror of the view; lives here
+  /// so one per-thread workspace carries all path-engine scratch.
   WeightedLocalView local_csr;
   /// compute_first_hops scratch: (direct-link value, one-hop local id).
   std::vector<std::pair<double, std::uint32_t>> first_hop_order;
   /// compute_first_hops' concave all-sources engine (see BottleneckForest).
   BottleneckForest first_hop_forest;
+  /// compute_first_hops' additive propagation: one bit row per view node
+  /// over u's one-hop locals, the worklist of nodes whose row still has to
+  /// be pushed along their tight edges, and a queued flag per node.
+  std::vector<std::uint64_t> first_hop_bits;
+  std::vector<std::uint32_t> first_hop_queue;
+  std::vector<std::uint8_t> first_hop_queued;
+  /// compute_first_hops' parked fp lists: a view smaller than the last one
+  /// moves its tail lists here instead of freeing them, and a larger one
+  /// takes them back, so each list keeps its capacity across view sizes.
+  std::vector<std::vector<std::uint32_t>> first_hop_spare_lists;
 
   template <typename BetterFn>
   void heap_push(double value, std::uint32_t hops, std::uint32_t node,
@@ -324,6 +347,7 @@ class DijkstraWorkspace {
   std::vector<std::uint32_t> state_;  ///< (epoch << 1) | settled
   std::uint32_t epoch_ = 0;
   std::size_t size_ = 0;
+  std::vector<std::uint32_t> settle_order_;
   std::vector<Label> labels_;
   std::vector<Entry> heap_;
   std::vector<std::uint32_t> heap_pos_;  ///< valid while queued
@@ -395,12 +419,11 @@ template <Metric M, typename G, typename EntryBetter, typename RelaxBetter>
 void run_label_setting(const G& graph, std::uint32_t source,
                        std::uint32_t excluded, DijkstraWorkspace& ws,
                        const EntryBetter& entry_better,
-                       const RelaxBetter& relax_better,
-                       double source_value = M::identity()) {
+                       const RelaxBetter& relax_better) {
   ws.begin(graph_size(graph));
   if (source == excluded || source >= ws.size()) return;
-  ws.label(source, source_value, 0, kInvalidNode);
-  ws.heap_push(source_value, 0, source, entry_better);
+  ws.label(source, M::identity(), 0, kInvalidNode);
+  ws.heap_push(M::identity(), 0, source, entry_better);
 
   while (!ws.heap_empty()) {
     const DijkstraWorkspace::Entry top = ws.heap_pop(entry_better);
@@ -470,24 +493,19 @@ DijkstraResult dijkstra(const G& graph, std::uint32_t source,
 /// weights — are single-compare no-ops instead of decrease-keys, and sift
 /// paths terminate immediately among tied entries.
 ///
-/// `source_value` seeds the source label (default: the metric identity).
-/// Under min-composition seeding with q(u,w) computes
-/// combine(q(u,w), dist(w, ·)) directly — values saturate at q(u,w), which
-/// turns most relaxations into ties. Additive metrics must seed with the
-/// identity and fold afterwards: combine is a float sum whose rounding
-/// depends on accumulation order, and a seeded sum would round differently
-/// from combine(first, dist).
+/// compute_first_hops' additive branch runs it once from u, takes its
+/// labels as the best values (each the float sum of its path accumulated
+/// from u outwards) and walks its settle order
+/// (`DijkstraWorkspace::settle_order`).
 ///
 /// Final values are identical to `dijkstra`'s whenever distinct candidate
 /// path values never fall inside each other's metric_equal tolerance band
 /// (always true for integral weights, probability-zero for continuous
-/// draws — the same caveat as compute_first_hops' descending-order
-/// processing). Hop and parent labels are *not* lex-optimal here; use
+/// draws). Hop and parent labels are *not* lex-optimal here; use
 /// `dijkstra` when they matter.
 template <Metric M, typename G>
 void dijkstra_values(const G& graph, std::uint32_t source,
-                     DijkstraWorkspace& ws,
-                     double source_value = M::identity()) {
+                     DijkstraWorkspace& ws) {
   auto entry_better = [](const DijkstraWorkspace::Entry& a,
                          const DijkstraWorkspace::Entry& b) {
     return dijkstra_detail::value_better<M>(a.value, b.value);
@@ -496,8 +514,7 @@ void dijkstra_values(const G& graph, std::uint32_t source,
       graph, source, kInvalidNode, ws, entry_better,
       [](double av, std::uint32_t, double bv, std::uint32_t) {
         return dijkstra_detail::value_better<M>(av, bv);
-      },
-      source_value);
+      });
 }
 
 /// Hop-count-primary variant: minimizes hops, breaking ties by the better

@@ -1,7 +1,7 @@
 // The wire harness's stopping rule as a pure function (no processes), and
 // its fail-fast contract with real ones: a fleet whose daemon or switch
-// cannot start, or whose daemon dies mid-run, throws at once, naming the
-// child and its exit status, and leaves no process behind.
+// cannot start, or whose daemon or switch dies mid-run, throws at once,
+// naming the child and its exit status, and leaves no process behind.
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -211,6 +211,38 @@ TEST(WireHarness, DaemonKilledMidRunFailsFastAndNamesIt) {
   ASSERT_FALSE(what.empty()) << "the run did not throw";
   EXPECT_NE(what.find("node 2 "), std::string::npos) << what;
   EXPECT_NE(what.find("exited with status 9"), std::string::npos) << what;
+  EXPECT_LT(took, 10.0) << what;
+  expect_no_children();
+}
+
+TEST(WireHarness, SwitchKilledMidRunFailsFastAndNamesIt) {
+  // The switch runs under a wrapper that starts a background SIGKILL of
+  // its own pid 0.3 s out and then execs the real switch, so the pid the
+  // harness tracks is the switch itself. Every daemon loses its link at
+  // that instant and exits right behind the switch; the harness must still
+  // name the switch, whichever exit it sees first.
+  const std::string real =
+      find_sibling_binary("QOLSR_SWITCH_BIN", "qolsr_switch");
+  char script[] = "/tmp/qolsr_switch_wrapper_XXXXXX";
+  const int fd = ::mkstemp(script);
+  ASSERT_GE(fd, 0);
+  const std::string body =
+      "#!/bin/sh\n"
+      "(sleep 0.3; kill -9 $$) &\n"
+      "exec '" + real + "' \"$@\"\n";
+  ASSERT_EQ(::write(fd, body.data(), body.size()),
+            static_cast<ssize_t>(body.size()));
+  ::fchmod(fd, 0700);
+  ::close(fd);
+
+  WireRunConfig config;
+  config.timeout_seconds = 30.0;
+  config.switch_binary = script;
+  const auto [what, took] = failing_run(config);
+  ::unlink(script);
+  ASSERT_FALSE(what.empty()) << "the run did not throw";
+  EXPECT_NE(what.find("the switch"), std::string::npos) << what;
+  EXPECT_NE(what.find("killed by signal 9"), std::string::npos) << what;
   EXPECT_LT(took, 10.0) << what;
   expect_no_children();
 }

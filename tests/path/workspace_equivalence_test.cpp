@@ -4,8 +4,11 @@
 //  * reference Dijkstra: std::priority_queue with lazy deletion (the
 //    pre-workspace implementation) — values, hops and reachability must
 //    match the indexed-heap engine on full graphs and local views;
-//  * reference compute_first_hops: one reference Dijkstra per neighbor —
-//    best values and fp sets must match exactly;
+//  * reference compute_first_hops: one reference Dijkstra per neighbor on
+//    G_u \ {u} (the per-neighbor definition of fP, which the additive
+//    engine's single Dijkstra from u replaces) — fp sets must match
+//    exactly, best values exactly for concave metrics and within the
+//    tolerance band for additive ones;
 //  * the allocating convenience APIs and the workspace APIs must agree
 //    bit-for-bit even when one workspace is reused across every node of
 //    several graphs (no cross-run contamination).
@@ -305,6 +308,21 @@ TEST(WorkspaceEquivalence, FirstHopsBandwidth) {
 
 TEST(WorkspaceEquivalence, FirstHopsDelay) {
   check_first_hops_everywhere<DelayMetric>();
+}
+
+// The other additive metrics: the paper graphs carry the default jitter
+// and loss of 0 (every path ties) and the integral graph draws jitter
+// from {0,1} and loss as 0, so these runs are dense with zero-weight links.
+TEST(WorkspaceEquivalence, FirstHopsJitter) {
+  check_first_hops_everywhere<JitterMetric>();
+}
+
+TEST(WorkspaceEquivalence, FirstHopsLoss) {
+  check_first_hops_everywhere<LossMetric>();
+}
+
+TEST(WorkspaceEquivalence, FirstHopsEnergy) {
+  check_first_hops_everywhere<EnergyMetric>();
 }
 
 TEST(WorkspaceEquivalence, FnbpSelectionMatchesReference) {

@@ -12,6 +12,8 @@
 #include <new>
 
 #include "core/fnbp.hpp"
+#include "graph/deployment.hpp"
+#include "olsr/selector_registry.hpp"
 #include "proto/duplicate_set.hpp"
 #include "routing/routing_table.hpp"
 #include "sim/simulator.hpp"
@@ -87,6 +89,42 @@ TEST(Allocation, KnowledgeCacheHitAllocatesNothing) {
   for (int i = 0; i < 1000; ++i) (void)node.knowledge_graph();
   EXPECT_EQ(allocations() - before, 0u)
       << "cached knowledge view allocated on a pure hit";
+}
+
+TEST(Allocation, WarmSelectionAllocatesNothing) {
+  // Every registry selector on both metric families, through one shared
+  // SelectionWorkspace as an eval worker or a simulator node runs them.
+  // The views' sizes go up and down from node to node, so a table that
+  // freed its fp lists on a smaller view would allocate again on the next
+  // larger one. Two passes warm every buffer to its high-water size; the
+  // third must not touch the heap.
+  Graph g = testing::random_geometric_graph(29, 20.0, 500.0);
+  util::Rng rng(31);
+  QosIntervals qos;
+  qos.integral = true;  // the evaluation's draws: exact ties in fP
+  assign_uniform_qos(g, qos, rng);
+  std::vector<LocalView> views;
+  for (NodeId u = 0; u < g.node_count(); ++u) views.emplace_back(g, u);
+
+  const SelectorRegistry& registry = SelectorRegistry::builtin();
+  SelectionWorkspace ws;
+  std::vector<NodeId> out;
+  for (const MetricId metric : {MetricId::kBandwidth, MetricId::kDelay}) {
+    for (const std::string& name : registry.names()) {
+      const auto selector = registry.create(name, metric);
+      const auto pass = [&] {
+        for (const LocalView& view : views)
+          selector->select_into(view, ws, out);
+      };
+      pass();
+      pass();
+      const std::uint64_t before = allocations();
+      pass();
+      EXPECT_EQ(allocations() - before, 0u)
+          << name << " on " << metric_name(metric)
+          << " allocated over a warm pass of " << views.size() << " views";
+    }
+  }
 }
 
 TEST(Allocation, SteadyStateForwardingIsBounded) {
