@@ -62,11 +62,12 @@ void BM_EventQueueThroughput(benchmark::State& state) {
 
 // The broadcast fan-out hot point: one TC delivered to every neighbor of
 // the densest node. The Medium hands all deliveries the same immutable
-// SharedBytes buffer, so the steady-state per-delivery cost is event
-// scheduling + packet parsing + the receiver's cheap drop (handshake
-// check or duplicate-set hit) — never a per-neighbor copy of the message
-// bytes. Regressing to copy-per-neighbor shows up directly in items/sec
-// at high degree.
+// SharedBytes buffer in one batched event, which parses it once and hands
+// the decoded frame to each receiver, so the steady-state cost is one
+// event + one parse per broadcast and the receiver's cheap drop
+// (handshake check or duplicate-set hit) per neighbor — never a
+// per-neighbor copy or parse of the message bytes. Regressing to either
+// shows up directly in items/sec at high degree.
 void BM_BroadcastFanout(benchmark::State& state) {
   const Graph g = make_network(static_cast<double>(state.range(0)));
   NodeId hub = 0;

@@ -182,8 +182,9 @@ int run_node_daemon(const std::string& path, NodeId id) {
   const OlsrNode::RouteFn no_routes = [](const Graph&, NodeId, NodeId) {
     return kInvalidNode;
   };
-  OlsrNode node(id, medium, trace, *flooding_selector, *ans_selector,
-                no_routes, config, setup.seed);
+  SelectionScratch scratch;
+  OlsrNode node(id, medium, trace, scratch, *flooding_selector,
+                *ans_selector, no_routes, config, setup.seed);
   node.set_mutation_clock(&mutations);
 
   send_control(sock, id, kControllerId, encode_control(ControlOp::kReady));

@@ -1,5 +1,6 @@
 #include "proto/messages.hpp"
 
+#include <cassert>
 #include <cmath>
 
 #include "proto/wire_endian.hpp"
@@ -22,6 +23,10 @@ void write_header(Writer& w, const PacketHeader& h) {
   w.u8(h.ttl);
   w.u8(h.hop_count);
 }
+
+/// Byte offsets of the header fields a relay rewrites (see write_header).
+constexpr std::size_t kTtlOffset = 1 + 4 + 2;
+constexpr std::size_t kHopCountOffset = kTtlOffset + 1;
 
 bool read_header(Reader& r, PacketHeader& h) {
   std::uint8_t type = 0;
@@ -110,6 +115,17 @@ std::vector<std::byte> serialize(const PacketHeader& header,
   w.u32(data.source);
   w.u32(data.destination);
   w.u32(data.payload_id);
+  return out;
+}
+
+std::vector<std::byte> relay_frame(const std::vector<std::byte>& frame) {
+  assert(frame.size() > kHopCountOffset && "relay of a truncated frame");
+  const auto ttl = static_cast<std::uint8_t>(frame[kTtlOffset]);
+  const auto hops = static_cast<std::uint8_t>(frame[kHopCountOffset]);
+  std::vector<std::byte> out = frame;
+  out[kTtlOffset] = static_cast<std::byte>(static_cast<std::uint8_t>(ttl - 1));
+  out[kHopCountOffset] =
+      static_cast<std::byte>(static_cast<std::uint8_t>(hops + 1));
   return out;
 }
 

@@ -88,6 +88,15 @@ std::vector<std::byte> serialize(const PacketHeader& header,
 std::vector<std::byte> serialize(const PacketHeader& header,
                                  const DataMessage& data);
 
+/// The relay of an accepted frame: a copy of `frame` with only the
+/// header's TTL decremented and its hop count incremented (wrapping at the
+/// u8 limit, as PacketHeader arithmetic does). For every frame
+/// `parse_packet` accepts with ttl > 1, this equals
+/// `serialize(h', message)` where h' is the parsed header with ttl - 1 and
+/// hop_count + 1 — the codec has no redundant encodings — so a relay never
+/// needs to re-encode the body it has just decoded.
+std::vector<std::byte> relay_frame(const std::vector<std::byte>& frame);
+
 struct ParsedPacket {
   PacketHeader header;
   std::optional<HelloMessage> hello;

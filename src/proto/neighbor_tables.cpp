@@ -125,19 +125,39 @@ std::vector<NodeId> NeighborTables::mpr_selectors() const {
   return result;
 }
 
-LocalView NeighborTables::build_local_view() const {
-  std::vector<LocalView::NeighborLink> one_hop;
-  std::vector<std::vector<LocalView::NeighborLink>> neighbor_links;
+void NeighborTables::build_local_view(LocalViewInput& input,
+                                      LocalView& out) const {
+  auto& rows = input.neighbor_links;
+  input.one_hop.clear();
+  std::size_t used = 0;
   for (const auto& [id, entry] : links_) {
     if (entry.sym_until < 0.0) continue;
-    one_hop.push_back({id, entry.qos});
-    std::vector<LocalView::NeighborLink> advertised;
-    advertised.reserve(entry.advertised.size());
+    input.one_hop.push_back({id, entry.qos});
+    if (used == rows.size()) {
+      if (input.parked.empty()) {
+        rows.emplace_back();
+      } else {
+        rows.push_back(std::move(input.parked.back()));
+        input.parked.pop_back();
+      }
+    }
+    std::vector<LocalView::NeighborLink>& advertised = rows[used++];
+    advertised.clear();
     for (const LinkAdvert& a : entry.advertised)
       advertised.push_back({a.neighbor, a.qos});
-    neighbor_links.push_back(std::move(advertised));
   }
-  return LocalView(self_, one_hop, neighbor_links);
+  while (rows.size() > used) {
+    input.parked.push_back(std::move(rows.back()));
+    rows.pop_back();
+  }
+  input.builder.build(self_, input.one_hop, rows, out);
+}
+
+LocalView NeighborTables::build_local_view() const {
+  LocalViewInput input;
+  LocalView view;
+  build_local_view(input, view);
+  return view;
 }
 
 }  // namespace qolsr

@@ -9,6 +9,20 @@
 
 namespace qolsr {
 
+/// Caller-owned storage for NeighborTables::build_local_view: the builder
+/// and its HELLO-form input rows (u's symmetric links, then each
+/// neighbor's advertised links), reused build after build so that a warm
+/// rebuild allocates nothing, whichever node's tables it reads.
+struct LocalViewInput {
+  LocalViewBuilder builder;
+  std::vector<LocalView::NeighborLink> one_hop;
+  std::vector<std::vector<LocalView::NeighborLink>> neighbor_links;
+  /// Rows past the current neighborhood, kept with their capacity. The
+  /// last row parked is the first handed back, so each row slot always
+  /// gets its own buffer back.
+  std::vector<std::vector<LocalView::NeighborLink>> parked;
+};
+
 /// HELLO-derived neighbor state of one node: the link set (with the RFC
 /// 3626 two-way handshake), each symmetric neighbor's own advertised link
 /// table (giving the 2-hop view), and who selected us as MPR.
@@ -90,8 +104,11 @@ class NeighborTables {
   /// original OLSR would advertise in TCs).
   std::vector<NodeId> mpr_selectors() const;
 
-  /// Builds the local view G_self from the HELLO state: our symmetric
-  /// links plus every symmetric neighbor's advertised links.
+  /// Builds the local view G_self from the HELLO state into `out`: our
+  /// symmetric links plus every symmetric neighbor's advertised links.
+  /// All storage comes from `input` and `out`.
+  void build_local_view(LocalViewInput& input, LocalView& out) const;
+  /// Allocating convenience form of the above.
   LocalView build_local_view() const;
 
  private:

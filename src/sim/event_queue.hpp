@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace qolsr {
@@ -11,7 +10,9 @@ using SimTime = double;
 
 /// Deterministic discrete-event core. Events at equal times fire in
 /// scheduling order (a monotone sequence number breaks ties), so a seeded
-/// simulation replays identically.
+/// simulation replays identically. Callbacks are moved in and moved out,
+/// never copied: the queue is a binary heap over a plain vector, so the
+/// event to fire can be taken by move (std::priority_queue::top is const).
 class EventQueue {
  public:
   using Callback = std::function<void()>;
@@ -36,7 +37,7 @@ class EventQueue {
   /// run's nodes) before those nodes are reset is what makes per-run reuse
   /// of a Simulator safe.
   void reset() {
-    events_ = {};
+    events_.clear();
     now_ = 0.0;
     next_sequence_ = 0;
     processed_ = 0;
@@ -58,7 +59,7 @@ class EventQueue {
   SimTime now_ = 0.0;
   std::uint64_t next_sequence_ = 0;
   std::uint64_t processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> events_;
+  std::vector<Event> events_;  ///< a heap under Later: front() fires next
 };
 
 }  // namespace qolsr

@@ -54,12 +54,14 @@ bool in_deployment(const ParsedPacket& packet, std::size_t n) {
 }  // namespace
 
 OlsrNode::OlsrNode(NodeId id, Medium& medium, TraceStats& trace,
+                   SelectionScratch& scratch,
                    const AnsSelector& flooding_selector,
                    const AnsSelector& ans_selector, const RouteFn& route_fn,
                    const NodeConfig& config, std::uint64_t seed)
     : id_(id),
       medium_(medium),
       trace_(trace),
+      scratch_(&scratch),
       flooding_selector_(&flooding_selector),
       ans_selector_(&ans_selector),
       route_fn_(&route_fn),
@@ -157,15 +159,20 @@ std::vector<LinkAdvert> OlsrNode::build_hello_links() const {
 }
 
 void OlsrNode::recompute_selection() {
-  const LocalView view = tables_.build_local_view();
-  std::vector<NodeId> flooding = flooding_selector_->select(view);
-  std::vector<NodeId> ans = ans_selector_->select(view);
+  // Everything below runs in the borrowed scratch; the results are copied
+  // into this node's own sets, which keep their capacity.
+  SelectionScratch& s = *scratch_;
+  tables_.build_local_view(s.view_input, s.view);
+  flooding_selector_->select_into(s.view, s.workspace, s.flooding);
+  ans_selector_->select_into(s.view, s.workspace, s.ans);
   // Selection output is digest-visible state: report a change the instant
   // it is computed. (It does not touch the knowledge cache — that view is
   // the TC topology plus own symmetric links, independent of MPR/ANS.)
-  if (flooding != flooding_mpr_ || ans != ans_) note_mutation();
-  flooding_mpr_ = std::move(flooding);
-  ans_ = std::move(ans);
+  if (s.flooding != flooding_mpr_ || s.ans != ans_) {
+    note_mutation();
+    flooding_mpr_ = s.flooding;
+    ans_ = s.ans;
+  }
   if (ans_ != last_advertised_) {
     ++ansn_;
     last_advertised_ = ans_;
@@ -302,12 +309,24 @@ void OlsrNode::replay_captured_tc() {
 }
 
 void OlsrNode::on_receive(NodeId from, const std::vector<std::byte>& bytes) {
+  const auto packet = decode(bytes, medium_.node_count());
+  on_frame(from, packet.has_value() ? &*packet : nullptr, bytes);
+}
+
+std::optional<ParsedPacket> OlsrNode::decode(
+    const std::vector<std::byte>& bytes, std::size_t node_count) {
+  auto packet = parse_packet(bytes);
+  if (packet.has_value() && !in_deployment(*packet, node_count))
+    return std::nullopt;
+  return packet;
+}
+
+void OlsrNode::on_frame(NodeId from, const ParsedPacket* packet,
+                        const std::vector<std::byte>& bytes) {
   // A frame scheduled before we crashed can still land afterwards (the
   // propagation delay); a dead node hears nothing.
   if (!alive_) return;
-  const auto packet = parse_packet(bytes);
-  if (!packet.has_value() ||
-      !in_deployment(*packet, medium_.node_count())) {
+  if (packet == nullptr) {
     // Expected noise under an active corruption gate — counted, not
     // warned about (a warn per mangled frame would drown real logs).
     trace_.frames_malformed += 1;
@@ -319,7 +338,7 @@ void OlsrNode::on_receive(NodeId from, const std::vector<std::byte>& bytes) {
       handle_hello(*packet->hello, from);
       break;
     case MessageType::kTc:
-      handle_tc(packet->header, *packet->tc, from);
+      handle_tc(packet->header, *packet->tc, from, bytes);
       break;
     case MessageType::kData:
       handle_data(packet->header, *packet->data);
@@ -337,7 +356,7 @@ void OlsrNode::handle_hello(const HelloMessage& hello, NodeId from) {
 }
 
 void OlsrNode::handle_tc(const PacketHeader& header, const TcMessage& tc,
-                         NodeId from) {
+                         NodeId from, const std::vector<std::byte>& bytes) {
   const double now = medium_.now();
   // Only process floods arriving over a symmetric link (RFC 3626 §9.5).
   if (!tables_.is_symmetric(from)) return;
@@ -377,13 +396,12 @@ void OlsrNode::handle_tc(const PacketHeader& header, const TcMessage& tc,
     }
     return;
   }
-  PacketHeader forwarded = header;
-  forwarded.ttl -= 1;
-  forwarded.hop_count += 1;
-  auto bytes = make_shared_bytes(serialize(forwarded, tc));
+  // The relay is the received frame with TTL and hop count rewritten —
+  // byte-equal to re-encoding the decoded TC under the forwarded header.
+  auto relayed = make_shared_bytes(relay_frame(bytes));
   trace_.tc_forwarded += 1;
-  trace_.control_bytes += bytes->size();
-  medium_.broadcast(id_, std::move(bytes));
+  trace_.control_bytes += relayed->size();
+  medium_.broadcast(id_, std::move(relayed));
 }
 
 void OlsrNode::send_data(NodeId destination, std::uint32_t payload_id) {

@@ -2,9 +2,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "graph/local_view.hpp"
+#include "olsr/selection_workspace.hpp"
 #include "olsr/selector.hpp"
 #include "proto/duplicate_set.hpp"
 #include "proto/messages.hpp"
@@ -29,6 +32,19 @@ struct NodeConfig : ProtocolTiming {
   std::uint8_t data_ttl = 64;
 };
 
+/// The storage a node borrows to recompute its selections: the view
+/// builder's input rows, the view it builds, the selectors' workspace and
+/// the two output sets. Nothing in it outlives one recompute, so a
+/// Simulator lends a single bundle to all of its nodes (the wire daemon
+/// owns one for its one node), and a warm recompute allocates nothing.
+struct SelectionScratch {
+  LocalViewInput view_input;
+  LocalView view;
+  SelectionWorkspace workspace;
+  std::vector<NodeId> flooding;
+  std::vector<NodeId> ans;
+};
+
 /// One OLSR/QOLSR node: HELLO link sensing, the two selection roles
 /// (flooding MPRs + advertised neighbor set), TC origination and
 /// MPR-forwarding, topology base, and QoS data forwarding.
@@ -45,17 +61,18 @@ class OlsrNode {
   /// destination is unreachable.
   using RouteFn = std::function<NodeId(const Graph&, NodeId, NodeId)>;
 
-  /// The selectors and the route function are borrowed, not copied — the
-  /// Simulator owns them and outlives its nodes, and `reset` can rebind
-  /// them without reconstructing the node. The deleted rvalue overloads
-  /// keep a temporary RouteFn (e.g. a lambda literal converting to
-  /// std::function at the call site) from silently dangling.
+  /// The selectors, the route function and the selection scratch are
+  /// borrowed, not copied — the Simulator owns them and outlives its
+  /// nodes, and `reset` can rebind the heuristics without reconstructing
+  /// the node. The deleted rvalue overloads keep a temporary RouteFn (e.g.
+  /// a lambda literal converting to std::function at the call site) from
+  /// silently dangling.
   OlsrNode(NodeId id, Medium& medium, TraceStats& trace,
-           const AnsSelector& flooding_selector,
+           SelectionScratch& scratch, const AnsSelector& flooding_selector,
            const AnsSelector& ans_selector, const RouteFn& route_fn,
            const NodeConfig& config, std::uint64_t seed);
   OlsrNode(NodeId id, Medium& medium, TraceStats& trace,
-           const AnsSelector& flooding_selector,
+           SelectionScratch& scratch, const AnsSelector& flooding_selector,
            const AnsSelector& ans_selector, RouteFn&& route_fn,
            const NodeConfig& config, std::uint64_t seed) = delete;
 
@@ -102,8 +119,23 @@ class OlsrNode {
   AdversaryKind role() const { return role_; }
   void set_monitor(InvariantMonitor* monitor) { monitor_ = monitor; }
 
-  /// MAC upcall for any packet addressed to or overheard by this node.
+  /// MAC upcall for one frame addressed to or overheard by this node:
+  /// decode, then on_frame. The single-receiver paths use it (a
+  /// per-leg delivery, the wire daemon); a batched fan-out decodes once
+  /// and calls on_frame per receiver instead.
   void on_receive(NodeId from, const std::vector<std::byte>& bytes);
+
+  /// Parses `bytes` and sanitizes the result for a deployment of
+  /// `node_count` dense ids; nullopt means malformed. A pure function of
+  /// its arguments, so every receiver of one buffer gets the same answer.
+  static std::optional<ParsedPacket> decode(
+      const std::vector<std::byte>& bytes, std::size_t node_count);
+
+  /// Handles one decoded frame: `packet` is decode's result for
+  /// `bytes` (nullptr when it rejected them), and `bytes` stays readable
+  /// for the call — a relay copies it instead of re-encoding the message.
+  void on_frame(NodeId from, const ParsedPacket* packet,
+                const std::vector<std::byte>& bytes);
 
   /// Injects one data packet to route toward `destination`.
   void send_data(NodeId destination, std::uint32_t payload_id);
@@ -156,7 +188,7 @@ class OlsrNode {
   std::vector<LinkAdvert> build_hello_links() const;
   void handle_hello(const HelloMessage& hello, NodeId from);
   void handle_tc(const PacketHeader& header, const TcMessage& tc,
-                 NodeId from);
+                 NodeId from, const std::vector<std::byte>& bytes);
   void handle_data(PacketHeader header, const DataMessage& data);
   void forward_or_deliver(PacketHeader header, const DataMessage& data);
   void mark_drop(std::uint32_t payload_id, TraceStats::Journey::Drop reason);
@@ -164,6 +196,7 @@ class OlsrNode {
   NodeId id_;
   Medium& medium_;
   TraceStats& trace_;
+  SelectionScratch* scratch_;
   const AnsSelector* flooding_selector_;
   const AnsSelector* ans_selector_;
   const RouteFn* route_fn_;

@@ -56,8 +56,8 @@ void Simulator::reset(const Graph& graph,
   nodes_.reserve(n);
   while (nodes_.size() < n)
     nodes_.push_back(std::make_unique<OlsrNode>(
-        static_cast<NodeId>(nodes_.size()), lossy_, trace_, flooding_selector,
-        ans_selector, route_fn_, config_.node, seed));
+        static_cast<NodeId>(nodes_.size()), lossy_, trace_, selection_scratch_,
+        flooding_selector, ans_selector, route_fn_, config_.node, seed));
   for (auto& node : nodes_) node->set_mutation_clock(&mutations_);
 
   if (adversarial) {
@@ -232,8 +232,15 @@ void Simulator::deliver_fanout(NodeId from,
   if (receivers.empty()) return;
   queue_.schedule_in(config_.propagation_delay,
                      [this, from, receivers, bytes = std::move(bytes)] {
+                       // One decode for the whole fan-out: it is a pure
+                       // function of the shared bytes and the deployment
+                       // size, so each receiver would compute the same.
+                       const auto packet =
+                           OlsrNode::decode(*bytes, node_count());
+                       const ParsedPacket* frame =
+                           packet.has_value() ? &*packet : nullptr;
                        for (const NodeId to : receivers)
-                         nodes_[to]->on_receive(from, *bytes);
+                         nodes_[to]->on_frame(from, frame, *bytes);
                      });
 }
 

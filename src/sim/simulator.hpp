@@ -207,7 +207,9 @@ class Simulator final : public Medium {
   /// allocation) per leg. Only valid on the uncontended fast path — the
   /// legs share one delivery time — and ordering-equivalent to per-leg
   /// deliver calls because those would occupy contiguous sequence numbers
-  /// at the same timestamp anyway.
+  /// at the same timestamp anyway. The event decodes the frame once and
+  /// hands the result to each receiver in order (OlsrNode::on_frame), so
+  /// a fan-out to k neighbors costs one parse, not k.
   void deliver_fanout(NodeId from, const std::vector<NodeId>& receivers,
                       SharedBytes bytes);
 
@@ -243,6 +245,9 @@ class Simulator final : public Medium {
   InvariantMonitor monitor_;    ///< armed only under an active AdversarySpec
   std::vector<NodeId> adversary_ids_;  ///< drawn roster, sorted
   OlsrNode::RouteFn route_fn_;  ///< shared by all nodes (they borrow it)
+  /// Lent to every node for its selection recomputes: one bundle per
+  /// simulator, since a node's recompute never overlaps another's.
+  SelectionScratch selection_scratch_;
   std::vector<std::unique_ptr<OlsrNode>> nodes_;
 };
 

@@ -33,6 +33,50 @@ std::string run_to_csv(const std::vector<std::string>& flags) {
   return os.str();
 }
 
+/// Figure B at a 10% roster with 5% wire corruption: blackholes and
+/// liars, corrupted legs delivered one event each beside the clean legs'
+/// batched fan-out, and the malformed-frame counts of the hardened parser.
+/// Captured with the qolsr_eval of the commit before the simulator's frame
+/// path decoded each fan-out once; that change must not move a byte.
+constexpr const char* kCorruptedFigureBCsv =
+    "metric,adversary,runs,avg_nodes,protocol,set_size_mean,"
+    "set_size_stddev,delivered,failed,overhead_mean,overhead_stddev,"
+    "path_hops_mean,hello_msgs_mean,tc_msgs_mean,tc_forwards_mean,"
+    "duplicate_drops_mean,control_bytes_mean,convergence_time_mean,"
+    "convergence_time_stddev,unconverged_runs,adversary_fraction,"
+    "adversary_count,corrupt_rate,adversary_delivery_ratio,"
+    "invariant_violations,forwarding_loops,blackhole_absorptions,"
+    "mpr_refusals,ansn_regressions,stale_tc_rejections,phantom_links,"
+    "inflated_qos,poisoned_nodes,poisoned_routes,frames_corrupted_mean,"
+    "frames_malformed_mean,first_violation_mean\n"
+    "bandwidth,0.1,2,46.5,olsr_mpr,2.194444444,0.03928371007,0,16,0,0,0,"
+    "980.5,375.5,4521.5,19218.5,1034466.5,43.75008327,0.7929591204,2,0.1,0,"
+    "0.05,0,2668,0,1364,0,0,273,404,627,88,15,2091.5,573.5,7.057279905\n"
+    "bandwidth,0.1,2,46.5,qolsr_mpr1_bandwidth,2.194444444,0.03928371007,0,"
+    "16,0,0,0,975.5,376,4676,19748.5,1057002.5,43.3424536,0.1830031697,2,"
+    "0.1,0,0.05,0,2142,0,1064,0,0,203,368,507,88,16,2145,589,7.057279905\n"
+    "bandwidth,0.1,2,46.5,qolsr_mpr2_bandwidth,3.213194444,0.08151369839,0,"
+    "16,0,0,0,984,383,7825.5,42392,1924137,44.02753637,0.6813929305,2,0.1,"
+    "0,0.05,0,3417,0,1694,0,0,588,398,737,88,16,3320.5,871.5,7.057279905\n"
+    "bandwidth,0.1,2,46.5,topology_filtering_bandwidth,3.084722222,"
+    "0.0569613796,0,16,0,0,0,994,399,4515,19218.5,1259612,44.19042439,"
+    "1.09296287,2,0.1,0,0.05,0,2592,0,1328,0,0,254,335,675,88,14,2064,"
+    "527.5,7.057279905\n"
+    "bandwidth,0.1,2,46.5,fnbp_bandwidth,1.656944444,0.04517626658,0,16,0,"
+    "0,0,984.5,400.5,4615,19661.5,884806,44.06104425,0.7287802245,2,0.1,0,"
+    "0.05,0,2585,0,1375,0,0,408,331,471,88,16,2097,646.5,7.057279905\n";
+
+
+TEST(AdversaryExperiment, CorruptedFigureBPointMatchesGoldenPin) {
+  const ExperimentSpec spec = parse_experiment_spec(
+      {"--densities=0.1", "--corrupt=0.05", "--field=400x400", "--runs=2",
+       "--seed=7", "--threads=1", "--format=csv"},
+      figure_by_name("B"));
+  std::ostringstream os;
+  CsvSink{}.write(run_experiment(spec), os);
+  EXPECT_EQ(os.str(), kCorruptedFigureBCsv);
+}
+
 TEST(AdversaryExperiment, ZeroedAdversaryFlagsAreByteIdenticalToNoFlags) {
   const std::string honest = run_to_csv(golden_flags());
 

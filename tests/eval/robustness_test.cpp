@@ -56,8 +56,50 @@ std::string run_to_csv(const std::vector<std::string>& flags) {
   return os.str();
 }
 
+/// Figure R at loss 0.2: lossy broadcast fan-outs, the crash incident and
+/// its re-convergence, all on the uncontended batched delivery path.
+/// Captured with the qolsr_eval of the commit before the simulator's frame
+/// path decoded each fan-out once; that change must not move a byte.
+constexpr const char* kLossyFigureRCsv =
+    "metric,loss,runs,avg_nodes,protocol,set_size_mean,set_size_stddev,"
+    "delivered,failed,overhead_mean,overhead_stddev,path_hops_mean,"
+    "hello_msgs_mean,tc_msgs_mean,tc_forwards_mean,duplicate_drops_mean,"
+    "control_bytes_mean,convergence_time_mean,convergence_time_stddev,"
+    "unconverged_runs,loss_rate,probes,delivery_ratio,no_route_drops,"
+    "loop_drops,medium_drops,frames_lost_mean,frames_blocked_mean,"
+    "reconvergence_time_mean,reconv_unconverged,probe_delivery_p50,"
+    "probe_delivery_p95,probe_delivery_p99\n"
+    "bandwidth,0.2,2,46.5,olsr_mpr,2.195138889,0.06972858537,3,13,0.25,"
+    "0.4330127019,6,1022,379,3633,12306.5,922327,45.30921098,0.1107212983,"
+    "2,0.2,8,0.1875,0,0,13,6983,0,45.41358695,2,0.1875,0.24375,0.24875\n"
+    "bandwidth,0.2,2,46.5,qolsr_mpr1_bandwidth,2.195833333,0.1001734607,3,"
+    "13,0.25,0.4330127019,6,1022,380,3586,12204,915370.5,45.37777181,"
+    "0.333015398,2,0.2,8,0.1875,0,0,13,6959,0,45.41845546,2,0.1875,0.24375,"
+    "0.24875\n"
+    "bandwidth,0.2,2,46.5,qolsr_mpr2_bandwidth,3.168055556,0.1748125098,4,"
+    "12,0.375,0.4330127019,6,1019,379.5,6334.5,26195.5,1667230,45.10731139,"
+    "0.04805919436,2,0.2,8,0.25,0,0,12,11002.5,0,45.92481824,2,0.25,0.25,"
+    "0.25\n"
+    "bandwidth,0.2,2,46.5,topology_filtering_bandwidth,3.0625,"
+    "0.08838834765,3,13,0,0,7.333333333,1022,394.5,3562.5,12304,1086513.5,"
+    "45.30921098,0.1107212983,2,0.2,8,0.1875,0,0,13,6938,0,45.64701679,2,"
+    "0.1875,0.24375,0.24875\n"
+    "bandwidth,0.2,2,46.5,fnbp_bandwidth,1.688194444,0.0009820927516,2,14,"
+    "0,0,8.5,1022,394.5,3562.5,12304,765651.5,45.30921098,0.1107212983,2,"
+    "0.2,8,0.125,0,0,14,6938,0,45.67321593,2,0.125,0.125,0.125\n";
+
 TEST(Robustness, FaultFreePacketRunMatchesGoldenPin) {
   EXPECT_EQ(run_to_csv(golden_flags()), kFaultFreePacketCsv);
+}
+
+TEST(Robustness, LossyFigureRPointMatchesGoldenPin) {
+  const ExperimentSpec spec = parse_experiment_spec(
+      {"--densities=0.2", "--field=400x400", "--runs=2", "--seed=7",
+       "--threads=1", "--format=csv"},
+      figure_by_name("R"));
+  std::ostringstream os;
+  CsvSink{}.write(run_experiment(spec), os);
+  EXPECT_EQ(os.str(), kLossyFigureRCsv);
 }
 
 TEST(Robustness, LossZeroFlagIsByteIdenticalToNoFaultFlags) {

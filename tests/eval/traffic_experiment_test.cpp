@@ -32,6 +32,52 @@ std::vector<std::string> base_flags() {
           "--format=csv"};
 }
 
+/// Figure L at load 4: the contended medium, where every broadcast leg is
+/// admitted, queued and delivered as its own event. Captured with the
+/// qolsr_eval of the commit before the simulator's frame path decoded each
+/// fan-out once; that change must not move a byte.
+constexpr const char* kContendedFigureLCsv =
+    "metric,load,runs,avg_nodes,protocol,set_size_mean,set_size_stddev,"
+    "delivered,failed,overhead_mean,overhead_stddev,path_hops_mean,"
+    "hello_msgs_mean,tc_msgs_mean,tc_forwards_mean,duplicate_drops_mean,"
+    "control_bytes_mean,convergence_time_mean,convergence_time_stddev,"
+    "unconverged_runs,load,offered,traffic_delivered,"
+    "traffic_delivery_ratio,queue_drops,traffic_no_route_drops,"
+    "traffic_loop_drops,traffic_medium_drops,latency_p50,latency_p95,"
+    "latency_p99,flow_delivery_p50,flow_delivery_p95,flow_delivery_p99,"
+    "throughput_p50,throughput_p95,throughput_p99\n"
+    "bandwidth,4,2,46.5,olsr_mpr,2.194444444,0.03928371007,2,0,0.375,"
+    "0.5303300859,6,186,69,673.5,3033.5,158168.5,7.497442109,"
+    "0.004016090301,0,4,25432,17656,0.6942434728,7776,0,0,0,0.1852337341,"
+    "1.041922643,1.362479027,0.7246842019,1,1,29465.6,42977.28,43878.4\n"
+    "bandwidth,4,2,46.5,qolsr_mpr1_bandwidth,2.194444444,0.03928371007,2,0,"
+    "0.375,0.5303300859,6,186,69,687.5,3125.5,160235,7.493197861,"
+    "0.001747340954,0,4,25432,17227,0.6773749607,8205,0,0,0,0.2099143186,"
+    "1.058382087,1.347906695,0.6896163822,1,1,27596.8,42977.28,43878.4\n"
+    "bandwidth,4,2,46.5,qolsr_mpr2_bandwidth,3.157638889,0.1600811185,2,0,"
+    "0.375,0.5303300859,6,186,69,1122,6279,282737.5,7.513202215,"
+    "0.03227874088,0,4,25432,18228,0.7167348223,7204,0,0,0,0.1983658004,"
+    "1.043040688,1.465994581,0.8007242694,1,1,31488,42977.28,43878.4\n"
+    "bandwidth,4,2,46.5,topology_filtering_bandwidth,3.084722222,"
+    "0.0569613796,2,0,0,0,8,186,72,671,3005.5,191487.5,7.530053019,"
+    "0.04610790756,0,4,25432,17918,0.7045454545,7514,0,0,0,0.2052818941,"
+    "0.7879301135,1.215303048,0.7510511105,1,1,30668.8,41461.76,43164.16\n"
+    "bandwidth,4,2,46.5,fnbp_bandwidth,1.656944444,0.04517626658,2,0,0,0,"
+    "8.5,234,81,769.5,3505.5,165118.5,9.891062059,3.401220425,0,4,25432,"
+    "17895,0.7036410821,6767,770,0,0,0.1824180358,0.9357169199,1.382950508,"
+    "0.7570991337,1,1,30873.6,41059.84,41510.912\n";
+
+
+TEST(TrafficExperiment, ContendedFigureLPointMatchesGoldenPin) {
+  const ExperimentSpec spec = parse_experiment_spec(
+      {"--densities=4", "--field=400x400", "--runs=2", "--seed=7",
+       "--threads=1", "--format=csv"},
+      figure_by_name("L"));
+  std::ostringstream os;
+  CsvSink{}.write(run_experiment(spec), os);
+  EXPECT_EQ(os.str(), kContendedFigureLCsv);
+}
+
 TEST(TrafficExperiment, LoadZeroIsByteIdenticalToNoTrafficFlags) {
   // An inactive spec is contractually invisible: same RNG draws, same
   // event order, same columns — the CLI's --load=0 must reproduce the

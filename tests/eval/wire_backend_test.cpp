@@ -1,10 +1,20 @@
-// The --backend=wire eval path: spec validation, and one real sweep where
+// The --backend=wire eval path: spec validation, one real sweep where
 // every (run, protocol) stands up a fleet of qolsr_node processes over the
 // software switch and is digest-verified against the in-process Simulator
-// twin (a mismatch throws, so a passing sweep IS the equivalence check).
+// twin (a mismatch throws, so a passing sweep IS the equivalence check),
+// and sweeps whose daemons cannot start or die mid-run.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstdlib>
+#include <optional>
+#include <string>
 
 #include "eval/experiment.hpp"
+#include "net/wire_harness.hpp"
+#include "support/daemon_wrapper.hpp"
 
 namespace qolsr {
 namespace {
@@ -84,6 +94,76 @@ TEST(WireBackend, SweepsRealProcessFleetsAndVerifiesDigests) {
     EXPECT_GT(ps.control.convergence_time.mean(), 0.0);
     EXPECT_EQ(ps.control.unconverged, 0u);
   }
+}
+
+/// Points QOLSR_NODE_BIN at `path` for one scope, then restores it.
+class ScopedNodeBinary {
+ public:
+  explicit ScopedNodeBinary(const std::string& path) {
+    if (const char* old = std::getenv(kVar)) saved_ = old;
+    ::setenv(kVar, path.c_str(), 1);
+  }
+  ~ScopedNodeBinary() {
+    if (saved_.has_value())
+      ::setenv(kVar, saved_->c_str(), 1);
+    else
+      ::unsetenv(kVar);
+  }
+  ScopedNodeBinary(const ScopedNodeBinary&) = delete;
+  ScopedNodeBinary& operator=(const ScopedNodeBinary&) = delete;
+
+ private:
+  static constexpr const char* kVar = "QOLSR_NODE_BIN";
+  std::optional<std::string> saved_;
+};
+
+/// The ExperimentError message of a sweep that must fail ("" if it ran).
+std::string experiment_failure(const ExperimentSpec& spec) {
+  try {
+    run_experiment(spec);
+  } catch (const ExperimentError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+/// Every fleet child was reaped: none is running, none is a zombie.
+void expect_no_children() {
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+}
+
+TEST(WireBackend, DeadDaemonFailsTheExperiment) {
+  {
+    // No daemon binary at all: the first fleet's handshake fails.
+    const ScopedNodeBinary missing("/nonexistent/qolsr_node");
+    const std::string what = experiment_failure(wire_spec());
+    ASSERT_FALSE(what.empty()) << "the sweep did not throw";
+    EXPECT_NE(what.find("experiment 'wire_smoke'"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("wire harness: node "), std::string::npos) << what;
+    EXPECT_NE(what.find("exited with status 127"), std::string::npos)
+        << what;
+    expect_no_children();
+  }
+
+  // Node 2 is SIGKILLed 0.3 s after spawn, past the handshake but before
+  // the fleet can settle, and its wrapper exits 9.
+  const std::string script = testing::write_daemon_kill_wrapper(
+      net::find_sibling_binary("QOLSR_NODE_BIN", "qolsr_node"), 2);
+  ASSERT_FALSE(script.empty());
+  std::string what;
+  {
+    const ScopedNodeBinary wrapped(script);
+    what = experiment_failure(wire_spec());
+  }
+  ::unlink(script.c_str());
+  ASSERT_FALSE(what.empty()) << "the sweep did not throw";
+  EXPECT_NE(what.find("experiment 'wire_smoke'"), std::string::npos) << what;
+  EXPECT_NE(what.find("wire harness: node 2 "), std::string::npos) << what;
+  EXPECT_NE(what.find("exited with status 9"), std::string::npos) << what;
+  expect_no_children();
 }
 
 }  // namespace

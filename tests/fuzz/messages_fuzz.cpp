@@ -29,8 +29,9 @@ using qolsr::parse_packet;
 
 /// The invariant under test, applied to one input. A parse either rejects
 /// the buffer or yields a message that re-serializes to the exact input
-/// bytes (the codec has no redundant encodings), and the wire peeks agree
-/// with the full parse.
+/// bytes (the codec has no redundant encodings), a relayable TC's
+/// header-rewritten copy equals its re-encoding under the forwarded
+/// header, and the wire peeks agree with the full parse.
 void check_one(const std::vector<std::byte>& bytes) {
   const auto parsed = parse_packet(bytes);
   if (parsed.has_value()) {
@@ -45,6 +46,17 @@ void check_one(const std::vector<std::byte>& bytes) {
       std::fprintf(stderr, "round-trip mismatch on %zu-byte accepted input\n",
                    bytes.size());
       std::abort();
+    }
+    if (parsed->tc.has_value() && parsed->header.ttl > 1) {
+      // A relay rewrites the header in place of re-encoding the body.
+      qolsr::PacketHeader forwarded = parsed->header;
+      forwarded.ttl -= 1;
+      forwarded.hop_count += 1;
+      if (qolsr::relay_frame(bytes) !=
+          qolsr::serialize(forwarded, *parsed->tc)) {
+        std::fprintf(stderr, "relay_frame disagrees with re-encoding\n");
+        std::abort();
+      }
     }
     if (qolsr::is_data_frame(bytes) != parsed->data.has_value()) {
       std::fprintf(stderr, "is_data_frame disagrees with parse\n");

@@ -18,6 +18,7 @@
 
 #include "graph/graph.hpp"
 #include "net/wire_harness.hpp"
+#include "support/daemon_wrapper.hpp"
 
 namespace qolsr::net {
 namespace {
@@ -186,28 +187,18 @@ TEST(WireHarness, MissingSwitchBinaryFailsFastAndNamesTheSwitch) {
 }
 
 TEST(WireHarness, DaemonKilledMidRunFailsFastAndNamesIt) {
-  // Node 2 runs the real daemon under a wrapper that SIGKILLs it 0.3 s
-  // after spawn, once the fleet is past its handshake, and then exits 9
-  // itself; every other node runs the real daemon directly.
-  const std::string real = find_sibling_binary("QOLSR_NODE_BIN", "qolsr_node");
-  char script[] = "/tmp/qolsr_node_wrapper_XXXXXX";
-  const int fd = ::mkstemp(script);
-  ASSERT_GE(fd, 0);
-  const std::string body =
-      "#!/bin/sh\n"
-      "if [ \"$2\" != 2 ]; then exec '" + real + "' \"$@\"; fi\n"
-      "'" + real + "' \"$@\" & pid=$!\n"
-      "sleep 0.3; kill -9 $pid; wait $pid; exit 9\n";
-  ASSERT_EQ(::write(fd, body.data(), body.size()),
-            static_cast<ssize_t>(body.size()));
-  ::fchmod(fd, 0700);
-  ::close(fd);
+  // Node 2 is SIGKILLed 0.3 s after spawn, once the fleet is past its
+  // handshake, and its wrapper exits 9; every other node runs the real
+  // daemon directly.
+  const std::string script = testing::write_daemon_kill_wrapper(
+      find_sibling_binary("QOLSR_NODE_BIN", "qolsr_node"), 2);
+  ASSERT_FALSE(script.empty());
 
   WireRunConfig config;
   config.timeout_seconds = 30.0;
   config.node_binary = script;
   const auto [what, took] = failing_run(config);
-  ::unlink(script);
+  ::unlink(script.c_str());
   ASSERT_FALSE(what.empty()) << "the run did not throw";
   EXPECT_NE(what.find("node 2 "), std::string::npos) << what;
   EXPECT_NE(what.find("exited with status 9"), std::string::npos) << what;

@@ -234,5 +234,40 @@ TEST(Messages, TcWireSizeGrowsWithAnsSize) {
             tc_wire_size(5));
 }
 
+TEST(Messages, RelayFrameEqualsReencodingUnderTheForwardedHeader) {
+  // A relay copies the received bytes and rewrites only TTL and hop
+  // count; that must be exactly what re-encoding the decoded TC under the
+  // forwarded header produces — for an empty TC, a TC with several
+  // adverts, and a hop count at the u8 limit, which wraps to 0.
+  TcMessage empty;
+  empty.originator = 5;
+  empty.ansn = 9;
+  TcMessage several;
+  several.originator = 42;
+  several.ansn = 65535;
+  for (NodeId i = 0; i < 4; ++i)
+    several.advertised.push_back({100 + i, LinkStatus::kSymmetric,
+                                  sample_qos()});
+
+  PacketHeader wrapping = header_of(MessageType::kTc);
+  wrapping.hop_count = 255;
+  wrapping.ttl = 2;
+  for (const TcMessage& tc : {empty, several}) {
+    for (const PacketHeader& h : {header_of(MessageType::kTc), wrapping}) {
+      PacketHeader forwarded = h;
+      forwarded.ttl -= 1;
+      forwarded.hop_count += 1;
+      const auto relayed = relay_frame(serialize(h, tc));
+      EXPECT_EQ(relayed, serialize(forwarded, tc))
+          << tc.advertised.size() << " adverts, hop count "
+          << int{h.hop_count};
+      const auto parsed = parse_packet(relayed);
+      ASSERT_TRUE(parsed.has_value());
+      EXPECT_EQ(parsed->header, forwarded);
+      EXPECT_EQ(*parsed->tc, tc);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace qolsr

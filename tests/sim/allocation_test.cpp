@@ -127,6 +127,110 @@ TEST(Allocation, WarmSelectionAllocatesNothing) {
   }
 }
 
+TEST(Allocation, WarmNodeSelectionAllocatesNothing) {
+  // A node's selection recompute — the HELLO-table view build and both
+  // select_into calls — through one SelectionScratch lent to every node,
+  // as the Simulator lends its bundle. Neighborhoods grow and shrink from
+  // node to node, so a scratch that freed a row on a smaller one would
+  // allocate again on the next larger one. Two passes warm every buffer;
+  // the third must not touch the heap.
+  Graph g = testing::random_geometric_graph(29, 20.0, 300.0);
+  util::Rng rng(31);
+  QosIntervals qos;
+  qos.integral = true;
+  assign_uniform_qos(g, qos, rng);
+  const Rfc3626Selector rfc;
+  Simulator sim(g, rfc, rfc, [](const Graph&, NodeId, NodeId) {
+    return kInvalidNode;
+  });
+  sim.run_to_convergence();
+
+  const SelectorRegistry& registry = SelectorRegistry::builtin();
+  SelectionScratch s;
+  for (const MetricId metric : {MetricId::kBandwidth, MetricId::kDelay}) {
+    for (const std::string& name : registry.names()) {
+      const auto flooding = registry.create_flooding(name, metric);
+      const auto ans = registry.create(name, metric);
+      const auto pass = [&] {
+        for (NodeId u = 0; u < g.node_count(); ++u) {
+          sim.node(u).tables().build_local_view(s.view_input, s.view);
+          flooding->select_into(s.view, s.workspace, s.flooding);
+          ans->select_into(s.view, s.workspace, s.ans);
+        }
+      };
+      pass();
+      pass();
+      const std::uint64_t before = allocations();
+      pass();
+      EXPECT_EQ(allocations() - before, 0u)
+          << name << " on " << metric_name(metric)
+          << " allocated over a warm pass of " << g.node_count()
+          << " nodes";
+    }
+  }
+}
+
+TEST(Allocation, FanoutCostDoesNotGrowWithReceivers) {
+  // One broadcast's heap traffic — the delivery closure, its receiver
+  // list, the decoded frame — must not depend on how many neighbors hear
+  // it: the fan-out decodes once, not once per receiver. Ticks are parked
+  // past one HELLO round, as in BM_BroadcastFanout, so nothing but the
+  // measured broadcast runs; a warm-up broadcast of the same TTL-1 frame
+  // fills the duplicate sets, so every receiver of the measured one drops
+  // it after the decode.
+  const Graph g = testing::random_geometric_graph(23, 30.0, 400.0);
+  const auto hub_near = [&g](std::size_t degree) {
+    NodeId best = 0;
+    const auto gap = [&](NodeId u) {
+      const std::size_t d = g.neighbors(u).size();
+      return d > degree ? d - degree : degree - d;
+    };
+    for (NodeId u = 1; u < g.node_count(); ++u)
+      if (gap(u) < gap(best)) best = u;
+    return best;
+  };
+  const NodeId small_hub = hub_near(13);
+  const NodeId large_hub = hub_near(39);
+  ASSERT_LT(g.neighbors(small_hub).size() * 2,
+            g.neighbors(large_hub).size());
+
+  const Rfc3626Selector flooding;
+  const FnbpSelector<BandwidthMetric> ans;
+  SimConfig config;
+  config.node.hello_interval = 1e9;
+  config.node.tc_interval = 1e9;
+  Simulator sim(g, flooding, ans,
+                [](const Graph&, NodeId, NodeId) { return kInvalidNode; },
+                config);
+  sim.run_until(2.0 * config.node.jitter + 1.0);
+
+  const double drain = 2.0 * sim.config().propagation_delay;
+  const auto broadcast_cost = [&](NodeId hub) {
+    TcMessage tc;
+    tc.originator = hub;
+    for (const Edge& e : g.neighbors(hub))
+      tc.advertised.push_back({e.to, LinkStatus::kSymmetric, e.qos});
+    PacketHeader header;
+    header.type = MessageType::kTc;
+    header.originator = hub;
+    header.ttl = 1;
+    const SharedBytes bytes = make_shared_bytes(serialize(header, tc));
+    sim.broadcast(hub, bytes);
+    sim.run_until(sim.now() + drain);
+    const std::uint64_t before = allocations();
+    sim.broadcast(hub, bytes);
+    sim.run_until(sim.now() + drain);
+    return allocations() - before;
+  };
+  const std::uint64_t small = broadcast_cost(small_hub);
+  const std::uint64_t large = broadcast_cost(large_hub);
+  EXPECT_EQ(small, large) << "a fan-out to "
+                          << g.neighbors(small_hub).size()
+                          << " receivers allocated " << small
+                          << " times, one to "
+                          << g.neighbors(large_hub).size() << " " << large;
+}
+
 TEST(Allocation, SteadyStateForwardingIsBounded) {
   // End-to-end budget for the whole data path — route memo hit, serialize,
   // delivery event, journey bookkeeping — once caches are warm. The
@@ -154,9 +258,10 @@ TEST(Allocation, SteadyStateForwardingIsBounded) {
   }
   const std::uint64_t per_packet = (allocations() - before) / kPackets;
   EXPECT_EQ(sim.trace().data_delivered, 1u + kPackets);
-  // 4 hops: one serialized frame + one delivery closure per hop, plus the
-  // journey record. Anything per-hop-heavy blows well past this.
-  EXPECT_LT(per_packet, 40u)
+  // 4 hops: per hop a serialized frame, its shared holder and one
+  // delivery closure, plus the journey record and its path — 18 in all.
+  // Anything per-hop-heavy blows well past this.
+  EXPECT_LE(per_packet, 20u)
       << "forwarding allocated " << per_packet << " times per packet";
 }
 

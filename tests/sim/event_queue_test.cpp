@@ -72,5 +72,30 @@ TEST(EventQueue, NowAdvancesOnlyToFiredEvents) {
   EXPECT_DOUBLE_EQ(seen, 4.0);
 }
 
+TEST(EventQueue, FiringDoesNotCopyTheCallback) {
+  // A fan-out closure owns its receiver list, so every copy of a callback
+  // is an allocation; the queue must move callbacks in and out.
+  struct CopyCounter {
+    int* copies;
+    int* calls;
+    explicit CopyCounter(int* c, int* n) : copies(c), calls(n) {}
+    CopyCounter(const CopyCounter& other)
+        : copies(other.copies), calls(other.calls) {
+      ++*copies;
+    }
+    CopyCounter(CopyCounter&&) noexcept = default;
+    void operator()() const { ++*calls; }
+  };
+  EventQueue q;
+  int copies = 0, calls = 0;
+  // Enough events for the heap to reorder them on push and pop.
+  for (int i = 0; i < 16; ++i)
+    q.schedule_at(static_cast<SimTime>((i * 7) % 16),
+                  CopyCounter(&copies, &calls));
+  q.run_until(100.0);
+  EXPECT_EQ(calls, 16);
+  EXPECT_EQ(copies, 0);
+}
+
 }  // namespace
 }  // namespace qolsr
