@@ -7,7 +7,7 @@
 
 namespace qolsr::bench {
 
-/// Command-line knobs shared by the figure harnesses:
+/// Command-line knobs shared by the ablation harnesses:
 ///   --runs=N     runs per density (default 100, the paper's setting;
 ///                QOLSR_BENCH_RUNS overrides the default)
 ///   --seed=S     base RNG seed (default 42)

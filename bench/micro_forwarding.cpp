@@ -1,8 +1,7 @@
 // Microbenchmarks of the forwarding hot path: advertised-topology
-// construction, per-hop next-hop computation, and full packet routes under
-// all three routing models — each as the seed form (per-hop Graph copies,
-// allocating Dijkstras) next to the workspace form (CSR base +
-// KnowledgeView overlay + reused scratch), for both metric families.
+// construction (Graph and CSR), per-hop next-hop computation, and full
+// packet routes under the hop-by-hop and ANS-chain models, all on the CSR
+// base + KnowledgeView overlay + reused scratch, for both metric families.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -21,7 +20,6 @@ using namespace qolsr;
 struct Fixture {
   Graph full;
   std::vector<std::vector<NodeId>> ans;
-  Graph advertised_graph;
   CsrTopology advertised_csr;
   std::vector<std::pair<NodeId, NodeId>> pairs;  ///< sampled (s, d)
 
@@ -39,7 +37,6 @@ struct Fixture {
       scratch.builder.build(full, u, scratch.view);
       fnbp.select_into(scratch.view, scratch.selection, ans[u]);
     }
-    advertised_graph = build_advertised_topology(full, ans);
     AdvertisedTopologyBuilder builder;
     builder.build_advertised(full, ans, advertised_csr);
 
@@ -81,22 +78,7 @@ void BM_BuildAdvertisedCsr(benchmark::State& state) {
 
 // ------------------------------------------------------- per-hop next hop --
 // The cost one traversed node pays: knowledge assembly + next-hop
-// computation. The seed form clones the advertised graph first — exactly
-// what forward_packet did per hop.
-
-template <Metric M>
-void run_next_hop_seed(benchmark::State& state) {
-  const Fixture f(static_cast<double>(state.range(0)));
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto [s, d] = f.pairs[i];
-    Graph knowledge = f.advertised_graph;
-    for (const Edge& e : f.full.neighbors(s))
-      if (!knowledge.has_edge(s, e.to)) knowledge.add_edge(s, e.to, e.qos);
-    benchmark::DoNotOptimize(compute_next_hop<M>(knowledge, s, d));
-    i = (i + 1) % f.pairs.size();
-  }
-}
+// computation.
 
 template <Metric M>
 void run_next_hop_workspace(benchmark::State& state) {
@@ -118,14 +100,8 @@ void run_next_hop_workspace(benchmark::State& state) {
   }
 }
 
-void BM_NextHopWidestSeed(benchmark::State& state) {
-  run_next_hop_seed<BandwidthMetric>(state);
-}
 void BM_NextHopWidestWorkspace(benchmark::State& state) {
   run_next_hop_workspace<BandwidthMetric>(state);
-}
-void BM_NextHopDelaySeed(benchmark::State& state) {
-  run_next_hop_seed<DelayMetric>(state);
 }
 void BM_NextHopDelayWorkspace(benchmark::State& state) {
   run_next_hop_workspace<DelayMetric>(state);
@@ -133,7 +109,7 @@ void BM_NextHopDelayWorkspace(benchmark::State& state) {
 
 // ---------------------------------------------------------- whole packets --
 
-template <Metric M, bool kWorkspace>
+template <Metric M>
 void run_forward_packet(benchmark::State& state) {
   const Fixture f(static_cast<double>(state.range(0)));
   ForwardingWorkspace ws;
@@ -143,12 +119,8 @@ void run_forward_packet(benchmark::State& state) {
   std::size_t delivered = 0;
   for (auto _ : state) {
     const auto [s, d] = f.pairs[i];
-    ForwardingResult r;
-    if constexpr (kWorkspace) {
-      r = forward_packet<M>(f.full, f.advertised_csr, s, d, options, ws);
-    } else {
-      r = forward_packet<M>(f.full, f.advertised_graph, s, d, options);
-    }
+    const ForwardingResult r =
+        forward_packet<M>(f.full, f.advertised_csr, s, d, options, ws);
     delivered += r.delivered() ? 1 : 0;
     benchmark::DoNotOptimize(r.path.data());
     i = (i + 1) % f.pairs.size();
@@ -156,7 +128,7 @@ void run_forward_packet(benchmark::State& state) {
   state.counters["delivered"] = static_cast<double>(delivered);
 }
 
-template <Metric M, bool kWorkspace>
+template <Metric M>
 void run_forward_via_ans(benchmark::State& state) {
   const Fixture f(static_cast<double>(state.range(0)));
   ForwardingWorkspace ws;
@@ -165,12 +137,8 @@ void run_forward_via_ans(benchmark::State& state) {
   std::size_t delivered = 0;
   for (auto _ : state) {
     const auto [s, d] = f.pairs[i];
-    ForwardingResult r;
-    if constexpr (kWorkspace) {
-      r = forward_via_ans<M>(f.full, f.ans, s, d, options, ws);
-    } else {
-      r = forward_via_ans<M>(f.full, f.ans, s, d, options);
-    }
+    const ForwardingResult r =
+        forward_via_ans<M>(f.full, f.ans, s, d, options, ws);
     delivered += r.delivered() ? 1 : 0;
     benchmark::DoNotOptimize(r.path.data());
     i = (i + 1) % f.pairs.size();
@@ -178,44 +146,26 @@ void run_forward_via_ans(benchmark::State& state) {
   state.counters["delivered"] = static_cast<double>(delivered);
 }
 
-void BM_ForwardPacketWidestSeed(benchmark::State& state) {
-  run_forward_packet<BandwidthMetric, false>(state);
-}
 void BM_ForwardPacketWidestWorkspace(benchmark::State& state) {
-  run_forward_packet<BandwidthMetric, true>(state);
-}
-void BM_ForwardPacketDelaySeed(benchmark::State& state) {
-  run_forward_packet<DelayMetric, false>(state);
+  run_forward_packet<BandwidthMetric>(state);
 }
 void BM_ForwardPacketDelayWorkspace(benchmark::State& state) {
-  run_forward_packet<DelayMetric, true>(state);
-}
-void BM_ForwardViaAnsWidestSeed(benchmark::State& state) {
-  run_forward_via_ans<BandwidthMetric, false>(state);
+  run_forward_packet<DelayMetric>(state);
 }
 void BM_ForwardViaAnsWidestWorkspace(benchmark::State& state) {
-  run_forward_via_ans<BandwidthMetric, true>(state);
-}
-void BM_ForwardViaAnsDelaySeed(benchmark::State& state) {
-  run_forward_via_ans<DelayMetric, false>(state);
+  run_forward_via_ans<BandwidthMetric>(state);
 }
 void BM_ForwardViaAnsDelayWorkspace(benchmark::State& state) {
-  run_forward_via_ans<DelayMetric, true>(state);
+  run_forward_via_ans<DelayMetric>(state);
 }
 
 }  // namespace
 
 BENCHMARK(BM_BuildAdvertisedGraph)->Arg(10)->Arg(20);
 BENCHMARK(BM_BuildAdvertisedCsr)->Arg(10)->Arg(20);
-BENCHMARK(BM_NextHopWidestSeed)->Arg(10)->Arg(20);
 BENCHMARK(BM_NextHopWidestWorkspace)->Arg(10)->Arg(20);
-BENCHMARK(BM_NextHopDelaySeed)->Arg(10)->Arg(20);
 BENCHMARK(BM_NextHopDelayWorkspace)->Arg(10)->Arg(20);
-BENCHMARK(BM_ForwardPacketWidestSeed)->Arg(10)->Arg(20);
 BENCHMARK(BM_ForwardPacketWidestWorkspace)->Arg(10)->Arg(20);
-BENCHMARK(BM_ForwardPacketDelaySeed)->Arg(10)->Arg(20);
 BENCHMARK(BM_ForwardPacketDelayWorkspace)->Arg(10)->Arg(20);
-BENCHMARK(BM_ForwardViaAnsWidestSeed)->Arg(10)->Arg(20);
 BENCHMARK(BM_ForwardViaAnsWidestWorkspace)->Arg(10)->Arg(20);
-BENCHMARK(BM_ForwardViaAnsDelaySeed)->Arg(10)->Arg(20);
 BENCHMARK(BM_ForwardViaAnsDelayWorkspace)->Arg(10)->Arg(20);

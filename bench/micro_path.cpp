@@ -19,40 +19,32 @@ Graph make_network(double degree, std::uint64_t seed = 17) {
   return g;
 }
 
-void BM_DijkstraWidestFullGraph(benchmark::State& state) {
+/// Full-graph Dijkstra from every node in turn through one reused
+/// workspace.
+template <Metric M>
+void run_dijkstra_bench(benchmark::State& state) {
   const Graph g = make_network(static_cast<double>(state.range(0)));
+  DijkstraWorkspace ws;
   NodeId source = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dijkstra<BandwidthMetric>(g, source));
+    dijkstra<M>(g, source, kInvalidNode, ws);
+    benchmark::DoNotOptimize(ws.size());
     source = (source + 1) % static_cast<NodeId>(g.node_count());
   }
   state.counters["nodes"] = static_cast<double>(g.node_count());
+}
+
+void BM_DijkstraWidestWorkspace(benchmark::State& state) {
+  run_dijkstra_bench<BandwidthMetric>(state);
 }
 
 void BM_DijkstraDelayFullGraph(benchmark::State& state) {
-  const Graph g = make_network(static_cast<double>(state.range(0)));
-  NodeId source = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dijkstra<DelayMetric>(g, source));
-    source = (source + 1) % static_cast<NodeId>(g.node_count());
-  }
-  state.counters["nodes"] = static_cast<double>(g.node_count());
+  run_dijkstra_bench<DelayMetric>(state);
 }
 
-void BM_FirstHopsPerNode(benchmark::State& state) {
-  const Graph g = make_network(static_cast<double>(state.range(0)));
-  std::vector<LocalView> views;
-  for (NodeId u = 0; u < g.node_count(); ++u) views.emplace_back(g, u);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        compute_first_hops<BandwidthMetric>(views[i]));
-    i = (i + 1) % views.size();
-  }
-}
-
-/// Workspace form: labels, heap, CSR mirror and the fP table itself are
-/// reused across nodes — the per-node cost the eval pipeline actually pays.
+/// fP of every node in turn: labels, heap, CSR mirror and the fP table
+/// itself are reused across nodes — the per-node cost the eval pipeline
+/// actually pays.
 template <Metric M>
 void run_first_hops_workspace_bench(benchmark::State& state) {
   const Graph g = make_network(static_cast<double>(state.range(0)));
@@ -76,24 +68,9 @@ void BM_FirstHopsDelayPerNodeWorkspace(benchmark::State& state) {
   run_first_hops_workspace_bench<DelayMetric>(state);
 }
 
-/// Full-graph Dijkstra through a reused workspace (no dense result export).
-void BM_DijkstraWidestWorkspace(benchmark::State& state) {
-  const Graph g = make_network(static_cast<double>(state.range(0)));
-  DijkstraWorkspace ws;
-  NodeId source = 0;
-  for (auto _ : state) {
-    dijkstra<BandwidthMetric>(g, source, kInvalidNode, ws);
-    benchmark::DoNotOptimize(ws.size());
-    source = (source + 1) % static_cast<NodeId>(g.node_count());
-  }
-  state.counters["nodes"] = static_cast<double>(g.node_count());
-}
-
 }  // namespace
 
-BENCHMARK(BM_DijkstraWidestFullGraph)->Arg(10)->Arg(20)->Arg(35);
 BENCHMARK(BM_DijkstraDelayFullGraph)->Arg(10)->Arg(20)->Arg(35);
 BENCHMARK(BM_DijkstraWidestWorkspace)->Arg(10)->Arg(20)->Arg(35);
-BENCHMARK(BM_FirstHopsPerNode)->Arg(10)->Arg(20)->Arg(35);
 BENCHMARK(BM_FirstHopsPerNodeWorkspace)->Arg(10)->Arg(20)->Arg(35);
 BENCHMARK(BM_FirstHopsDelayPerNodeWorkspace)->Arg(10)->Arg(20)->Arg(35);

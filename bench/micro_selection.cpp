@@ -23,47 +23,45 @@ Graph make_network(double degree, std::uint64_t seed = 9) {
   return g;
 }
 
-/// Runs `select` on every node's view, counting nodes/sec.
+/// Runs `select(view, ws, out)` on every node's view through the workspace
+/// interface the eval pipeline uses (one SelectionWorkspace and one output
+/// reused across nodes), counting nodes/sec.
 template <typename SelectFn>
 void run_selection_bench(benchmark::State& state, SelectFn&& select) {
   const Graph g = make_network(static_cast<double>(state.range(0)));
   std::vector<LocalView> views;
   views.reserve(g.node_count());
   for (NodeId u = 0; u < g.node_count(); ++u) views.emplace_back(g, u);
+  SelectionWorkspace ws;
+  std::vector<NodeId> out;
   for (auto _ : state) {
-    for (const LocalView& view : views)
-      benchmark::DoNotOptimize(select(view));
+    for (const LocalView& view : views) {
+      select(view, ws, out);
+      benchmark::DoNotOptimize(out.size());
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(views.size()));
 }
 
 void BM_SelectRfc3626Mpr(benchmark::State& state) {
-  run_selection_bench(state,
-                      [](const LocalView& v) { return select_mpr_rfc3626(v); });
+  run_selection_bench(state, [](const LocalView& v, SelectionWorkspace& ws,
+                                std::vector<NodeId>& out) {
+    select_mpr_rfc3626(v, ws, out);
+  });
 }
 
 void BM_SelectQolsrMpr2(benchmark::State& state) {
-  run_selection_bench(state, [](const LocalView& v) {
-    return select_qolsr_mpr<BandwidthMetric>(v, QolsrVariant::kMpr2);
+  run_selection_bench(state, [](const LocalView& v, SelectionWorkspace& ws,
+                                std::vector<NodeId>& out) {
+    select_qolsr_mpr<BandwidthMetric>(v, QolsrVariant::kMpr2, ws, out);
   });
 }
 
 void BM_SelectTopologyFiltering(benchmark::State& state) {
-  run_selection_bench(state, [](const LocalView& v) {
-    return select_topology_filtering_ans<BandwidthMetric>(v);
-  });
-}
-
-void BM_SelectFnbp(benchmark::State& state) {
-  run_selection_bench(state, [](const LocalView& v) {
-    return select_fnbp_ans<BandwidthMetric>(v);
-  });
-}
-
-void BM_SelectFnbpDelay(benchmark::State& state) {
-  run_selection_bench(state, [](const LocalView& v) {
-    return select_fnbp_ans<DelayMetric>(v);
+  run_selection_bench(state, [](const LocalView& v, SelectionWorkspace& ws,
+                                std::vector<NodeId>& out) {
+    select_topology_filtering_ans<BandwidthMetric>(v, ws, out);
   });
 }
 
@@ -93,32 +91,18 @@ void BM_BuildLocalViewReused(benchmark::State& state) {
                           static_cast<std::int64_t>(g.node_count()));
 }
 
-/// Selection through the workspace interface the eval pipeline uses
-/// (select_into with a per-thread SelectionWorkspace and a reused output).
-template <Metric M>
-void run_workspace_selection_bench(benchmark::State& state) {
-  const Graph g = make_network(static_cast<double>(state.range(0)));
-  std::vector<LocalView> views;
-  views.reserve(g.node_count());
-  for (NodeId u = 0; u < g.node_count(); ++u) views.emplace_back(g, u);
-  SelectionWorkspace ws;
-  std::vector<NodeId> out;
-  for (auto _ : state) {
-    for (const LocalView& view : views) {
-      select_fnbp_ans<M>(view, ws, out);
-      benchmark::DoNotOptimize(out.size());
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(views.size()));
-}
-
 void BM_SelectFnbpWorkspace(benchmark::State& state) {
-  run_workspace_selection_bench<BandwidthMetric>(state);
+  run_selection_bench(state, [](const LocalView& v, SelectionWorkspace& ws,
+                                std::vector<NodeId>& out) {
+    select_fnbp_ans<BandwidthMetric>(v, ws, out);
+  });
 }
 
 void BM_SelectFnbpDelayWorkspace(benchmark::State& state) {
-  run_workspace_selection_bench<DelayMetric>(state);
+  run_selection_bench(state, [](const LocalView& v, SelectionWorkspace& ws,
+                                std::vector<NodeId>& out) {
+    select_fnbp_ans<DelayMetric>(v, ws, out);
+  });
 }
 
 /// End-to-end per-node cost as execute_run pays it: build the view, then
@@ -148,8 +132,6 @@ void BM_BuildAndSelectFnbp(benchmark::State& state) {
 BENCHMARK(BM_SelectRfc3626Mpr)->Arg(10)->Arg(20)->Arg(30);
 BENCHMARK(BM_SelectQolsrMpr2)->Arg(10)->Arg(20)->Arg(30);
 BENCHMARK(BM_SelectTopologyFiltering)->Arg(10)->Arg(20)->Arg(30);
-BENCHMARK(BM_SelectFnbp)->Arg(10)->Arg(20)->Arg(30);
-BENCHMARK(BM_SelectFnbpDelay)->Arg(10)->Arg(20)->Arg(30);
 BENCHMARK(BM_SelectFnbpWorkspace)->Arg(10)->Arg(20)->Arg(30);
 BENCHMARK(BM_SelectFnbpDelayWorkspace)->Arg(10)->Arg(20)->Arg(30);
 BENCHMARK(BM_BuildLocalView)->Arg(10)->Arg(20)->Arg(30)->Arg(40);

@@ -75,8 +75,11 @@ void BM_BroadcastFanout(benchmark::State& state) {
     if (g.neighbors(u).size() > g.neighbors(hub).size()) hub = u;
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  const auto routes = [](const Graph& graph, NodeId self, NodeId dest) {
-    return compute_next_hop<BandwidthMetric>(graph, self, dest);
+  DijkstraWorkspace dws;
+  NextHopScratch bfs;
+  const auto routes = [&dws, &bfs](const Graph& graph, NodeId self,
+                                   NodeId dest) {
+    return compute_next_hop<BandwidthMetric>(graph, self, dest, dws, bfs);
   };
   // Park the protocol ticks far in the future and run past the one
   // (jittered) HELLO round before measuring: inside the loop nothing but
@@ -113,8 +116,11 @@ void BM_ControlPlaneConvergence(benchmark::State& state) {
   const Graph g = make_network(static_cast<double>(state.range(0)));
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  const auto routes = [](const Graph& graph, NodeId self, NodeId dest) {
-    return compute_next_hop<BandwidthMetric>(graph, self, dest);
+  DijkstraWorkspace dws;
+  NextHopScratch bfs;
+  const auto routes = [&dws, &bfs](const Graph& graph, NodeId self,
+                                   NodeId dest) {
+    return compute_next_hop<BandwidthMetric>(graph, self, dest, dws, bfs);
   };
   for (auto _ : state) {
     Simulator sim(g, flooding, ans, routes);

@@ -55,16 +55,19 @@ void figure1() {
 
   const QolsrSelector<BandwidthMetric> qolsr(QolsrVariant::kMpr2);
   const FnbpSelector<BandwidthMetric> fnbp;
+  AdvertisedTopologyBuilder builder;
+  CsrTopology adv;
+  ForwardingWorkspace ws;
   for (const AnsSelector* s :
        std::initializer_list<const AnsSelector*>{&qolsr, &fnbp}) {
-    const Graph adv = build_advertised_topology(g, select_all(g, *s));
-    const auto r = forward_packet<BandwidthMetric>(g, adv, 0, 2);
+    builder.build_advertised(g, select_all(g, *s), adv);
+    const auto r = forward_packet<BandwidthMetric>(g, adv, 0, 2, {}, ws);
     std::cout << s->name() << ": v1->v3 via";
     for (NodeId hop : r.path) std::cout << " v" << hop + 1;
     std::cout << " bandwidth " << r.value << "\n";
   }
-  const auto opt = dijkstra<BandwidthMetric>(g, 0);
-  std::cout << "centralized optimum: " << opt.value[2] << "\n\n";
+  dijkstra<BandwidthMetric>(g, 0, kInvalidNode, ws.dijkstra);
+  std::cout << "centralized optimum: " << ws.dijkstra.value(2) << "\n\n";
 }
 
 void figure2() {
@@ -87,7 +90,9 @@ void figure2() {
   g.add_edge(6, 11, bw(5));
 
   const LocalView view(g, 0);
-  const FirstHopTable table = compute_first_hops<BandwidthMetric>(view);
+  DijkstraWorkspace ws;
+  FirstHopTable table;
+  compute_first_hops<BandwidthMetric>(view, ws, table);
   for (NodeId v : {3, 4, 5, 9, 11}) {
     const std::uint32_t l = view.local_id(v);
     std::cout << "fPBW(u,v" << v << ") = {";
@@ -96,7 +101,7 @@ void figure2() {
                 << view.global_id(table.fp[l][i]);
     std::cout << "}  value " << table.best[l] << "\n";
   }
-  print_set("FNBP ANS(u)", select_fnbp_ans<BandwidthMetric>(view));
+  print_set("FNBP ANS(u)", FnbpSelector<BandwidthMetric>().select(view));
   std::cout << "\n";
 }
 
@@ -111,10 +116,11 @@ void figure4() {
 
   FnbpOptions no_fix;
   no_fix.loop_fix = false;
+  const LocalView view(g, 0);
   print_set("ANS(A) with loop fix   ",
-            select_fnbp_ans<BandwidthMetric>(LocalView(g, 0)));
+            FnbpSelector<BandwidthMetric>().select(view));
   print_set("ANS(A) without loop fix",
-            select_fnbp_ans<BandwidthMetric>(LocalView(g, 0), no_fix));
+            FnbpSelector<BandwidthMetric>(no_fix).select(view));
   std::cout << "(the fix makes A advertise the last hop D toward E)\n\n";
 }
 
@@ -136,11 +142,11 @@ void figure5() {
   g.add_edge(5, 6, bw(8, 1));
 
   const LocalView view(g, 0);
-  print_set("RFC 3626 MPR set      ", select_mpr_rfc3626(view));
+  print_set("RFC 3626 MPR set      ", Rfc3626Selector().select(view));
   print_set("topology-filtering ANS",
-            select_topology_filtering_ans<BandwidthMetric>(view));
+            TopologyFilteringSelector<BandwidthMetric>().select(view));
   print_set("FNBP ANS              ",
-            select_fnbp_ans<BandwidthMetric>(view));
+            FnbpSelector<BandwidthMetric>().select(view));
 }
 
 }  // namespace

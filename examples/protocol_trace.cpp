@@ -35,9 +35,13 @@ int main(int argc, char** argv) {
 
   const Rfc3626Selector flooding;           // RFC MPRs flood TCs
   const FnbpSelector<BandwidthMetric> ans;  // FNBP picks what to advertise
-  Simulator sim(network, flooding, ans, [](const Graph& g, NodeId self,
+  // Every node's next-hop computation shares one scratch bundle; the
+  // simulator runs one event at a time.
+  DijkstraWorkspace dijkstra_ws;
+  NextHopScratch bfs;
+  Simulator sim(network, flooding, ans, [&](const Graph& g, NodeId self,
                                             NodeId dest) {
-    return compute_next_hop<BandwidthMetric>(g, self, dest);
+    return compute_next_hop<BandwidthMetric>(g, self, dest, dijkstra_ws, bfs);
   });
 
   sim.run_to_convergence();

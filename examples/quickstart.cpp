@@ -41,18 +41,23 @@ int main() {
     std::cout << "}\n";
   }
 
-  // 3. The union of advertised links is what TC messages spread.
-  const Graph advertised = build_advertised_topology(network, ans);
-  std::cout << "advertised links: " << advertised.edge_count() << " of "
+  // 3. The union of advertised links is what TC messages spread; routes
+  //    are computed on its flat form, which holds each link both ways.
+  AdvertisedTopologyBuilder builder;
+  CsrTopology advertised;
+  builder.build_advertised(network, ans, advertised);
+  std::cout << "advertised links: " << advertised.edge_count() / 2 << " of "
             << network.edge_count() << "\n";
 
   // 4. Route v1 → v3 hop by hop and compare with the centralized optimum.
+  //    One workspace holds the scratch of every routing call.
+  ForwardingWorkspace ws;
   const auto routed =
-      forward_packet<BandwidthMetric>(network, advertised, 0, 2);
-  const auto optimal = dijkstra<BandwidthMetric>(network, 0);
+      forward_packet<BandwidthMetric>(network, advertised, 0, 2, {}, ws);
+  dijkstra<BandwidthMetric>(network, 0, kInvalidNode, ws.dijkstra);
   std::cout << "routed path:";
   for (NodeId hop : routed.path) std::cout << " v" << hop + 1;
   std::cout << "  (bandwidth " << routed.value << ", optimal "
-            << optimal.value[2] << ")\n";
+            << ws.dijkstra.value(2) << ")\n";
   return routed.delivered() ? 0 : 1;
 }

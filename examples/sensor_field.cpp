@@ -22,7 +22,11 @@ int main(int argc, char** argv) {
   Scenario scenario;
   scenario.field.degree = 20.0;
   util::Rng rng(seed);
-  const SampledRun run = sample_run<BandwidthMetric>(scenario, 20.0, rng);
+  // The eval runner's scratch bundle: view builder, selection, advertised
+  // topology and forwarding scratch, reused for every node and protocol.
+  EvalWorkspace ws;
+  const SampledRun run =
+      sample_run<BandwidthMetric>(scenario, 20.0, rng, ws);
   std::cout << "deployed " << run.graph.node_count() << " sensors, "
             << run.graph.edge_count() << " links; flow "
             << run.source << " -> " << run.destination
@@ -37,8 +41,10 @@ int main(int argc, char** argv) {
   for (const AnsSelector* selector :
        std::initializer_list<const AnsSelector*>{&qolsr, &topo, &fnbp}) {
     std::vector<std::vector<NodeId>> ans(run.graph.node_count());
-    for (NodeId u = 0; u < run.graph.node_count(); ++u)
-      ans[u] = selector->select(LocalView(run.graph, u));
+    for (NodeId u = 0; u < run.graph.node_count(); ++u) {
+      ws.view_builder.build(run.graph, u, ws.view);
+      selector->select_into(ws.view, ws.selection, ans[u]);
+    }
 
     const double avg_size = average_set_size(ans);
     double tc_bytes = 0.0;
@@ -46,9 +52,10 @@ int main(int argc, char** argv) {
       tc_bytes += static_cast<double>(tc_wire_size(set.size()));
     tc_bytes /= static_cast<double>(ans.size());
 
-    const Graph advertised = build_advertised_topology(run.graph, ans);
+    ws.advertised_builder.build_advertised(run.graph, ans, ws.advertised);
     const auto routed = forward_packet<BandwidthMetric>(
-        run.graph, advertised, run.source, run.destination);
+        run.graph, ws.advertised, run.source, run.destination, {},
+        ws.forwarding);
 
     table.add_row({std::string(selector->name()),
                    util::format_double(avg_size, 2),

@@ -53,26 +53,19 @@ struct FnbpOptions {
 /// the loop-fix intersection is with N(v) (`fP ⊆ N(u)` makes the printed
 /// `∩ N(u)` vacuous; "a node w such that the path uwv exists" is N(v)).
 ///
+/// `pick(view, candidates)` is the max≺ of the listing: it chooses one
+/// local id from a set of first hops (kInvalidNode when none qualifies).
 /// Returns ascending global ids in `out` (cleared first). All scratch —
 /// the fP table, the path-engine scratch, the selection flags — comes from
 /// `ws`, so sweeping every node of a run allocates nothing in steady state.
-template <Metric M>
+template <Metric M, typename Pick>
 void select_fnbp_ans(const LocalView& view, SelectionWorkspace& ws,
-                     std::vector<NodeId>& out,
-                     const FnbpOptions& options = {}) {
+                     std::vector<NodeId>& out, bool loop_fix, Pick pick) {
   compute_first_hops<M>(view, ws.dijkstra, ws.first_hops);
   const FirstHopTable& table = ws.first_hops;
   ws.in_ans.assign(view.size(), 0);
   auto& in_ans = ws.in_ans;
 
-  auto pick = [&](std::span<const std::uint32_t> candidates) {
-    if (!options.qos_tiebreak) {
-      // Ablation: smallest global id only. Local one-hop ids are ordered by
-      // global id, so the first candidate is the smallest.
-      return candidates.empty() ? kInvalidNode : candidates.front();
-    }
-    return pick_best_link<M>(view, candidates);
-  };
   auto covered = [&](const std::vector<std::uint32_t>& fp) {
     return std::any_of(fp.begin(), fp.end(),
                        [&](std::uint32_t w) { return in_ans[w] != 0; });
@@ -85,7 +78,7 @@ void select_fnbp_ans(const LocalView& view, SelectionWorkspace& ws,
     if (fp.empty()) continue;  // unreachable in a filtered view; defensive
     if (std::binary_search(fp.begin(), fp.end(), v)) continue;
     if (covered(fp)) continue;
-    const std::uint32_t w = pick(fp);
+    const std::uint32_t w = pick(view, fp);
     if (w != kInvalidNode) in_ans[w] = 1;
   }
 
@@ -94,11 +87,11 @@ void select_fnbp_ans(const LocalView& view, SelectionWorkspace& ws,
     const auto& fp = table.fp[v];
     if (fp.empty()) continue;
     if (!covered(fp)) {
-      const std::uint32_t w = pick(fp);
+      const std::uint32_t w = pick(view, fp);
       if (w != kInvalidNode) in_ans[w] = 1;
       continue;
     }
-    if (!options.loop_fix) continue;
+    if (!loop_fix) continue;
     // minid(fP(u,v)) > u: u is smaller than every best first hop, so no one
     // else will break the potential loop.
     const NodeId origin_id = view.origin();
@@ -111,7 +104,7 @@ void select_fnbp_ans(const LocalView& view, SelectionWorkspace& ws,
     for (std::uint32_t w : fp)
       if (view.has_local_edge(w, v)) adjacent_to_v.push_back(w);
     if (adjacent_to_v.empty()) continue;
-    const std::uint32_t w = pick(adjacent_to_v);
+    const std::uint32_t w = pick(view, adjacent_to_v);
     if (w != kInvalidNode) in_ans[w] = 1;
   }
 
@@ -121,14 +114,22 @@ void select_fnbp_ans(const LocalView& view, SelectionWorkspace& ws,
   std::sort(out.begin(), out.end());
 }
 
-/// Allocating convenience form (the original API).
+/// FNBP as the paper states it, or one of the ablations `options` names.
 template <Metric M>
-std::vector<NodeId> select_fnbp_ans(const LocalView& view,
-                                    const FnbpOptions& options = {}) {
-  thread_local SelectionWorkspace ws;
-  std::vector<NodeId> result;
-  select_fnbp_ans<M>(view, ws, result, options);
-  return result;
+void select_fnbp_ans(const LocalView& view, SelectionWorkspace& ws,
+                     std::vector<NodeId>& out,
+                     const FnbpOptions& options = {}) {
+  const auto pick = [qos_tiebreak = options.qos_tiebreak](
+                        const LocalView& v,
+                        std::span<const std::uint32_t> candidates) {
+    if (!qos_tiebreak) {
+      // Ablation: smallest global id only. Local one-hop ids are ordered by
+      // global id, so the first candidate is the smallest.
+      return candidates.empty() ? kInvalidNode : candidates.front();
+    }
+    return pick_best_link<M>(v, candidates);
+  };
+  select_fnbp_ans<M>(view, ws, out, options.loop_fix, pick);
 }
 
 /// FNBP behind the common selector interface.
@@ -139,9 +140,6 @@ class FnbpSelector final : public AnsSelector {
       : options_(options), name_(std::string("fnbp_") + std::string(M::name())) {}
 
   std::string_view name() const override { return name_; }
-  std::vector<NodeId> select(const LocalView& view) const override {
-    return select_fnbp_ans<M>(view, options_);
-  }
   void select_into(const LocalView& view, SelectionWorkspace& ws,
                    std::vector<NodeId>& out) const override {
     select_fnbp_ans<M>(view, ws, out, options_);

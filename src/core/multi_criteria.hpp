@@ -41,62 +41,10 @@ std::uint32_t pick_best_link_bicriteria(
   return best;
 }
 
-/// FNBP with a bi-criteria pick inside fP: Algorithms 1/2 on `Primary`,
-/// `Secondary` as the tie-break dimension. Returns ascending global ids.
-template <Metric Primary, Metric Secondary>
-std::vector<NodeId> select_fnbp_ans_bicriteria(const LocalView& view,
-                                               bool loop_fix = true) {
-  const FirstHopTable table = compute_first_hops<Primary>(view);
-  std::vector<bool> in_ans(view.size(), false);
-
-  auto covered = [&](const std::vector<std::uint32_t>& fp) {
-    return std::any_of(fp.begin(), fp.end(),
-                       [&](std::uint32_t w) { return in_ans[w]; });
-  };
-  auto pick = [&](std::span<const std::uint32_t> candidates) {
-    return pick_best_link_bicriteria<Primary, Secondary>(view, candidates);
-  };
-
-  for (std::uint32_t v : view.one_hop()) {
-    const auto& fp = table.fp[v];
-    if (fp.empty()) continue;
-    if (std::binary_search(fp.begin(), fp.end(), v)) continue;
-    if (covered(fp)) continue;
-    const std::uint32_t w = pick(fp);
-    if (w != kInvalidNode) in_ans[w] = true;
-  }
-  for (std::uint32_t v : view.two_hop()) {
-    const auto& fp = table.fp[v];
-    if (fp.empty()) continue;
-    if (!covered(fp)) {
-      const std::uint32_t w = pick(fp);
-      if (w != kInvalidNode) in_ans[w] = true;
-      continue;
-    }
-    if (!loop_fix) continue;
-    const NodeId origin_id = view.origin();
-    const bool origin_smallest = std::all_of(
-        fp.begin(), fp.end(),
-        [&](std::uint32_t w) { return view.global_id(w) > origin_id; });
-    if (!origin_smallest) continue;
-    std::vector<std::uint32_t> adjacent_to_v;
-    for (std::uint32_t w : fp)
-      if (view.has_local_edge(w, v)) adjacent_to_v.push_back(w);
-    if (adjacent_to_v.empty()) continue;
-    const std::uint32_t w = pick(adjacent_to_v);
-    if (w != kInvalidNode) in_ans[w] = true;
-  }
-
-  std::vector<NodeId> result;
-  for (std::uint32_t w = 0; w < view.size(); ++w)
-    if (in_ans[w]) result.push_back(view.global_id(w));
-  std::sort(result.begin(), result.end());
-  return result;
-}
-
-/// Bi-criteria FNBP behind the selector interface, e.g.
-/// `BicriteriaFnbpSelector<BandwidthMetric, EnergyMetric>` for the paper's
-/// "good bandwidth at low energy" future-work example.
+/// FNBP with a bi-criteria pick inside fP — Algorithms 1/2 on `Primary`,
+/// `Secondary` as the tie-break dimension — behind the selector interface,
+/// e.g. `BicriteriaFnbpSelector<BandwidthMetric, EnergyMetric>` for the
+/// paper's "good bandwidth at low energy" future-work example.
 template <Metric Primary, Metric Secondary>
 class BicriteriaFnbpSelector final : public AnsSelector {
  public:
@@ -105,8 +53,10 @@ class BicriteriaFnbpSelector final : public AnsSelector {
               std::string(Secondary::name())) {}
 
   std::string_view name() const override { return name_; }
-  std::vector<NodeId> select(const LocalView& view) const override {
-    return select_fnbp_ans_bicriteria<Primary, Secondary>(view);
+  void select_into(const LocalView& view, SelectionWorkspace& ws,
+                   std::vector<NodeId>& out) const override {
+    select_fnbp_ans<Primary>(view, ws, out, /*loop_fix=*/true,
+                             pick_best_link_bicriteria<Primary, Secondary>);
   }
 
  private:

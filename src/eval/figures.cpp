@@ -261,14 +261,6 @@ util::Table invariants_table(const std::vector<DensityStats>& sweep,
   return table;
 }
 
-std::vector<DensityStats> bandwidth_sweep(const FigureConfig& config) {
-  return run_experiment(figure_spec(6, config)).sweep;
-}
-
-std::vector<DensityStats> delay_sweep(const FigureConfig& config) {
-  return run_experiment(figure_spec(7, config)).sweep;
-}
-
 util::Table set_size_table(const std::vector<DensityStats>& sweep,
                            const std::string& axis) {
   std::vector<std::string> header{axis};
@@ -370,22 +362,6 @@ util::Table control_plane_table(const std::vector<DensityStats>& sweep,
     table.add_row(std::move(cells));
   }
   return table;
-}
-
-util::Table figure6_ans_size_bandwidth(const FigureConfig& config) {
-  return set_size_table(bandwidth_sweep(config));
-}
-
-util::Table figure7_ans_size_delay(const FigureConfig& config) {
-  return set_size_table(delay_sweep(config));
-}
-
-util::Table figure8_bandwidth_overhead(const FigureConfig& config) {
-  return overhead_table(bandwidth_sweep(config));
-}
-
-util::Table figure9_delay_overhead(const FigureConfig& config) {
-  return overhead_table(delay_sweep(config));
 }
 
 }  // namespace qolsr

@@ -21,9 +21,7 @@ struct FigureConfig {
 /// figure's metric and densities, the paper's three contenders
 /// (qolsr_mpr2, topology_filtering, fnbp) in legend order, and the
 /// config's runs/seed/threads. Throws ExperimentError for figures outside
-/// 6–9. The figureN_* helpers below are exactly
-/// `run_experiment(figure_spec(N, config))` plus table formatting —
-/// anything they can compute, `qolsr_eval --figure=N` reproduces.
+/// 6–9. `qolsr_eval --figure=N` runs it and prints the figure's tables.
 ExperimentSpec figure_spec(int figure, const FigureConfig& config = {});
 
 /// "Fig. M" — the repository's canned mobility figure (the paper stops at
@@ -79,24 +77,6 @@ std::string figure_names();
 /// figures on an unknown value; adding a figure is one row in the table.
 ExperimentSpec figure_by_name(std::string_view name,
                               const FigureConfig& config = {});
-
-/// Fig. 6 — size of the advertised set vs. density, bandwidth metric.
-util::Table figure6_ans_size_bandwidth(const FigureConfig& config = {});
-
-/// Fig. 7 — size of the advertised set vs. density, delay metric.
-util::Table figure7_ans_size_delay(const FigureConfig& config = {});
-
-/// Fig. 8 — bandwidth overhead (b*−b)/b* vs. density.
-util::Table figure8_bandwidth_overhead(const FigureConfig& config = {});
-
-/// Fig. 9 — delay overhead (d−d*)/d* vs. density.
-util::Table figure9_delay_overhead(const FigureConfig& config = {});
-
-/// Runs the three-protocol sweep underlying a bandwidth figure once and
-/// returns the raw per-density stats (used by benches that print both set
-/// size and overhead without recomputing).
-std::vector<DensityStats> bandwidth_sweep(const FigureConfig& config);
-std::vector<DensityStats> delay_sweep(const FigureConfig& config);
 
 /// Formats a sweep as the paper's Fig. 6/7 series (mean |ANS| per node).
 /// `axis` labels the x column ("density" for Figs. 6-9, "speed" for

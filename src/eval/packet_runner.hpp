@@ -23,9 +23,8 @@ struct PacketEvalWorkspace {
   EvalWorkspace eval;
   /// Route-computation scratch shared by every node of the simulator (the
   /// event loop is single-threaded per workspace, and each next-hop call
-  /// runs to completion): with these, the per-hop RouteFn is the
-  /// allocation-free workspace Dijkstra instead of the legacy allocating
-  /// form. Declared before `sim` so they outlive the simulator (whose
+  /// runs to completion): with these, the per-hop RouteFn allocates
+  /// nothing. Declared before `sim` so they outlive the simulator (whose
   /// queued events capture nodes holding the bound RouteFn).
   DijkstraWorkspace route_dijkstra;
   NextHopScratch route_bfs;
@@ -98,10 +97,9 @@ void execute_packet_run(const Scenario& scenario, double axis_value,
     const AnsSelector& flooding = *protocols.flooding[si];
     // Same discipline split as the oracle's ForwardingOptions: OLSR/QOLSR
     // route hop-count-first (QoS as tie-break), the QANS designs QoS-first.
-    // Workspace forms: same labels, same tie-breaks, same next hop as the
-    // legacy calls (pinned by the forwarding-equivalence suite), but zero
-    // allocation per traversed hop. Two raw pointers keep the lambdas
-    // inside std::function's small-buffer storage.
+    // The next-hop engines run on the shared scratch, so a traversed hop
+    // allocates nothing. Two raw pointers keep the lambdas inside
+    // std::function's small-buffer storage.
     DijkstraWorkspace* const dws = &ws.route_dijkstra;
     NextHopScratch* const bfs = &ws.route_bfs;
     OlsrNode::RouteFn route =

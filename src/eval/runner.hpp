@@ -309,8 +309,9 @@ SampledRun sample_run(const Scenario& scenario, double density,
       }
       run.source = s;
       run.destination = d;
-      const DijkstraResult optimal = dijkstra<M>(run.graph, s);
-      run.optimal_value = optimal.value[d];
+      DijkstraWorkspace& optima = ws.forwarding.dijkstra;
+      dijkstra<M>(run.graph, s, kInvalidNode, optima);
+      run.optimal_value = optima.value(d);
       return run;
     }
   }

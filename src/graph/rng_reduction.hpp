@@ -76,19 +76,4 @@ void rng_reduce(const LocalView& view, LocalView& out,
   }
 }
 
-/// Convenience form with a thread-local scratch.
-template <Metric M>
-void rng_reduce(const LocalView& view, LocalView& out) {
-  thread_local RngWitnessScratch scratch;
-  rng_reduce<M>(view, out, scratch);
-}
-
-/// Allocating convenience form (the original API).
-template <Metric M>
-LocalView rng_reduce(const LocalView& view) {
-  LocalView reduced;
-  rng_reduce<M>(view, reduced);
-  return reduced;
-}
-
 }  // namespace qolsr

@@ -5,13 +5,6 @@
 
 namespace qolsr {
 
-std::vector<NodeId> select_mpr_rfc3626(const LocalView& view) {
-  thread_local SelectionWorkspace ws;
-  std::vector<NodeId> result;
-  select_mpr_rfc3626(view, ws, result);
-  return result;
-}
-
 void select_mpr_rfc3626(const LocalView& view, SelectionWorkspace& ws,
                         std::vector<NodeId>& out) {
   const auto n = static_cast<std::uint32_t>(view.size());

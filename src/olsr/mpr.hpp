@@ -9,7 +9,7 @@
 namespace qolsr {
 
 /// RFC 3626 greedy Multi-Point Relay selection (the original OLSR
-/// heuristic, QoS-blind). Returns the MPR set of the view's origin as
+/// heuristic, QoS-blind). Computes the MPR set of the view's origin as
 /// ascending global ids.
 ///
 /// Two-phase greedy (paper §II):
@@ -22,10 +22,9 @@ namespace qolsr {
 /// The produced set covers all of N²(u) and is within log n of optimal
 /// (Qayyum et al.). In FNBP and topology filtering this set keeps its
 /// original flooding role while a separate ANS is advertised for routing.
-std::vector<NodeId> select_mpr_rfc3626(const LocalView& view);
-
-/// Workspace form: identical result, scratch from `ws`, set written into
-/// `out` (cleared first).
+///
+/// The set is written into `out` (cleared first); all scratch comes from
+/// `ws`.
 void select_mpr_rfc3626(const LocalView& view, SelectionWorkspace& ws,
                         std::vector<NodeId>& out);
 

@@ -158,8 +158,8 @@ void select_mpr2(const LocalView& view, SelectionWorkspace& ws,
 
 }  // namespace qolsr_detail
 
-/// Workspace form: identical result to the allocating overload, scratch
-/// from `ws`, set written into `out`.
+/// QOLSR MPR selection of the view's origin under `variant`: ascending
+/// global ids written into `out` (cleared first), all scratch from `ws`.
 template <Metric M>
 void select_qolsr_mpr(const LocalView& view, QolsrVariant variant,
                       SelectionWorkspace& ws, std::vector<NodeId>& out) {
@@ -168,15 +168,6 @@ void select_qolsr_mpr(const LocalView& view, QolsrVariant variant,
   } else {
     qolsr_detail::select_mpr2<M>(view, ws, out);
   }
-}
-
-template <Metric M>
-std::vector<NodeId> select_qolsr_mpr(const LocalView& view,
-                                     QolsrVariant variant) {
-  thread_local SelectionWorkspace ws;
-  std::vector<NodeId> result;
-  select_qolsr_mpr<M>(view, variant, ws, result);
-  return result;
 }
 
 }  // namespace qolsr

@@ -24,18 +24,19 @@ class AnsSelector {
 
   virtual std::string_view name() const = 0;
 
-  /// Computes the advertised set of the view's origin. Returns ascending
-  /// global node ids, all members of N(origin).
-  virtual std::vector<NodeId> select(const LocalView& view) const = 0;
-
-  /// Workspace form used by the eval hot loop: identical result, but all
-  /// scratch comes from `ws` and the set is written into `out` (cleared
-  /// first). The default forwards to `select`; heuristics with a
-  /// workspace-aware implementation override it to run allocation-free.
+  /// Computes the advertised set of the view's origin into `out` (cleared
+  /// first): ascending global node ids, all members of N(origin). All
+  /// scratch comes from `ws`, so a warm call allocates nothing.
   virtual void select_into(const LocalView& view, SelectionWorkspace& ws,
-                           std::vector<NodeId>& out) const {
-    (void)ws;
-    out = select(view);
+                           std::vector<NodeId>& out) const = 0;
+
+  /// One-shot form of select_into on a fresh workspace. Virtual only so
+  /// that perfbench's TimedSelector can time it.
+  virtual std::vector<NodeId> select(const LocalView& view) const {
+    SelectionWorkspace ws;
+    std::vector<NodeId> out;
+    select_into(view, ws, out);
+    return out;
   }
 
   /// Whether routes over this protocol's advertised state are computed
@@ -48,9 +49,6 @@ class AnsSelector {
 class Rfc3626Selector final : public AnsSelector {
  public:
   std::string_view name() const override { return "olsr_mpr"; }
-  std::vector<NodeId> select(const LocalView& view) const override {
-    return select_mpr_rfc3626(view);
-  }
   void select_into(const LocalView& view, SelectionWorkspace& ws,
                    std::vector<NodeId>& out) const override {
     select_mpr_rfc3626(view, ws, out);
@@ -69,9 +67,6 @@ class QolsrSelector final : public AnsSelector {
               std::string(M::name())) {}
 
   std::string_view name() const override { return name_; }
-  std::vector<NodeId> select(const LocalView& view) const override {
-    return select_qolsr_mpr<M>(view, variant_);
-  }
   void select_into(const LocalView& view, SelectionWorkspace& ws,
                    std::vector<NodeId>& out) const override {
     select_qolsr_mpr<M>(view, variant_, ws, out);
@@ -91,9 +86,6 @@ class TopologyFilteringSelector final : public AnsSelector {
       : name_(std::string("topology_filtering_") + std::string(M::name())) {}
 
   std::string_view name() const override { return name_; }
-  std::vector<NodeId> select(const LocalView& view) const override {
-    return select_topology_filtering_ans<M>(view);
-  }
   void select_into(const LocalView& view, SelectionWorkspace& ws,
                    std::vector<NodeId>& out) const override {
     select_topology_filtering_ans<M>(view, ws, out);

@@ -52,13 +52,4 @@ void select_topology_filtering_ans(const LocalView& view,
   std::sort(out.begin(), out.end());
 }
 
-/// Allocating convenience form (the original API).
-template <Metric M>
-std::vector<NodeId> select_topology_filtering_ans(const LocalView& view) {
-  thread_local SelectionWorkspace ws;
-  std::vector<NodeId> result;
-  select_topology_filtering_ans<M>(view, ws, result);
-  return result;
-}
-
 }  // namespace qolsr

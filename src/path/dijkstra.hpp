@@ -13,25 +13,6 @@
 
 namespace qolsr {
 
-/// Result of a single-source QoS shortest-path computation.
-///
-/// Optimality is lexicographic in (metric value, hop count): among paths of
-/// equal QoS value the fewest-hop one wins. The hop tie-break matters twice:
-/// it makes results deterministic under the floating-point ties that concave
-/// metrics produce constantly (every path through one bottleneck link has
-/// the same value), and it gives hop-by-hop forwarding the suffix property
-/// that guarantees loop-freedom (see routing/forwarding.hpp).
-struct DijkstraResult {
-  std::vector<double> value;          ///< best metric value per node
-  std::vector<std::uint32_t> hops;    ///< hops of that best path
-  std::vector<std::uint32_t> parent;  ///< predecessor (kInvalidNode at source
-                                      ///< and unreachable nodes)
-
-  bool reached(std::uint32_t v, double unreachable_value) const {
-    return value[v] != unreachable_value;
-  }
-};
-
 /// Metric-specialized CSR mirror of a LocalView: neighbor id + extracted
 /// link value, 16 bytes per directed edge instead of the 56-byte
 /// LocalEdge/LinkQos record. `compute_first_hops` extracts once per view
@@ -191,20 +172,15 @@ class DijkstraWorkspace {
     return settle_order_;
   }
 
-  /// Exports the labels in the legacy dense form.
-  template <Metric M>
-  DijkstraResult to_result() const {
-    DijkstraResult result;
-    result.value.assign(size_, M::unreachable());
-    result.hops.assign(size_, 0);
-    result.parent.assign(size_, kInvalidNode);
-    for (std::uint32_t v = 0; v < size_; ++v) {
-      if (!reached(v)) continue;
-      result.value[v] = labels_[v].value;
-      result.hops[v] = labels_[v].hops;
-      result.parent[v] = labels_[v].parent;
-    }
-    return result;
+  /// Writes the last run's best path, from its source to `target`, into
+  /// `path` (cleared first) by walking the parent labels back from
+  /// `target`; leaves `path` empty when the run did not reach `target`.
+  void path_to(std::uint32_t target, std::vector<std::uint32_t>& path) const {
+    path.clear();
+    if (target >= size_ || !reached(target)) return;
+    for (std::uint32_t v = target; v != kInvalidNode; v = parent(v))
+      path.push_back(v);
+    std::reverse(path.begin(), path.end());
   }
 
   // -- algorithm machinery ------------------------------------------------
@@ -356,8 +332,8 @@ class DijkstraWorkspace {
 namespace dijkstra_detail {
 
 inline std::size_t graph_size(const LocalView& g) { return g.size(); }
-/// Any graph-like type exposing node_count() (Graph, DirectedGraph,
-/// WeightedLocalView, …).
+/// Any graph-like type exposing node_count() (Graph, CsrTopology,
+/// KnowledgeView, WeightedLocalView, …).
 template <typename G>
   requires requires(const G& g) {
     { g.node_count() } -> std::convertible_to<std::size_t>;
@@ -457,12 +433,19 @@ void run_label_setting(const G& graph, std::uint32_t source,
 /// `excluded` (optional) removes one vertex from the graph — the `fP`
 /// computation runs on `G_u \ {u}` to enforce simple-path semantics.
 ///
+/// Optimality is lexicographic in (metric value, hop count): among paths of
+/// equal QoS value the fewest-hop one wins. The hop tie-break matters twice:
+/// it makes results deterministic under the floating-point ties that concave
+/// metrics produce constantly (every path through one bottleneck link has
+/// the same value), and it gives hop-by-hop forwarding the suffix property
+/// that guarantees loop-freedom (see routing/forwarding.hpp).
+///
 /// Correctness requires combine() to be non-improving (see metric.hpp);
 /// then the lexicographic (value, hops) order is label-setting: a popped
 /// vertex is final.
 ///
-/// This overload reuses `ws` across calls (zero steady-state allocation);
-/// read the labels through the workspace accessors.
+/// The run reuses `ws` across calls (zero steady-state allocation); read
+/// the labels through the workspace accessors.
 template <Metric M, typename G>
 void dijkstra(const G& graph, std::uint32_t source, std::uint32_t excluded,
               DijkstraWorkspace& ws) {
@@ -475,16 +458,6 @@ void dijkstra(const G& graph, std::uint32_t source, std::uint32_t excluded,
       [](double av, std::uint32_t ah, double bv, std::uint32_t bh) {
         return dijkstra_detail::lex_better<M>(av, ah, bv, bh);
       });
-}
-
-/// Allocating convenience form (the original API); same engine and labels
-/// as the workspace overload, exported densely.
-template <Metric M, typename G>
-DijkstraResult dijkstra(const G& graph, std::uint32_t source,
-                        std::uint32_t excluded = kInvalidNode) {
-  thread_local DijkstraWorkspace ws;
-  dijkstra<M>(graph, source, excluded, ws);
-  return ws.to_result<M>();
 }
 
 /// Value-only label setting: optimal metric value per node, with *no* hop
@@ -540,14 +513,6 @@ void dijkstra_min_hop(const G& graph, std::uint32_t source,
                                         entry_better, hop_lex_better);
 }
 
-template <Metric M, typename G>
-DijkstraResult dijkstra_min_hop(const G& graph, std::uint32_t source,
-                                std::uint32_t excluded = kInvalidNode) {
-  thread_local DijkstraWorkspace ws;
-  dijkstra_min_hop<M>(graph, source, excluded, ws);
-  return ws.to_result<M>();
-}
-
 template <Metric M>
 void BottleneckForest::build(const WeightedLocalView& g) {
   const auto n = static_cast<std::uint32_t>(g.node_count());
@@ -592,11 +557,5 @@ void BottleneckForest::build(const WeightedLocalView& g) {
   if (stamp_.size() < n) stamp_.resize(n, 0);
   if (value_.size() < n) value_.resize(n);
 }
-
-/// Reconstructs the node sequence source..target from `parent` pointers.
-/// Empty when target was not reached.
-std::vector<std::uint32_t> extract_path(const DijkstraResult& result,
-                                        std::uint32_t source,
-                                        std::uint32_t target);
 
 }  // namespace qolsr

@@ -245,13 +245,4 @@ void compute_first_hops(const LocalView& view, DijkstraWorkspace& ws,
   }
 }
 
-/// Allocating convenience form (the original API).
-template <Metric M>
-FirstHopTable compute_first_hops(const LocalView& view) {
-  thread_local DijkstraWorkspace ws;
-  FirstHopTable table;
-  compute_first_hops<M>(view, ws, table);
-  return table;
-}
-
 }  // namespace qolsr

@@ -128,17 +128,6 @@ Graph build_advertised_topology(
   return advertised;
 }
 
-void merge_local_view(Graph& base, const LocalView& view) {
-  for (std::uint32_t a = 0; a < view.size(); ++a) {
-    const NodeId ga = view.global_id(a);
-    for (const LocalView::LocalEdge& e : view.neighbors(a)) {
-      if (e.to <= a) continue;  // each undirected link once
-      const NodeId gb = view.global_id(e.to);
-      if (!base.has_edge(ga, gb)) base.add_edge(ga, gb, e.qos);
-    }
-  }
-}
-
 double average_set_size(
     const std::vector<std::vector<NodeId>>& ans_per_node) {
   if (ans_per_node.empty()) return 0.0;

@@ -13,8 +13,8 @@ namespace qolsr {
 /// Flat CSR adjacency with full QoS records — the allocation-free routable
 /// form of an advertised topology. Rows are sorted by neighbor id and
 /// deduplicated, so iteration order matches `Graph`'s sorted adjacency
-/// lists exactly (forwarding results stay bit-identical to the
-/// vector-of-vectors path) and membership probes stay binary searches.
+/// lists exactly (routing on either scans the same records in the same
+/// order) and membership probes stay binary searches.
 ///
 /// One instance per worker thread, rebuilt in place per (run, selector) by
 /// `AdvertisedTopologyBuilder`; rebuilding touches no heap once the arrays
@@ -47,8 +47,8 @@ class CsrTopology {
 
 /// Reusable constructor of `CsrTopology` views. Owns the pending-edge and
 /// cursor scratch, so per-(run, selector) rebuilds are allocation-free in
-/// steady state — the seed path rebuilt a vector-of-vectors `Graph` with an
-/// O(degree) `has_edge` scan per advertised pair instead.
+/// steady state — `build_advertised_topology` builds a vector-of-vectors
+/// `Graph` with an O(degree) `has_edge` scan per advertised pair instead.
 class AdvertisedTopologyBuilder {
  public:
   /// The network-wide advertised topology (see build_advertised_topology):
@@ -96,11 +96,6 @@ class AdvertisedTopologyBuilder {
 /// this replaces dropped the link without a trace in release builds).
 Graph build_advertised_topology(
     const Graph& full, const std::vector<std::vector<NodeId>>& ans_per_node);
-
-/// Adds every link of `view` that `base` is missing (u's private HELLO
-/// knowledge on top of the TC-advertised topology). Used to build the
-/// knowledge graph a node actually routes on.
-void merge_local_view(Graph& base, const LocalView& view);
 
 /// Average advertised-set size — the y-axis of the paper's Figs. 6 and 7.
 double average_set_size(const std::vector<std::vector<NodeId>>& ans_per_node);

@@ -10,7 +10,6 @@
 #include "metrics/metric.hpp"
 #include "path/path.hpp"
 #include "routing/advertised_topology.hpp"
-#include "routing/directed.hpp"
 #include "routing/knowledge_view.hpp"
 #include "routing/routing_table.hpp"
 
@@ -52,15 +51,15 @@ struct ForwardingOptions {
   /// this way — it "maintains shortest paths in terms of number of hops"
   /// (paper §II) — which is precisely why it strays from the QoS optimum.
   bool min_hop_routing = false;
-  /// Stale-advertisement (dynamics) mode, workspace forms only: the
-  /// advertised topology handed in may predate the current `full` graph
-  /// (the last TC refresh's knowledge), so the plan can ride links that no
-  /// longer exist. Before the packet is handed to a computed next hop, the
-  /// link is verified against `full`; a vanished link aborts the attempt
-  /// with kStaleLink — the transmission fails, which is the stale-route
-  /// packet loss the epoch-loop evaluation measures. Source routing
-  /// verifies every planned hop as the packet walks the plan. Off (no
-  /// verification, advertised state assumed current) by default.
+  /// Stale-advertisement (dynamics) mode: the advertised topology handed
+  /// in may predate the current `full` graph (the last TC refresh's
+  /// knowledge), so the plan can ride links that no longer exist. Before
+  /// the packet is handed to a computed next hop, the link is verified
+  /// against `full`; a vanished link aborts the attempt with kStaleLink —
+  /// the transmission fails, which is the stale-route packet loss the
+  /// epoch-loop evaluation measures. Source routing verifies every planned
+  /// hop as the packet walks the plan. Off (no verification, advertised
+  /// state assumed current) by default.
   bool verify_links = false;
   /// Dynamics mode, ANS-chain model only: plan the directed relay base on
   /// this graph — the topology as of the last TC refresh — instead of
@@ -69,196 +68,6 @@ struct ForwardingOptions {
   /// spread it. Each hop's *own* links still come fresh from `full`.
   const Graph* advertised_snapshot = nullptr;
 };
-
-/// Hop-by-hop forwarding of one packet, the paper's routing model: every
-/// traversed node independently computes its QoS next hop toward the
-/// destination on *its* knowledge graph (TC-advertised topology + what it
-/// learned from HELLOs) and hands the packet over. The traversed path and
-/// its QoS value on the real graph are returned — `value` is the b (resp.
-/// d) compared against the centralized optimum b* (resp. d*) in Figs. 8/9.
-template <Metric M>
-ForwardingResult forward_packet(const Graph& full, const Graph& advertised,
-                                NodeId source, NodeId destination,
-                                const ForwardingOptions& options = {}) {
-  ForwardingResult result;
-  result.path.push_back(source);
-  if (source == destination) {
-    result.status = ForwardingStatus::kDelivered;
-    result.value = M::identity();
-    return result;
-  }
-
-  const std::size_t cap =
-      options.max_hops > 0 ? options.max_hops : 4 * full.node_count();
-  std::vector<bool> visited(full.node_count(), false);
-  visited[source] = true;
-
-  NodeId current = source;
-  while (result.path.size() <= cap) {
-    // The knowledge graph of `current`: advertised topology plus whatever
-    // HELLO exchange taught it about its own neighborhood.
-    Graph knowledge = advertised;
-    if (options.use_local_views) {
-      merge_local_view(knowledge, LocalView(full, current));
-    } else {
-      for (const Edge& e : full.neighbors(current))
-        if (!knowledge.has_edge(current, e.to))
-          knowledge.add_edge(current, e.to, e.qos);
-    }
-
-    const NodeId next =
-        options.min_hop_routing
-            ? compute_min_hop_next_hop<M>(knowledge, current, destination)
-            : compute_next_hop<M>(knowledge, current, destination);
-    if (next == kInvalidNode) {
-      result.status = ForwardingStatus::kNoRoute;
-      return result;
-    }
-    result.path.push_back(next);
-    if (next == destination) {
-      result.status = ForwardingStatus::kDelivered;
-      result.value = evaluate_path<M>(full, result.path);
-      return result;
-    }
-    if (visited[next]) {
-      result.status = ForwardingStatus::kLoop;
-      return result;
-    }
-    visited[next] = true;
-    current = next;
-  }
-  result.status = ForwardingStatus::kHopLimit;
-  return result;
-}
-
-/// Hop-by-hop forwarding in the **ANS-chain model** — the OLSR forwarding
-/// rule as the paper states it (§I): "a node wanting to send a packet
-/// sends it to one of its MPRs which will relay it to one of its MPRs and
-/// so on". The usable relay edges are *directed*: x may hand the packet to
-/// w only when w ∈ ANS(x). Two standard completions: any node holding a
-/// packet for a direct neighbor delivers it (modelled as each hop's own
-/// out-edges to its neighbors, usable as the immediate hop only), and any
-/// *advertised* link into the destination serves as a final hop (the
-/// planner knows that link from TCs; the node at its far end delivers
-/// across it).
-///
-/// This is the model under which the selection heuristics actually differ
-/// in route quality: QOLSR's per-target-optimal 2-hop relays compose badly
-/// over long routes, while FNBP's chains were built to compose. It is also
-/// where the Fig.-4 loop-fix is load-bearing — without it the directed
-/// chains can dead-end behind a bottleneck link.
-///
-/// Loop-freedom: all hops plan on the same directed base D (their private
-/// out-edges appear only as the first hop of their own plan, so the plan
-/// suffix is always visible downstream), and the next hop is exact
-/// lexicographic (value, hops); the potential argument of
-/// `compute_next_hop` applies unchanged.
-template <Metric M>
-ForwardingResult forward_via_ans(
-    const Graph& full, const std::vector<std::vector<NodeId>>& ans_per_node,
-    NodeId source, NodeId destination,
-    const ForwardingOptions& options = {}) {
-  ForwardingResult result;
-  result.path.push_back(source);
-  if (source == destination) {
-    result.status = ForwardingStatus::kDelivered;
-    result.value = M::identity();
-    return result;
-  }
-
-  // Directed relay base: x → w for w ∈ ANS(x), plus advertised final hops
-  // into the destination.
-  DirectedGraph base(full.node_count());
-  for (NodeId x = 0; x < full.node_count(); ++x) {
-    for (NodeId w : ans_per_node[x]) {
-      const LinkQos* qos = full.edge_qos(x, w);
-      if (qos == nullptr) continue;
-      base.add_edge(x, w, *qos);
-      if (w == destination) continue;
-      // The undirected advertised link {x,w} is known network-wide; if one
-      // end is the destination, the other end can complete the delivery.
-      if (x == destination) base.add_edge(w, x, *qos);
-    }
-  }
-
-  const std::size_t cap =
-      options.max_hops > 0 ? options.max_hops : 4 * full.node_count();
-  std::vector<bool> visited(full.node_count(), false);
-  visited[source] = true;
-
-  NodeId current = source;
-  while (result.path.size() <= cap) {
-    // This hop's own links, usable as its immediate next hop.
-    DirectedGraph knowledge = base;
-    for (const Edge& e : full.neighbors(current))
-      knowledge.add_edge(current, e.to, e.qos);
-
-    const NodeId next =
-        options.min_hop_routing
-            ? compute_min_hop_next_hop<M, DirectedGraph>(knowledge, current,
-                                                         destination)
-            : compute_next_hop<M, DirectedGraph>(knowledge, current,
-                                                 destination);
-    if (next == kInvalidNode) {
-      result.status = ForwardingStatus::kNoRoute;
-      return result;
-    }
-    result.path.push_back(next);
-    if (next == destination) {
-      result.status = ForwardingStatus::kDelivered;
-      result.value = evaluate_path<M>(full, result.path);
-      return result;
-    }
-    if (visited[next]) {
-      result.status = ForwardingStatus::kLoop;
-      return result;
-    }
-    visited[next] = true;
-    current = next;
-  }
-  result.status = ForwardingStatus::kHopLimit;
-  return result;
-}
-
-/// Source-route alternative: the whole path is fixed at the source from its
-/// knowledge graph. Used by tests/benches to compare against hop-by-hop.
-template <Metric M>
-ForwardingResult source_route_packet(const Graph& full,
-                                     const Graph& advertised, NodeId source,
-                                     NodeId destination,
-                                     const ForwardingOptions& options = {}) {
-  Graph knowledge = advertised;
-  if (options.use_local_views) {
-    merge_local_view(knowledge, LocalView(full, source));
-  } else {
-    for (const Edge& e : full.neighbors(source))
-      if (!knowledge.has_edge(source, e.to))
-        knowledge.add_edge(source, e.to, e.qos);
-  }
-  const DijkstraResult dist = options.min_hop_routing
-                                  ? dijkstra_min_hop<M>(knowledge, source)
-                                  : dijkstra<M>(knowledge, source);
-  ForwardingResult result;
-  const std::vector<std::uint32_t> path =
-      extract_path(dist, source, destination);
-  if (path.empty()) {
-    result.status = ForwardingStatus::kNoRoute;
-    result.path.push_back(source);
-    return result;
-  }
-  result.status = ForwardingStatus::kDelivered;
-  result.path.assign(path.begin(), path.end());
-  result.value = evaluate_path<M>(full, result.path);
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Workspace forwarding: the allocation-free, copy-free forms. Same
-// semantics, same results, bit for bit — the seed forms above deep-copy
-// the advertised graph once per traversed hop and re-allocate every
-// Dijkstra; these route on a KnowledgeView overlay over the CSR advertised
-// base and reuse one scratch bundle for everything (see DESIGN.md §5).
-// ---------------------------------------------------------------------------
 
 /// Per-thread scratch of the forwarding hot path: the next-hop engines
 /// (Dijkstra labels + concave tie-break BFS), the knowledge overlay, the
@@ -293,8 +102,8 @@ namespace forwarding_detail {
 
 /// Patches `ws.knowledge` with what `current` knows beyond the advertised
 /// base: its full HELLO-derived 2-hop view (use_local_views) or its own
-/// incident links. Both directions of every link are patched, mirroring
-/// the undirected seed merge exactly.
+/// incident links. Both directions of every link are patched: the links
+/// are undirected.
 template <typename WS>
 void patch_hop_knowledge(WS& ws, const Graph& full, NodeId current,
                          bool use_local_views) {
@@ -321,8 +130,16 @@ void patch_hop_knowledge(WS& ws, const Graph& full, NodeId current,
 
 }  // namespace forwarding_detail
 
-/// Workspace form of forward_packet: routes on `advertised` (the CSR form
-/// of the same topology) without copying a graph at any hop.
+/// Hop-by-hop forwarding of one packet, the paper's routing model: every
+/// traversed node independently computes its QoS next hop toward the
+/// destination on *its* knowledge graph (TC-advertised topology + what it
+/// learned from HELLOs) and hands the packet over. The traversed path and
+/// its QoS value on the real graph are returned — `value` is the b (resp.
+/// d) compared against the centralized optimum b* (resp. d*) in Figs. 8/9.
+///
+/// Each hop's knowledge graph is `advertised` (the CSR advertised
+/// topology) patched in `ws.knowledge` with what that hop knows beyond it,
+/// so no graph is copied at any hop.
 template <Metric M>
 ForwardingResult forward_packet(const Graph& full,
                                 const CsrTopology& advertised, NodeId source,
@@ -379,8 +196,30 @@ ForwardingResult forward_packet(const Graph& full,
   return result;
 }
 
-/// Workspace form of forward_via_ans: the directed relay base is built
-/// once into `ws.chain_base` (no per-call graph, no per-hop copy).
+/// Hop-by-hop forwarding in the **ANS-chain model** — the OLSR forwarding
+/// rule as the paper states it (§I): "a node wanting to send a packet
+/// sends it to one of its MPRs which will relay it to one of its MPRs and
+/// so on". The usable relay edges are *directed*: x may hand the packet to
+/// w only when w ∈ ANS(x). Two standard completions: any node holding a
+/// packet for a direct neighbor delivers it (modelled as each hop's own
+/// out-edges to its neighbors, usable as the immediate hop only), and any
+/// *advertised* link into the destination serves as a final hop (the
+/// planner knows that link from TCs; the node at its far end delivers
+/// across it).
+///
+/// This is the model under which the selection heuristics actually differ
+/// in route quality: QOLSR's per-target-optimal 2-hop relays compose badly
+/// over long routes, while FNBP's chains were built to compose. It is also
+/// where the Fig.-4 loop-fix is load-bearing — without it the directed
+/// chains can dead-end behind a bottleneck link.
+///
+/// Loop-freedom: all hops plan on the same directed base D (their private
+/// out-edges appear only as the first hop of their own plan, so the plan
+/// suffix is always visible downstream), and the next hop is exact
+/// lexicographic (value, hops); the potential argument of
+/// `compute_next_hop` applies unchanged.
+///
+/// The directed relay base is built once per call into `ws.chain_base`.
 template <Metric M>
 ForwardingResult forward_via_ans(
     const Graph& full, const std::vector<std::vector<NodeId>>& ans_per_node,
@@ -447,7 +286,9 @@ ForwardingResult forward_via_ans(
   return result;
 }
 
-/// Workspace form of source_route_packet.
+/// Source-route alternative: the whole path is fixed at the source from its
+/// knowledge graph — the eval runners' default over the advertised union
+/// (`Scenario::hop_by_hop` off).
 template <Metric M>
 ForwardingResult source_route_packet(const Graph& full,
                                      const CsrTopology& advertised,
@@ -464,26 +305,12 @@ ForwardingResult source_route_packet(const Graph& full,
   }
 
   ForwardingResult result;
-  // Walk the parent labels back from the destination (extract_path on the
-  // workspace labels, without exporting them densely first).
-  if (destination >= ws.dijkstra.size() ||
-      (destination != source &&
-       ws.dijkstra.parent(destination) == kInvalidNode)) {
+  ws.dijkstra.path_to(destination, result.path);
+  if (result.path.empty()) {
     result.status = ForwardingStatus::kNoRoute;
     result.path.push_back(source);
     return result;
   }
-  for (NodeId v = destination;; v = ws.dijkstra.parent(v)) {
-    result.path.push_back(v);
-    if (v == source) break;
-    if (ws.dijkstra.parent(v) == kInvalidNode) {  // broken chain; defensive
-      result.path.clear();
-      result.status = ForwardingStatus::kNoRoute;
-      result.path.push_back(source);
-      return result;
-    }
-  }
-  std::reverse(result.path.begin(), result.path.end());
   if (options.verify_links) {
     // The packet walks the plan hop by hop; it is lost at the first
     // planned link that no longer exists, having reached path[0..i].

@@ -16,14 +16,13 @@ namespace qolsr {
 /// hop sees differently (its own incident links, or its merged HELLO
 /// view). `neighbors(v)` answers from the patch when v was touched this
 /// hop and from the base otherwise, so hop-by-hop forwarding never copies
-/// a graph again — the seed path cloned the entire advertised `Graph`
-/// once per traversed hop.
+/// a graph.
 ///
 /// Patched rows are the sorted-by-neighbor union of the base row and the
-/// added links, with the base record winning on a duplicate id — exactly
-/// the `if (!has_edge) add_edge` semantics of the seed merge, so Dijkstra
-/// scans the same records in the same order and forwarding results stay
-/// bit-identical.
+/// added links, with the base record winning on a duplicate id — the
+/// `if (!has_edge) add_edge` semantics of merging the links into a copy of
+/// the advertised `Graph`, so Dijkstra scans the records such a copy would
+/// hold, in the same order.
 ///
 /// Per-hop usage: begin_hop(), any number of add_link(), finalize_hop(),
 /// then hand the view to compute_next_hop. All row storage is pooled and

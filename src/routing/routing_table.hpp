@@ -40,21 +40,6 @@ struct NextHopScratch {
   }
 };
 
-/// Per-node QoS routing table: next hop toward every destination, computed
-/// on the node's knowledge graph (TC-advertised topology merged with its
-/// own HELLO-derived local view), exactly like OLSR's hop-by-hop routing
-/// tables but with the QoS Dijkstra instead of hop count.
-struct RoutingTable {
-  NodeId self = kInvalidNode;
-  std::vector<NodeId> next_hop;  ///< kInvalidNode when unreachable
-  std::vector<double> value;     ///< best metric value toward each node
-  std::vector<std::uint32_t> hops;
-
-  bool reachable(NodeId dest) const {
-    return dest == self || next_hop[dest] != kInvalidNode;
-  }
-};
-
 /// Exact lexicographic (metric value, hop count) next hop from `self`
 /// toward `dest` on `knowledge`. Returns kInvalidNode when unreachable.
 ///
@@ -69,44 +54,9 @@ struct RoutingTable {
 /// concave metrics we therefore compute the optimal value V with Dijkstra
 /// and then BFS on the subgraph of links no worse than V — every path
 /// there has bottleneck exactly V, and BFS gives the fewest hops.
-template <Metric M, typename G = Graph>
-NodeId compute_next_hop(const G& knowledge, NodeId self, NodeId dest) {
-  if (self == dest) return kInvalidNode;
-  const DijkstraResult result = dijkstra<M>(knowledge, self);
-  if (result.value[dest] == M::unreachable()) return kInvalidNode;
-  if constexpr (M::kind == MetricKind::kAdditive) {
-    NodeId hop = dest;
-    while (result.parent[hop] != self) hop = result.parent[hop];
-    return hop;
-  } else {
-    // BFS over links whose value is not worse than the optimum V; FIFO
-    // order with ascending adjacency makes the parent choice deterministic.
-    const double optimum = result.value[dest];
-    std::vector<NodeId> parent(dijkstra_detail::graph_size(knowledge),
-                               kInvalidNode);
-    std::vector<NodeId> queue{self};
-    parent[self] = self;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const NodeId x = queue[head];
-      if (x == dest) break;
-      for (const auto& e : knowledge.neighbors(x)) {
-        if (parent[e.to] != kInvalidNode) continue;
-        if (M::better(optimum, M::link_value(e.qos))) continue;  // too weak
-        parent[e.to] = x;
-        queue.push_back(e.to);
-      }
-    }
-    if (parent[dest] == kInvalidNode) return kInvalidNode;  // defensive
-    NodeId hop = dest;
-    while (parent[hop] != self) hop = parent[hop];
-    return hop;
-  }
-}
-
-/// Workspace form of compute_next_hop: same labels, same tie-breaks, same
-/// next hop, zero steady-state allocation (the legacy form above allocates
-/// a fresh result plus, for concave metrics, a parent row and queue per
-/// call — once per traversed hop in forwarding).
+///
+/// The labels live in `dws` and the BFS in `bfs`, so a warm call allocates
+/// nothing — forwarding calls this once per traversed hop.
 template <Metric M, typename G>
 NodeId compute_next_hop(const G& knowledge, NodeId self, NodeId dest,
                         DijkstraWorkspace& dws, NextHopScratch& bfs) {
@@ -146,19 +96,6 @@ NodeId compute_next_hop(const G& knowledge, NodeId self, NodeId dest,
 /// OLSR's routing discipline, used by the QOLSR baseline (see
 /// dijkstra_min_hop). Exact, and trivially loop-free hop-by-hop (the hop
 /// count to the destination strictly decreases).
-template <Metric M, typename G = Graph>
-NodeId compute_min_hop_next_hop(const G& knowledge, NodeId self,
-                                NodeId dest) {
-  if (self == dest) return kInvalidNode;
-  const DijkstraResult result = dijkstra_min_hop<M>(knowledge, self);
-  if (result.value[dest] == M::unreachable()) return kInvalidNode;
-  NodeId hop = dest;
-  while (result.parent[hop] != self) hop = result.parent[hop];
-  return hop;
-}
-
-/// Workspace form of compute_min_hop_next_hop (see compute_next_hop's
-/// workspace form).
 template <Metric M, typename G>
 NodeId compute_min_hop_next_hop(const G& knowledge, NodeId self, NodeId dest,
                                 DijkstraWorkspace& dws) {
@@ -168,28 +105,6 @@ NodeId compute_min_hop_next_hop(const G& knowledge, NodeId self, NodeId dest,
   NodeId hop = dest;
   while (dws.parent(hop) != self) hop = dws.parent(hop);
   return hop;
-}
-
-/// Builds the routing table of `self` on `knowledge` under metric M.
-/// Values are exact; for concave metrics the hop counts (and therefore
-/// next hops among value ties) are best-effort — use `compute_next_hop`
-/// where exact lex optimality is required (hop-by-hop forwarding).
-template <Metric M>
-RoutingTable compute_routing_table(const Graph& knowledge, NodeId self) {
-  const DijkstraResult result = dijkstra<M>(knowledge, self);
-  RoutingTable table;
-  table.self = self;
-  table.value = result.value;
-  table.hops = result.hops;
-  table.next_hop.assign(knowledge.node_count(), kInvalidNode);
-  for (NodeId dest = 0; dest < knowledge.node_count(); ++dest) {
-    if (dest == self || result.parent[dest] == kInvalidNode) continue;
-    // Walk the parent chain back to the hop adjacent to self.
-    NodeId hop = dest;
-    while (result.parent[hop] != self) hop = result.parent[hop];
-    table.next_hop[dest] = hop;
-  }
-  return table;
 }
 
 }  // namespace qolsr

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/engines.hpp"
 #include "support/paper_graphs.hpp"
 #include "support/random_graphs.hpp"
 
@@ -23,7 +24,8 @@ TEST(Fnbp, Fig2SelectionWalkthrough) {
   //  * v5, v10, v3 then covered through v1 at no extra cost,
   //  * v6 selected for v8, v7 for v9, and v11 covered through v6.
   const Graph g = Fig2::build();
-  const auto ans = select_fnbp_ans<BandwidthMetric>(LocalView(g, Fig2::u));
+  const auto ans =
+      FnbpSelector<BandwidthMetric>().select(LocalView(g, Fig2::u));
   EXPECT_EQ(ans, (std::vector<NodeId>{Fig2::v1, Fig2::v6, Fig2::v7}));
 }
 
@@ -33,7 +35,7 @@ TEST(Fnbp, DirectOptimalLinksSelectNothing) {
   g.add_edge(0, 1, qos_bw(9));
   g.add_edge(0, 2, qos_bw(9));
   g.add_edge(1, 2, qos_bw(1));
-  EXPECT_TRUE(select_fnbp_ans<BandwidthMetric>(LocalView(g, 0)).empty());
+  EXPECT_TRUE(FnbpSelector<BandwidthMetric>().select(LocalView(g, 0)).empty());
 }
 
 TEST(Fnbp, OneHopNeighborBehindBetterDetour) {
@@ -42,7 +44,7 @@ TEST(Fnbp, OneHopNeighborBehindBetterDetour) {
   g.add_edge(0, 1, qos_bw(1));
   g.add_edge(0, 2, qos_bw(9));
   g.add_edge(2, 1, qos_bw(9));
-  EXPECT_EQ(select_fnbp_ans<BandwidthMetric>(LocalView(g, 0)),
+  EXPECT_EQ(FnbpSelector<BandwidthMetric>().select(LocalView(g, 0)),
             (std::vector<NodeId>{2}));
 }
 
@@ -54,7 +56,7 @@ TEST(Fnbp, SingleNodeSelectedForTiedAlternatives) {
   g.add_edge(0, 2, qos_bw(5));
   g.add_edge(1, 3, qos_bw(5));
   g.add_edge(2, 3, qos_bw(5));
-  const auto ans = select_fnbp_ans<BandwidthMetric>(LocalView(g, 0));
+  const auto ans = FnbpSelector<BandwidthMetric>().select(LocalView(g, 0));
   EXPECT_EQ(ans, (std::vector<NodeId>{1}));  // id tie-break
 }
 
@@ -65,13 +67,13 @@ TEST(Fnbp, QosTieBreakPicksBestLink) {
   g.add_edge(0, 2, qos_bw(6));
   g.add_edge(1, 3, qos_bw(5));
   g.add_edge(2, 3, qos_bw(5));
-  const auto ans = select_fnbp_ans<BandwidthMetric>(LocalView(g, 0));
+  const auto ans = FnbpSelector<BandwidthMetric>().select(LocalView(g, 0));
   EXPECT_EQ(ans, (std::vector<NodeId>{2}));
   // Ablation switch: smallest id instead.
   FnbpOptions id_only;
   id_only.qos_tiebreak = false;
   const auto ans_id =
-      select_fnbp_ans<BandwidthMetric>(LocalView(g, 0), id_only);
+      FnbpSelector<BandwidthMetric>(id_only).select(LocalView(g, 0));
   EXPECT_EQ(ans_id, (std::vector<NodeId>{1}));
 }
 
@@ -80,7 +82,8 @@ TEST(Fnbp, Fig4LoopFixForcesSmallestIdToSelectLastHop) {
   // fP(A,E) = {B, D} ties; B covers E "for free" but creates the A↔B loop.
   // A (the smallest id among the first hops' selector) must pick D.
   const Graph g = Fig4::build();
-  const auto ans_a = select_fnbp_ans<BandwidthMetric>(LocalView(g, Fig4::a));
+  const auto ans_a =
+      FnbpSelector<BandwidthMetric>().select(LocalView(g, Fig4::a));
   EXPECT_EQ(ans_a, (std::vector<NodeId>{Fig4::b, Fig4::d}));
 
   // Without the fix, A stops at {B} — D ends up selected by no neighbor
@@ -88,7 +91,7 @@ TEST(Fnbp, Fig4LoopFixForcesSmallestIdToSelectLastHop) {
   FnbpOptions no_fix;
   no_fix.loop_fix = false;
   const auto ans_a_nofix =
-      select_fnbp_ans<BandwidthMetric>(LocalView(g, Fig4::a), no_fix);
+      FnbpSelector<BandwidthMetric>(no_fix).select(LocalView(g, Fig4::a));
   EXPECT_EQ(ans_a_nofix, (std::vector<NodeId>{Fig4::b}));
 }
 
@@ -96,7 +99,8 @@ TEST(Fnbp, Fig4LargerIdsDoNotTriggerLoopFix) {
   // C also sees fP(C,E) covered through B, but minid(fP) = B < C, so the
   // guard leaves the responsibility to the smaller node.
   const Graph g = Fig4::build();
-  const auto ans_c = select_fnbp_ans<BandwidthMetric>(LocalView(g, Fig4::c));
+  const auto ans_c =
+      FnbpSelector<BandwidthMetric>().select(LocalView(g, Fig4::c));
   EXPECT_EQ(ans_c, (std::vector<NodeId>{Fig4::b}));
 }
 
@@ -110,7 +114,7 @@ TEST(Fnbp, DelayMetricVariant) {
   g.add_edge(0, 2, fast);
   g.add_edge(2, 1, fast);   // 2-hop detour of delay 2
   g.add_edge(1, 3, fast);
-  const auto ans = select_fnbp_ans<DelayMetric>(LocalView(g, 0));
+  const auto ans = FnbpSelector<DelayMetric>().select(LocalView(g, 0));
   // 2 selected for reaching 1 (step 1); 3 then covered through 2.
   EXPECT_EQ(ans, (std::vector<NodeId>{2}));
 }
@@ -121,18 +125,22 @@ TEST(Fnbp, SelectorInterfaceNamesAndResults) {
   const FnbpSelector<DelayMetric> delay_selector;
   EXPECT_EQ(bw_selector.name(), "fnbp_bandwidth");
   EXPECT_EQ(delay_selector.name(), "fnbp_delay");
-  EXPECT_EQ(bw_selector.select(LocalView(g, Fig2::u)),
-            select_fnbp_ans<BandwidthMetric>(LocalView(g, Fig2::u)));
+  // The one-shot select runs the same rule as the workspace form.
+  const LocalView view(g, Fig2::u);
+  SelectionWorkspace ws;
+  std::vector<NodeId> out;
+  select_fnbp_ans<BandwidthMetric>(view, ws, out);
+  EXPECT_EQ(bw_selector.select(view), out);
 }
 
 TEST(Fnbp, IsolatedAndLeafNodes) {
   Graph g(3);
   g.add_edge(1, 2, qos_bw(4));
-  EXPECT_TRUE(select_fnbp_ans<BandwidthMetric>(LocalView(g, 0)).empty());
+  EXPECT_TRUE(FnbpSelector<BandwidthMetric>().select(LocalView(g, 0)).empty());
   // Leaf node 1: single neighbor 2, no 2-hop — nothing to select.
   Graph h(2);
   h.add_edge(0, 1, qos_bw(4));
-  EXPECT_TRUE(select_fnbp_ans<BandwidthMetric>(LocalView(h, 0)).empty());
+  EXPECT_TRUE(FnbpSelector<BandwidthMetric>().select(LocalView(h, 0)).empty());
 }
 
 class FnbpPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -140,9 +148,9 @@ class FnbpPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(FnbpPropertyTest, SelectionIsSubsetOfNeighbors) {
   const Graph g = testing::random_geometric_graph(GetParam(), 9.0);
   for (NodeId u = 0; u < g.node_count(); ++u) {
-    for (NodeId w : select_fnbp_ans<BandwidthMetric>(LocalView(g, u)))
+    for (NodeId w : FnbpSelector<BandwidthMetric>().select(LocalView(g, u)))
       EXPECT_TRUE(g.has_edge(u, w));
-    for (NodeId w : select_fnbp_ans<DelayMetric>(LocalView(g, u)))
+    for (NodeId w : FnbpSelector<DelayMetric>().select(LocalView(g, u)))
       EXPECT_TRUE(g.has_edge(u, w));
   }
 }
@@ -155,8 +163,8 @@ TEST_P(FnbpPropertyTest, EveryTargetCoveredThroughAnsOrDirect) {
   const Graph g = testing::random_geometric_graph(GetParam() + 31, 8.0);
   for (NodeId u = 0; u < g.node_count(); ++u) {
     const LocalView view(g, u);
-    const auto ans = select_fnbp_ans<BandwidthMetric>(view);
-    const FirstHopTable table = compute_first_hops<BandwidthMetric>(view);
+    const auto ans = FnbpSelector<BandwidthMetric>().select(view);
+    const FirstHopTable table = testing::first_hops<BandwidthMetric>(view);
     auto in_ans = [&](std::uint32_t w) {
       return std::binary_search(ans.begin(), ans.end(), view.global_id(w));
     };
@@ -186,9 +194,9 @@ TEST_P(FnbpPropertyTest, NeverLargerThanTopologyFiltering) {
   std::size_t fnbp_total = 0, topo_total = 0;
   for (NodeId u = 0; u < g.node_count(); ++u) {
     const LocalView view(g, u);
-    fnbp_total += select_fnbp_ans<BandwidthMetric>(view).size();
+    fnbp_total += FnbpSelector<BandwidthMetric>().select(view).size();
     topo_total +=
-        select_topology_filtering_ans<BandwidthMetric>(view).size();
+        TopologyFilteringSelector<BandwidthMetric>().select(view).size();
   }
   EXPECT_LE(fnbp_total, topo_total);
 }

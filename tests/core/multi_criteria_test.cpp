@@ -5,6 +5,7 @@
 #include "graph/connectivity.hpp"
 #include "routing/advertised_topology.hpp"
 #include "routing/forwarding.hpp"
+#include "support/engines.hpp"
 #include "support/random_graphs.hpp"
 
 namespace qolsr {
@@ -27,10 +28,10 @@ TEST(BicriteriaFnbp, SecondaryBreaksPrimaryTies) {
   g.add_edge(1, 3, qos(5, 1));
   g.add_edge(2, 3, qos(5, 1));
   const LocalView view(g, 0);
-  EXPECT_EQ(select_fnbp_ans<BandwidthMetric>(view),
+  EXPECT_EQ(FnbpSelector<BandwidthMetric>().select(view),
             (std::vector<NodeId>{1}));
   const auto bi =
-      select_fnbp_ans_bicriteria<BandwidthMetric, EnergyMetric>(view);
+      BicriteriaFnbpSelector<BandwidthMetric, EnergyMetric>().select(view);
   EXPECT_EQ(bi, (std::vector<NodeId>{2}));
 }
 
@@ -42,8 +43,8 @@ TEST(BicriteriaFnbp, PrimaryStillDominates) {
   g.add_edge(0, 2, qos(2, 1));   // cheap but narrow
   g.add_edge(1, 3, qos(9, 10));
   g.add_edge(2, 3, qos(2, 1));
-  const auto bi = select_fnbp_ans_bicriteria<BandwidthMetric, EnergyMetric>(
-      LocalView(g, 0));
+  const auto bi = BicriteriaFnbpSelector<BandwidthMetric, EnergyMetric>()
+                      .select(LocalView(g, 0));
   EXPECT_EQ(bi, (std::vector<NodeId>{1}));
 }
 
@@ -65,13 +66,13 @@ TEST_P(BicriteriaPropertyTest, SimilarSizeAndSameCoverageAsPlainFnbp) {
   std::size_t plain_total = 0, bi_total = 0;
   for (NodeId u = 0; u < g.node_count(); ++u) {
     const LocalView view(g, u);
-    const auto plain = select_fnbp_ans<BandwidthMetric>(view);
+    const auto plain = FnbpSelector<BandwidthMetric>().select(view);
     const auto bi =
-        select_fnbp_ans_bicriteria<BandwidthMetric, EnergyMetric>(view);
+        BicriteriaFnbpSelector<BandwidthMetric, EnergyMetric>().select(view);
     plain_total += plain.size();
     bi_total += bi.size();
 
-    const FirstHopTable table = compute_first_hops<BandwidthMetric>(view);
+    const FirstHopTable table = testing::first_hops<BandwidthMetric>(view);
     auto in_ans = [&](std::uint32_t w) {
       return std::binary_search(bi.begin(), bi.end(), view.global_id(w));
     };
@@ -95,12 +96,12 @@ TEST_P(BicriteriaPropertyTest, AdvertisedLinksAreCheaperOnAverage) {
   std::size_t plain_links = 0, bi_links = 0;
   for (NodeId u = 0; u < g.node_count(); ++u) {
     const LocalView view(g, u);
-    for (NodeId w : select_fnbp_ans<BandwidthMetric>(view)) {
+    for (NodeId w : FnbpSelector<BandwidthMetric>().select(view)) {
       plain_energy += g.edge_qos(u, w)->energy;
       ++plain_links;
     }
     for (NodeId w :
-         select_fnbp_ans_bicriteria<BandwidthMetric, EnergyMetric>(view)) {
+         BicriteriaFnbpSelector<BandwidthMetric, EnergyMetric>().select(view)) {
       bi_energy += g.edge_qos(u, w)->energy;
       ++bi_links;
     }
@@ -117,13 +118,16 @@ TEST_P(BicriteriaPropertyTest, DeliveryStillHolds) {
   std::vector<std::vector<NodeId>> ans(g.node_count());
   for (NodeId u = 0; u < g.node_count(); ++u)
     ans[u] = selector.select(LocalView(g, u));
-  const Graph adv = build_advertised_topology(g, ans);
+  AdvertisedTopologyBuilder builder;
+  CsrTopology adv;
+  builder.build_advertised(g, ans, adv);
+  ForwardingWorkspace ws;
   const Components comp = connected_components(g);
   for (NodeId s = 0; s < g.node_count(); ++s)
     for (NodeId d = 0; d < g.node_count(); ++d) {
       if (s == d || !comp.connected(s, d)) continue;
       EXPECT_TRUE(
-          forward_packet<BandwidthMetric>(g, adv, s, d).delivered())
+          forward_packet<BandwidthMetric>(g, adv, s, d, {}, ws).delivered())
           << s << "→" << d;
     }
 }

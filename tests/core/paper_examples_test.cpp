@@ -25,34 +25,44 @@ std::vector<std::vector<NodeId>> select_all(const Graph& g,
   return ans;
 }
 
+/// The selector's advertised topology in the CSR form routes run on.
+CsrTopology advertised_by(const Graph& g, const AnsSelector& selector) {
+  AdvertisedTopologyBuilder builder;
+  CsrTopology csr;
+  builder.build_advertised(g, select_all(g, selector), csr);
+  return csr;
+}
+
 TEST(PaperFig1, QolsrMissesTheWidestPath) {
   // "The widest path (v1v6v5v4v3, bandwidth of 10) between v1 and v3 will
   //  not be used by QOLSR" — it routes over v2 with bandwidth 6.
   const Graph g = Fig1::build();
   const QolsrSelector<BandwidthMetric> qolsr(QolsrVariant::kMpr2);
-  const Graph advertised = build_advertised_topology(g, select_all(g, qolsr));
+  const CsrTopology advertised = advertised_by(g, qolsr);
 
   // QOLSR keeps OLSR's hop-count-primary routing (QoS as tie-break).
   ForwardingOptions options;
   options.min_hop_routing = true;
+  ForwardingWorkspace ws;
   const auto routed = forward_packet<BandwidthMetric>(g, advertised, Fig1::v1,
-                                                      Fig1::v3, options);
+                                                      Fig1::v3, options, ws);
   ASSERT_TRUE(routed.delivered());
   EXPECT_EQ(routed.path, (Path{Fig1::v1, Fig1::v2, Fig1::v3}));
   EXPECT_DOUBLE_EQ(routed.value, 6.0);
 
   // The true optimum is 10.
-  const auto optimal = dijkstra<BandwidthMetric>(g, Fig1::v1);
-  EXPECT_DOUBLE_EQ(optimal.value[Fig1::v3], 10.0);
+  dijkstra<BandwidthMetric>(g, Fig1::v1, kInvalidNode, ws.dijkstra);
+  EXPECT_DOUBLE_EQ(ws.dijkstra.value(Fig1::v3), 10.0);
 }
 
 TEST(PaperFig1, FnbpFindsTheWidestPath) {
   const Graph g = Fig1::build();
   const FnbpSelector<BandwidthMetric> fnbp;
-  const Graph advertised = build_advertised_topology(g, select_all(g, fnbp));
+  const CsrTopology advertised = advertised_by(g, fnbp);
 
-  const auto routed =
-      forward_packet<BandwidthMetric>(g, advertised, Fig1::v1, Fig1::v3);
+  ForwardingWorkspace ws;
+  const auto routed = forward_packet<BandwidthMetric>(g, advertised, Fig1::v1,
+                                                      Fig1::v3, {}, ws);
   ASSERT_TRUE(routed.delivered());
   EXPECT_DOUBLE_EQ(routed.value, 10.0);
   EXPECT_EQ(routed.path,
@@ -65,10 +75,11 @@ TEST(PaperFig2, LocalizedOptimumCanMissGlobalOne) {
   //  exists" — no localized protocol can close this gap (§III-B).
   const Graph g = Fig2::build();
   const LocalView view(g, Fig2::u);
-  const auto local = dijkstra<BandwidthMetric>(view, LocalView::origin_index());
-  EXPECT_DOUBLE_EQ(local.value[view.local_id(Fig2::v9)], 3.0);
-  const auto global = dijkstra<BandwidthMetric>(g, Fig2::u);
-  EXPECT_DOUBLE_EQ(global.value[Fig2::v9], 5.0);
+  DijkstraWorkspace ws;
+  dijkstra<BandwidthMetric>(view, LocalView::origin_index(), kInvalidNode, ws);
+  EXPECT_DOUBLE_EQ(ws.value(view.local_id(Fig2::v9)), 3.0);
+  dijkstra<BandwidthMetric>(g, Fig2::u, kInvalidNode, ws);
+  EXPECT_DOUBLE_EQ(ws.value(Fig2::v9), 5.0);
 }
 
 TEST(PaperFig2, FnbpRoutesOneHopNeighborThroughDetour) {
@@ -76,9 +87,10 @@ TEST(PaperFig2, FnbpRoutesOneHopNeighborThroughDetour) {
   // 5) instead of the direct bandwidth-3 link.
   const Graph g = Fig2::build();
   const FnbpSelector<BandwidthMetric> fnbp;
-  const Graph advertised = build_advertised_topology(g, select_all(g, fnbp));
-  const auto routed =
-      forward_packet<BandwidthMetric>(g, advertised, Fig2::u, Fig2::v4);
+  const CsrTopology advertised = advertised_by(g, fnbp);
+  ForwardingWorkspace ws;
+  const auto routed = forward_packet<BandwidthMetric>(g, advertised, Fig2::u,
+                                                      Fig2::v4, {}, ws);
   ASSERT_TRUE(routed.delivered());
   EXPECT_DOUBLE_EQ(routed.value, 5.0);
   EXPECT_EQ(routed.path, (Path{Fig2::u, Fig2::v1, Fig2::v5, Fig2::v4}));
@@ -88,10 +100,11 @@ TEST(PaperFig4, EveryoneReachesEDespiteTheBottleneck) {
   // With the loop-fix, D is advertised (by A) and every node delivers to E.
   const Graph g = Fig4::build();
   const FnbpSelector<BandwidthMetric> fnbp;
-  const Graph advertised = build_advertised_topology(g, select_all(g, fnbp));
+  const CsrTopology advertised = advertised_by(g, fnbp);
+  ForwardingWorkspace ws;
   for (NodeId s : {Fig4::a, Fig4::b, Fig4::c}) {
     const auto routed =
-        forward_packet<BandwidthMetric>(g, advertised, s, Fig4::e);
+        forward_packet<BandwidthMetric>(g, advertised, s, Fig4::e, {}, ws);
     EXPECT_TRUE(routed.delivered()) << "source " << s;
     EXPECT_DOUBLE_EQ(routed.value, 1.0);  // bottleneck D–E
   }

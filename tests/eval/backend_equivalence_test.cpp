@@ -19,10 +19,13 @@
 #include "graph/connectivity.hpp"
 #include "routing/advertised_topology.hpp"
 #include "sim/simulator.hpp"
+#include "support/engines.hpp"
 #include "support/random_graphs.hpp"
 
 namespace qolsr {
 namespace {
+
+using testing::next_hop_routes;
 
 constexpr std::uint64_t kGraphSeeds[] = {11, 4242};
 
@@ -42,11 +45,7 @@ TEST(BackendEquivalence, ConvergedAnsMatchesOracleForEveryRegistrySelector) {
       const auto ans = registry.create(name, MetricId::kBandwidth);
       const auto flooding =
           registry.create_flooding(name, MetricId::kBandwidth);
-      Simulator sim(g, *flooding, *ans,
-                    [](const Graph& graph, NodeId self, NodeId dest) {
-                      return compute_next_hop<BandwidthMetric>(graph, self,
-                                                               dest);
-                    });
+      Simulator sim(g, *flooding, *ans, next_hop_routes());
       const ConvergenceReport report = sim.run_to_convergence();
       EXPECT_TRUE(report.converged);
       EXPECT_LE(report.converged_at, report.end_time);
@@ -64,11 +63,7 @@ TEST(BackendEquivalence, ConvergedTopologyBaseEqualsOracleAdvertisedGraph) {
     SCOPED_TRACE("selector " + name);
     const auto ans = registry.create(name, MetricId::kBandwidth);
     const auto flooding = registry.create_flooding(name, MetricId::kBandwidth);
-    Simulator sim(g, *flooding, *ans,
-                  [](const Graph& graph, NodeId self, NodeId dest) {
-                    return compute_next_hop<BandwidthMetric>(graph, self,
-                                                             dest);
-                  });
+    Simulator sim(g, *flooding, *ans, next_hop_routes());
     ASSERT_TRUE(sim.run_to_convergence().converged);
 
     std::vector<std::vector<NodeId>> oracle_ans(g.node_count());
@@ -196,9 +191,7 @@ TEST(BackendEquivalence, SimulatorResetReproducesAFreshRun) {
   const Graph b = testing::random_geometric_graph(kGraphSeeds[1], 6.0, 250.0);
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  const auto route = [](const Graph& g, NodeId self, NodeId dest) {
-    return compute_next_hop<BandwidthMetric>(g, self, dest);
-  };
+  const OlsrNode::RouteFn route = next_hop_routes();
 
   // One simulator driven through two runs via reset...
   Simulator reused(a, flooding, ans, route);

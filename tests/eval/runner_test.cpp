@@ -29,8 +29,10 @@ TEST(SampleRun, ProducesConnectedPairAndOptimum) {
   EXPECT_TRUE(is_connected(run.graph, run.source, run.destination));
   EXPECT_GT(run.optimal_value, 0.0);
   // The optimum really is the full-graph Dijkstra value.
-  const auto r = dijkstra<BandwidthMetric>(run.graph, run.source);
-  EXPECT_EQ(run.optimal_value, r.value[run.destination]);
+  DijkstraWorkspace ws;
+  dijkstra<BandwidthMetric>(run.graph, run.source, kInvalidNode, ws);
+  ASSERT_TRUE(ws.reached(run.destination));
+  EXPECT_EQ(run.optimal_value, ws.value(run.destination));
 }
 
 TEST(QosOverhead, DefinitionsMatchPaper) {
@@ -93,7 +95,7 @@ TEST(RunSweep, DeterministicForFixedSeed) {
 TEST(Figures, TablesHaveExpectedShape) {
   FigureConfig config;
   config.runs = 2;  // smoke test of the full harness path
-  const auto sweep = bandwidth_sweep(config);
+  const auto sweep = run_experiment(figure_spec(6, config)).sweep;
   ASSERT_EQ(sweep.size(), bandwidth_densities().size());
   const auto sizes = set_size_table(sweep);
   EXPECT_EQ(sizes.rows(), sweep.size());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "path/first_hops.hpp"
+#include "support/engines.hpp"
 #include "support/random_graphs.hpp"
 
 namespace qolsr {
@@ -22,7 +23,7 @@ TEST(RngReduce, RemovesDominatedBandwidthEdge) {
   g.add_edge(0, 2, qos_bw(8));
   g.add_edge(2, 1, qos_bw(9));
   const LocalView view(g, 0);
-  const LocalView reduced = rng_reduce<BandwidthMetric>(view);
+  const LocalView reduced = testing::rng_reduced<BandwidthMetric>(view);
   EXPECT_FALSE(reduced.has_local_edge(view.local_id(0), view.local_id(1)));
   EXPECT_TRUE(reduced.has_local_edge(view.local_id(0), view.local_id(2)));
   EXPECT_TRUE(reduced.has_local_edge(view.local_id(2), view.local_id(1)));
@@ -35,7 +36,7 @@ TEST(RngReduce, KeepsEdgeWhenWitnessNotStrictlyBetter) {
   g.add_edge(0, 2, qos_bw(5));
   g.add_edge(2, 1, qos_bw(9));
   const LocalView view(g, 0);
-  const LocalView reduced = rng_reduce<BandwidthMetric>(view);
+  const LocalView reduced = testing::rng_reduced<BandwidthMetric>(view);
   EXPECT_TRUE(reduced.has_local_edge(view.local_id(0), view.local_id(1)));
 }
 
@@ -46,7 +47,7 @@ TEST(RngReduce, DelayUsesMaxForm) {
   g.add_edge(0, 2, qos_bw(1, 3));
   g.add_edge(2, 1, qos_bw(1, 4));
   const LocalView view(g, 0);
-  const LocalView reduced = rng_reduce<DelayMetric>(view);
+  const LocalView reduced = testing::rng_reduced<DelayMetric>(view);
   EXPECT_FALSE(reduced.has_local_edge(view.local_id(0), view.local_id(1)));
 }
 
@@ -57,7 +58,7 @@ TEST(RngReduce, DelayKeepsEdgeWhenWitnessSlowerOnOneLeg) {
   g.add_edge(0, 2, qos_bw(1, 3));
   g.add_edge(2, 1, qos_bw(1, 12));
   const LocalView view(g, 0);
-  const LocalView reduced = rng_reduce<DelayMetric>(view);
+  const LocalView reduced = testing::rng_reduced<DelayMetric>(view);
   EXPECT_TRUE(reduced.has_local_edge(view.local_id(0), view.local_id(1)));
 }
 
@@ -67,7 +68,7 @@ TEST(RngReduce, NoCommonNeighborKeepsEverything) {
   g.add_edge(1, 2, qos_bw(2));
   g.add_edge(2, 3, qos_bw(3));
   const LocalView view(g, 1);
-  const LocalView reduced = rng_reduce<BandwidthMetric>(view);
+  const LocalView reduced = testing::rng_reduced<BandwidthMetric>(view);
   for (std::uint32_t a = 0; a < view.size(); ++a)
     EXPECT_EQ(reduced.neighbors(a).size(), view.neighbors(a).size());
 }
@@ -83,9 +84,9 @@ TEST_P(RngReducePropertyTest, ReductionPreservesBestValues) {
   for (NodeId u = 0; u < g.node_count(); ++u) {
     const LocalView view(g, u);
     if (view.size() < 3) continue;
-    const LocalView reduced = rng_reduce<BandwidthMetric>(view);
-    const FirstHopTable before = compute_first_hops<BandwidthMetric>(view);
-    const FirstHopTable after = compute_first_hops<BandwidthMetric>(reduced);
+    const LocalView reduced = testing::rng_reduced<BandwidthMetric>(view);
+    const FirstHopTable before = testing::first_hops<BandwidthMetric>(view);
+    const FirstHopTable after = testing::first_hops<BandwidthMetric>(reduced);
     for (std::uint32_t v = 1; v < view.size(); ++v) {
       if (before.fp[v].empty()) continue;
       ASSERT_FALSE(after.fp[v].empty())
@@ -101,7 +102,7 @@ TEST_P(RngReducePropertyTest, ReductionIsSubgraph) {
   const Graph g = testing::random_geometric_graph(GetParam(), 7.0, 250.0);
   for (NodeId u = 0; u < g.node_count(); ++u) {
     const LocalView view(g, u);
-    const LocalView reduced = rng_reduce<DelayMetric>(view);
+    const LocalView reduced = testing::rng_reduced<DelayMetric>(view);
     std::size_t before = 0, after = 0;
     for (std::uint32_t a = 0; a < view.size(); ++a) {
       before += view.neighbors(a).size();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "olsr/selector.hpp"
 #include "support/paper_graphs.hpp"
 #include "support/random_graphs.hpp"
 
@@ -16,12 +17,12 @@ TEST(Mpr, Fig1HopCountHeuristicPicksOnlyTheHub) {
   // a QoS-aware selection has something to add here.
   const Graph g = Fig1::build();
   for (NodeId u : {Fig1::v1, Fig1::v2, Fig1::v3, Fig1::v4, Fig1::v6}) {
-    EXPECT_EQ(select_mpr_rfc3626(LocalView(g, u)),
+    EXPECT_EQ(Rfc3626Selector().select(LocalView(g, u)),
               (std::vector<NodeId>{Fig1::v5}))
         << "node " << u;
   }
   // v5 itself has no 2-hop neighbors.
-  EXPECT_TRUE(select_mpr_rfc3626(LocalView(g, Fig1::v5)).empty());
+  EXPECT_TRUE(Rfc3626Selector().select(LocalView(g, Fig1::v5)).empty());
 }
 
 TEST(Mpr, SoleCoverIsForced) {
@@ -33,7 +34,7 @@ TEST(Mpr, SoleCoverIsForced) {
   g.add_edge(1, 3);  // t only via n1
   g.add_edge(2, 4);
   g.add_edge(2, 5);
-  const auto mpr = select_mpr_rfc3626(LocalView(g, 0));
+  const auto mpr = Rfc3626Selector().select(LocalView(g, 0));
   EXPECT_EQ(mpr, (std::vector<NodeId>{1, 2}));
 }
 
@@ -49,7 +50,7 @@ TEST(Mpr, GreedyPrefersLargerCoverage) {
   g.add_edge(1, 6);
   g.add_edge(2, 4);
   g.add_edge(3, 5);
-  const auto mpr = select_mpr_rfc3626(LocalView(g, 0));
+  const auto mpr = Rfc3626Selector().select(LocalView(g, 0));
   EXPECT_EQ(mpr, (std::vector<NodeId>{1}));
 }
 
@@ -58,12 +59,12 @@ TEST(Mpr, NoTwoHopNeighborsEmptySet) {
   g.add_edge(0, 1);
   g.add_edge(0, 2);
   g.add_edge(1, 2);
-  EXPECT_TRUE(select_mpr_rfc3626(LocalView(g, 0)).empty());
+  EXPECT_TRUE(Rfc3626Selector().select(LocalView(g, 0)).empty());
 }
 
 TEST(Mpr, IsolatedNode) {
   Graph g(2);
-  EXPECT_TRUE(select_mpr_rfc3626(LocalView(g, 0)).empty());
+  EXPECT_TRUE(Rfc3626Selector().select(LocalView(g, 0)).empty());
 }
 
 TEST(CoversTwoHop, DetectsIncompleteCover) {
@@ -83,7 +84,7 @@ TEST_P(MprPropertyTest, AlwaysCoversTwoHopNeighborhood) {
   const Graph g = testing::random_geometric_graph(GetParam(), 10.0);
   for (NodeId u = 0; u < g.node_count(); ++u) {
     const LocalView view(g, u);
-    const auto mpr = select_mpr_rfc3626(view);
+    const auto mpr = Rfc3626Selector().select(view);
     EXPECT_TRUE(covers_two_hop(view, mpr)) << "node " << u;
     // MPRs are 1-hop neighbors.
     for (NodeId m : mpr) EXPECT_TRUE(g.has_edge(u, m));
@@ -97,7 +98,7 @@ TEST_P(MprPropertyTest, NoRedundantForcedStep) {
   const Graph g = testing::random_geometric_graph(GetParam() + 100, 6.0);
   for (NodeId u = 0; u < g.node_count(); ++u) {
     const LocalView view(g, u);
-    const auto mpr = select_mpr_rfc3626(view);
+    const auto mpr = Rfc3626Selector().select(view);
     EXPECT_LE(mpr.size(), view.one_hop().size());
     if (view.two_hop().empty()) EXPECT_TRUE(mpr.empty());
   }

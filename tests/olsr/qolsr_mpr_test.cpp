@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "olsr/mpr.hpp"
+#include "olsr/selector.hpp"
 #include "support/paper_graphs.hpp"
 #include "support/random_graphs.hpp"
 
@@ -16,8 +17,8 @@ TEST(QolsrMpr, Fig1OnlyV2AndV5AreSelected) {
   // are selected as MPRs — v2 by v1 and v3, v5 by everyone.
   const Graph g = Fig1::build();
   auto mpr2 = [&](NodeId u) {
-    return select_qolsr_mpr<BandwidthMetric>(LocalView(g, u),
-                                             QolsrVariant::kMpr2);
+    return QolsrSelector<BandwidthMetric>(QolsrVariant::kMpr2)
+        .select(LocalView(g, u));
   };
   EXPECT_EQ(mpr2(Fig1::v1), (std::vector<NodeId>{Fig1::v2, Fig1::v5}));
   EXPECT_EQ(mpr2(Fig1::v3), (std::vector<NodeId>{Fig1::v2, Fig1::v5}));
@@ -46,10 +47,12 @@ TEST(QolsrMpr, Mpr2PicksBestLinkNotBestCoverage) {
   g.add_edge(2, 4, plain);   // n2-t1
   g.add_edge(3, 5, plain);   // n3-t2
   const auto mpr2 =
-      select_qolsr_mpr<BandwidthMetric>(LocalView(g, 0), QolsrVariant::kMpr2);
+      QolsrSelector<BandwidthMetric>(QolsrVariant::kMpr2)
+          .select(LocalView(g, 0));
   EXPECT_EQ(mpr2, (std::vector<NodeId>{2, 3}));
   const auto mpr1 =
-      select_qolsr_mpr<BandwidthMetric>(LocalView(g, 0), QolsrVariant::kMpr1);
+      QolsrSelector<BandwidthMetric>(QolsrVariant::kMpr1)
+          .select(LocalView(g, 0));
   EXPECT_EQ(mpr1, (std::vector<NodeId>{1}));
 }
 
@@ -65,7 +68,8 @@ TEST(QolsrMpr, Mpr1BreaksCoverageTiesByQos) {
   g.add_edge(1, 3, plain);
   g.add_edge(2, 3, plain);
   const auto mpr1 =
-      select_qolsr_mpr<BandwidthMetric>(LocalView(g, 0), QolsrVariant::kMpr1);
+      QolsrSelector<BandwidthMetric>(QolsrVariant::kMpr1)
+          .select(LocalView(g, 0));
   EXPECT_EQ(mpr1, (std::vector<NodeId>{2}));
 }
 
@@ -80,7 +84,7 @@ TEST(QolsrMpr, DelayVariantPrefersLowDelayLinks) {
   g.add_edge(1, 3, plain);
   g.add_edge(2, 3, plain);
   const auto mpr =
-      select_qolsr_mpr<DelayMetric>(LocalView(g, 0), QolsrVariant::kMpr2);
+      QolsrSelector<DelayMetric>(QolsrVariant::kMpr2).select(LocalView(g, 0));
   EXPECT_EQ(mpr, (std::vector<NodeId>{2}));
 }
 
@@ -94,7 +98,8 @@ TEST(QolsrMpr, QosTieFallsBackToSmallestId) {
   g.add_edge(1, 3, plain);
   g.add_edge(2, 3, plain);
   const auto mpr =
-      select_qolsr_mpr<BandwidthMetric>(LocalView(g, 0), QolsrVariant::kMpr2);
+      QolsrSelector<BandwidthMetric>(QolsrVariant::kMpr2)
+          .select(LocalView(g, 0));
   EXPECT_EQ(mpr, (std::vector<NodeId>{1}));
 }
 
@@ -107,9 +112,9 @@ TEST_P(QolsrMprPropertyTest, BothVariantsAlwaysCover) {
     const LocalView view(g, u);
     for (QolsrVariant variant : {QolsrVariant::kMpr1, QolsrVariant::kMpr2}) {
       EXPECT_TRUE(covers_two_hop(
-          view, select_qolsr_mpr<BandwidthMetric>(view, variant)));
+          view, QolsrSelector<BandwidthMetric>(variant).select(view)));
       EXPECT_TRUE(covers_two_hop(
-          view, select_qolsr_mpr<DelayMetric>(view, variant)));
+          view, QolsrSelector<DelayMetric>(variant).select(view)));
     }
   }
 }
@@ -128,11 +133,11 @@ TEST_P(QolsrMprPropertyTest, ForcedPhase1NodesAppearInEveryVariant) {
         if (view.is_one_hop(e.to)) covers.push_back(e.to);
       if (covers.size() == 1) forced.push_back(view.global_id(covers[0]));
     }
-    const auto rfc = select_mpr_rfc3626(view);
+    const auto rfc = Rfc3626Selector().select(view);
     const auto mpr1 =
-        select_qolsr_mpr<BandwidthMetric>(view, QolsrVariant::kMpr1);
+        QolsrSelector<BandwidthMetric>(QolsrVariant::kMpr1).select(view);
     const auto mpr2 =
-        select_qolsr_mpr<BandwidthMetric>(view, QolsrVariant::kMpr2);
+        QolsrSelector<BandwidthMetric>(QolsrVariant::kMpr2).select(view);
     for (NodeId f : forced) {
       EXPECT_TRUE(std::binary_search(rfc.begin(), rfc.end(), f));
       EXPECT_TRUE(std::binary_search(mpr1.begin(), mpr1.end(), f));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fnbp.hpp"
+#include "support/engines.hpp"
 #include "support/paper_graphs.hpp"
 #include "support/random_graphs.hpp"
 
@@ -20,7 +21,7 @@ TEST(TopologyFiltering, SelectsDetourForFilteredWeakLink) {
   g.add_edge(0, 2, strong);
   g.add_edge(2, 1, strong);
   const auto ans =
-      select_topology_filtering_ans<BandwidthMetric>(LocalView(g, 0));
+      TopologyFilteringSelector<BandwidthMetric>().select(LocalView(g, 0));
   EXPECT_EQ(ans, (std::vector<NodeId>{2}));
 }
 
@@ -34,7 +35,7 @@ TEST(TopologyFiltering, NothingSelectedWhenDirectLinksOptimal) {
   g.add_edge(0, 2, strong);
   g.add_edge(1, 2, weak);
   const auto ans =
-      select_topology_filtering_ans<BandwidthMetric>(LocalView(g, 0));
+      TopologyFilteringSelector<BandwidthMetric>().select(LocalView(g, 0));
   EXPECT_TRUE(ans.empty());
 }
 
@@ -50,20 +51,20 @@ TEST(TopologyFiltering, AdvertisesEveryTiedFirstHop) {
   g.add_edge(1, 3, five);
   g.add_edge(2, 3, five);
   const auto topo =
-      select_topology_filtering_ans<BandwidthMetric>(LocalView(g, 0));
+      TopologyFilteringSelector<BandwidthMetric>().select(LocalView(g, 0));
   EXPECT_EQ(topo, (std::vector<NodeId>{1, 2}));
   // FNBP selects exactly one of them.
-  const auto fnbp = select_fnbp_ans<BandwidthMetric>(LocalView(g, 0));
+  const auto fnbp = FnbpSelector<BandwidthMetric>().select(LocalView(g, 0));
   EXPECT_EQ(fnbp.size(), 1u);
 }
 
 TEST(TopologyFiltering, CoversAllTwoHopNeighbors) {
   const Graph g = testing::Fig2::build();
   const LocalView view(g, testing::Fig2::u);
-  const auto ans = select_topology_filtering_ans<BandwidthMetric>(view);
+  const auto ans = TopologyFilteringSelector<BandwidthMetric>().select(view);
   // Every 2-hop neighbor must be reachable from u through some selected
   // first hop in the (unreduced) view.
-  const FirstHopTable table = compute_first_hops<BandwidthMetric>(view);
+  const FirstHopTable table = testing::first_hops<BandwidthMetric>(view);
   for (std::uint32_t v : view.two_hop()) {
     bool covered = false;
     for (std::uint32_t w : table.fp[v]) {
@@ -84,9 +85,9 @@ TEST_P(TopologyFilteringPropertyTest, SelectionIsSubsetOfNeighbors) {
   for (NodeId u = 0; u < g.node_count(); ++u) {
     const LocalView view(g, u);
     for (NodeId w :
-         select_topology_filtering_ans<BandwidthMetric>(view))
+         TopologyFilteringSelector<BandwidthMetric>().select(view))
       EXPECT_TRUE(g.has_edge(u, w));
-    for (NodeId w : select_topology_filtering_ans<DelayMetric>(view))
+    for (NodeId w : TopologyFilteringSelector<DelayMetric>().select(view))
       EXPECT_TRUE(g.has_edge(u, w));
   }
 }
@@ -97,9 +98,9 @@ TEST_P(TopologyFilteringPropertyTest, TwoHopReachableThroughSelection) {
   const Graph g = testing::random_geometric_graph(GetParam() + 7, 8.0);
   for (NodeId u = 0; u < g.node_count(); ++u) {
     const LocalView view(g, u);
-    const LocalView reduced = rng_reduce<BandwidthMetric>(view);
-    const FirstHopTable table = compute_first_hops<BandwidthMetric>(reduced);
-    const auto ans = select_topology_filtering_ans<BandwidthMetric>(view);
+    const LocalView reduced = testing::rng_reduced<BandwidthMetric>(view);
+    const FirstHopTable table = testing::first_hops<BandwidthMetric>(reduced);
+    const auto ans = TopologyFilteringSelector<BandwidthMetric>().select(view);
     for (std::uint32_t v : view.two_hop()) {
       if (table.fp[v].empty()) continue;  // defensive; reduction is sound
       bool covered = false;

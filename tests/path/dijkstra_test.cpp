@@ -17,15 +17,23 @@ LinkQos qos(double bw, double d) {
   return q;
 }
 
+/// The last run's best path to `target`; empty when it was not reached.
+std::vector<std::uint32_t> path_to(const DijkstraWorkspace& ws,
+                                   std::uint32_t target) {
+  std::vector<std::uint32_t> path;
+  ws.path_to(target, path);
+  return path;
+}
+
 TEST(Dijkstra, WidestPathOnFig1) {
   using F = testing::Fig1;
   const Graph g = F::build();
-  const DijkstraResult r = dijkstra<BandwidthMetric>(g, F::v1);
+  DijkstraWorkspace ws;
+  dijkstra<BandwidthMetric>(g, F::v1, kInvalidNode, ws);
   // Paper: the widest v1→v3 path is v1·v6·v5·v4·v3 with bandwidth 10.
-  EXPECT_DOUBLE_EQ(r.value[F::v3], 10.0);
-  const auto path = extract_path(r, F::v1, F::v3);
-  EXPECT_EQ(path, (std::vector<std::uint32_t>{F::v1, F::v6, F::v5, F::v4,
-                                              F::v3}));
+  EXPECT_DOUBLE_EQ(ws.value(F::v3), 10.0);
+  EXPECT_EQ(path_to(ws, F::v3), (std::vector<std::uint32_t>{
+                                    F::v1, F::v6, F::v5, F::v4, F::v3}));
 }
 
 TEST(Dijkstra, MinDelayPath) {
@@ -34,28 +42,33 @@ TEST(Dijkstra, MinDelayPath) {
   g.add_edge(1, 3, qos(1, 5));
   g.add_edge(0, 2, qos(1, 2));
   g.add_edge(2, 3, qos(1, 3));
-  const DijkstraResult r = dijkstra<DelayMetric>(g, 0);
-  EXPECT_DOUBLE_EQ(r.value[3], 5.0);
-  EXPECT_EQ(extract_path(r, 0, 3), (std::vector<std::uint32_t>{0, 2, 3}));
+  DijkstraWorkspace ws;
+  dijkstra<DelayMetric>(g, 0, kInvalidNode, ws);
+  EXPECT_DOUBLE_EQ(ws.value(3), 5.0);
+  EXPECT_EQ(path_to(ws, 3), (std::vector<std::uint32_t>{0, 2, 3}));
 }
 
 TEST(Dijkstra, SourceHasIdentityValue) {
   Graph g(2);
   g.add_edge(0, 1, qos(4, 2));
-  const auto rb = dijkstra<BandwidthMetric>(g, 0);
-  EXPECT_EQ(rb.value[0], BandwidthMetric::identity());
-  EXPECT_EQ(rb.hops[0], 0u);
-  const auto rd = dijkstra<DelayMetric>(g, 0);
-  EXPECT_EQ(rd.value[0], 0.0);
+  DijkstraWorkspace ws;
+  dijkstra<BandwidthMetric>(g, 0, kInvalidNode, ws);
+  EXPECT_EQ(ws.value(0), BandwidthMetric::identity());
+  EXPECT_EQ(ws.hops(0), 0u);
+  EXPECT_EQ(path_to(ws, 0), (std::vector<std::uint32_t>{0}));
+  dijkstra<DelayMetric>(g, 0, kInvalidNode, ws);
+  EXPECT_EQ(ws.value(0), 0.0);
 }
 
 TEST(Dijkstra, UnreachableNodes) {
   Graph g(3);
   g.add_edge(0, 1, qos(4, 2));
-  const auto r = dijkstra<DelayMetric>(g, 0);
-  EXPECT_EQ(r.value[2], DelayMetric::unreachable());
-  EXPECT_EQ(r.parent[2], kInvalidNode);
-  EXPECT_TRUE(extract_path(r, 0, 2).empty());
+  DijkstraWorkspace ws;
+  dijkstra<DelayMetric>(g, 0, kInvalidNode, ws);
+  EXPECT_FALSE(ws.reached(2));
+  EXPECT_EQ(ws.parent(2), kInvalidNode);
+  EXPECT_TRUE(path_to(ws, 2).empty());
+  EXPECT_TRUE(path_to(ws, 3).empty());  // beyond the graph
 }
 
 TEST(Dijkstra, ExcludedVertexIsInvisible) {
@@ -64,18 +77,20 @@ TEST(Dijkstra, ExcludedVertexIsInvisible) {
   g.add_edge(0, 1, qos(9, 1));
   g.add_edge(1, 2, qos(9, 1));
   g.add_edge(0, 2, qos(2, 9));
-  const auto with1 = dijkstra<BandwidthMetric>(g, 0);
-  EXPECT_DOUBLE_EQ(with1.value[2], 9.0);
-  const auto without1 = dijkstra<BandwidthMetric>(g, 0, /*excluded=*/1);
-  EXPECT_DOUBLE_EQ(without1.value[2], 2.0);
-  EXPECT_EQ(without1.value[1], BandwidthMetric::unreachable());
+  DijkstraWorkspace ws;
+  dijkstra<BandwidthMetric>(g, 0, kInvalidNode, ws);
+  EXPECT_DOUBLE_EQ(ws.value(2), 9.0);
+  dijkstra<BandwidthMetric>(g, 0, /*excluded=*/1, ws);
+  EXPECT_DOUBLE_EQ(ws.value(2), 2.0);
+  EXPECT_FALSE(ws.reached(1));
 }
 
 TEST(Dijkstra, ExcludedSourceReachesNothing) {
   Graph g(2);
   g.add_edge(0, 1, qos(4, 2));
-  const auto r = dijkstra<DelayMetric>(g, 0, /*excluded=*/0);
-  EXPECT_EQ(r.value[1], DelayMetric::unreachable());
+  DijkstraWorkspace ws;
+  dijkstra<DelayMetric>(g, 0, /*excluded=*/0, ws);
+  EXPECT_FALSE(ws.reached(1));
 }
 
 TEST(Dijkstra, HopTieBreakPrefersShorterPath) {
@@ -86,29 +101,32 @@ TEST(Dijkstra, HopTieBreakPrefersShorterPath) {
   g.add_edge(0, 2, qos(5, 1));
   g.add_edge(2, 4, qos(5, 1));
   g.add_edge(4, 3, qos(5, 1));
-  const auto r = dijkstra<BandwidthMetric>(g, 0);
-  EXPECT_DOUBLE_EQ(r.value[3], 5.0);
-  EXPECT_EQ(r.hops[3], 2u);
-  EXPECT_EQ(extract_path(r, 0, 3).size(), 3u);
+  DijkstraWorkspace ws;
+  dijkstra<BandwidthMetric>(g, 0, kInvalidNode, ws);
+  EXPECT_DOUBLE_EQ(ws.value(3), 5.0);
+  EXPECT_EQ(ws.hops(3), 2u);
+  EXPECT_EQ(path_to(ws, 3).size(), 3u);
 }
 
 TEST(Dijkstra, RunsOnLocalViews) {
   using F = testing::Fig2;
   const Graph g = F::build();
   const LocalView view(g, F::u);
-  const auto r = dijkstra<BandwidthMetric>(view, LocalView::origin_index());
+  DijkstraWorkspace ws;
+  dijkstra<BandwidthMetric>(view, LocalView::origin_index(), kInvalidNode, ws);
   // Best u→v4 inside G_u: u·v1·v5·v4 of bandwidth 5 (paper §III-B).
-  EXPECT_DOUBLE_EQ(r.value[view.local_id(F::v4)], 5.0);
+  EXPECT_DOUBLE_EQ(ws.value(view.local_id(F::v4)), 5.0);
   // v9 is only visible through v7 (3): the v8–v9 shortcut is hidden.
-  EXPECT_DOUBLE_EQ(r.value[view.local_id(F::v9)], 3.0);
+  EXPECT_DOUBLE_EQ(ws.value(view.local_id(F::v9)), 3.0);
 }
 
 TEST(Dijkstra, LocalViewValueCanBeWorseThanGlobal) {
   // The localized-knowledge limitation of §III-B: globally u→v9 has width 5.
   using F = testing::Fig2;
   const Graph g = F::build();
-  const auto global = dijkstra<BandwidthMetric>(g, F::u);
-  EXPECT_DOUBLE_EQ(global.value[F::v9], 5.0);
+  DijkstraWorkspace ws;
+  dijkstra<BandwidthMetric>(g, F::u, kInvalidNode, ws);
+  EXPECT_DOUBLE_EQ(ws.value(F::v9), 5.0);
 }
 
 struct MetricCase {
@@ -120,17 +138,19 @@ class DijkstraVsBruteForce : public ::testing::TestWithParam<std::uint64_t> {
 
 TEST_P(DijkstraVsBruteForce, BandwidthMatchesExhaustiveSearch) {
   const Graph g = testing::random_uniform_graph(GetParam(), 9, 0.35);
+  DijkstraWorkspace ws;
   for (NodeId s = 0; s < g.node_count(); ++s) {
-    const auto r = dijkstra<BandwidthMetric>(g, s);
+    dijkstra<BandwidthMetric>(g, s, kInvalidNode, ws);
     for (NodeId t = 0; t < g.node_count(); ++t) {
       if (t == s) continue;
       const auto brute =
           brute_force_best_paths<BandwidthMetric, Graph>(g, s, t);
       if (brute.optimal_paths.empty()) {
-        EXPECT_EQ(r.value[t], BandwidthMetric::unreachable());
+        EXPECT_FALSE(ws.reached(t));
       } else {
-        EXPECT_TRUE(metric_equal(r.value[t], brute.best))
-            << s << "→" << t << ": " << r.value[t] << " vs " << brute.best;
+        ASSERT_TRUE(ws.reached(t)) << s << "→" << t;
+        EXPECT_TRUE(metric_equal(ws.value(t), brute.best))
+            << s << "→" << t << ": " << ws.value(t) << " vs " << brute.best;
       }
     }
   }
@@ -138,16 +158,18 @@ TEST_P(DijkstraVsBruteForce, BandwidthMatchesExhaustiveSearch) {
 
 TEST_P(DijkstraVsBruteForce, DelayMatchesExhaustiveSearch) {
   const Graph g = testing::random_uniform_graph(GetParam() + 1000, 9, 0.35);
+  DijkstraWorkspace ws;
   for (NodeId s = 0; s < g.node_count(); ++s) {
-    const auto r = dijkstra<DelayMetric>(g, s);
+    dijkstra<DelayMetric>(g, s, kInvalidNode, ws);
     for (NodeId t = 0; t < g.node_count(); ++t) {
       if (t == s) continue;
       const auto brute = brute_force_best_paths<DelayMetric, Graph>(g, s, t);
       if (brute.optimal_paths.empty()) {
-        EXPECT_EQ(r.value[t], DelayMetric::unreachable());
+        EXPECT_FALSE(ws.reached(t));
       } else {
-        EXPECT_TRUE(metric_equal(r.value[t], brute.best))
-            << s << "→" << t << ": " << r.value[t] << " vs " << brute.best;
+        ASSERT_TRUE(ws.reached(t)) << s << "→" << t;
+        EXPECT_TRUE(metric_equal(ws.value(t), brute.best))
+            << s << "→" << t << ": " << ws.value(t) << " vs " << brute.best;
       }
     }
   }
@@ -155,15 +177,15 @@ TEST_P(DijkstraVsBruteForce, DelayMatchesExhaustiveSearch) {
 
 TEST_P(DijkstraVsBruteForce, ExtractedPathRealizesReportedValue) {
   const Graph g = testing::random_uniform_graph(GetParam() + 2000, 10, 0.3);
-  const auto r = dijkstra<BandwidthMetric>(g, 0);
+  DijkstraWorkspace ws;
+  dijkstra<BandwidthMetric>(g, 0, kInvalidNode, ws);
   for (NodeId t = 1; t < g.node_count(); ++t) {
-    const auto path = extract_path(r, 0, t);
-    if (path.empty()) continue;
-    Path p(path.begin(), path.end());
+    const Path p = path_to(ws, t);
+    if (p.empty()) continue;
     EXPECT_TRUE(is_simple_path(g, p));
     EXPECT_TRUE(
-        metric_equal(evaluate_path<BandwidthMetric>(g, p), r.value[t]));
-    EXPECT_EQ(p.size() - 1, r.hops[t]);
+        metric_equal(evaluate_path<BandwidthMetric>(g, p), ws.value(t)));
+    EXPECT_EQ(p.size() - 1, ws.hops(t));
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "graph/deployment.hpp"
 #include "path/brute_force.hpp"
+#include "support/engines.hpp"
 #include "support/paper_graphs.hpp"
 #include "support/random_graphs.hpp"
 
@@ -22,7 +23,7 @@ std::vector<NodeId> to_global(const LocalView& view,
 TEST(FirstHops, PaperFig2Examples) {
   const Graph g = Fig2::build();
   const LocalView view(g, Fig2::u);
-  const FirstHopTable table = compute_first_hops<BandwidthMetric>(view);
+  const FirstHopTable table = testing::first_hops<BandwidthMetric>(view);
 
   // fPBW(u,v3) = {v1, v2} with B̃W(u,v3) = 4 (paper §III-A).
   const std::uint32_t lv3 = view.local_id(Fig2::v3);
@@ -54,7 +55,7 @@ TEST(FirstHops, PaperFig2Examples) {
 TEST(FirstHops, DirectLinkOptimalContainsSelf) {
   const Graph g = Fig2::build();
   const LocalView view(g, Fig2::u);
-  const FirstHopTable table = compute_first_hops<BandwidthMetric>(view);
+  const FirstHopTable table = testing::first_hops<BandwidthMetric>(view);
   // (u,v6) is u's best link — fP(u,v6) must contain v6 itself.
   const std::uint32_t lv6 = view.local_id(Fig2::v6);
   EXPECT_EQ(to_global(view, table.fp[lv6]), (std::vector<NodeId>{Fig2::v6}));
@@ -66,7 +67,7 @@ TEST(FirstHops, DirectLinkOptimalContainsSelf) {
 TEST(FirstHops, OriginHasIdentity) {
   const Graph g = Fig2::build();
   const LocalView view(g, Fig2::u);
-  const FirstHopTable table = compute_first_hops<BandwidthMetric>(view);
+  const FirstHopTable table = testing::first_hops<BandwidthMetric>(view);
   EXPECT_EQ(table.best[LocalView::origin_index()],
             BandwidthMetric::identity());
   EXPECT_TRUE(table.fp[LocalView::origin_index()].empty());
@@ -83,7 +84,7 @@ TEST(FirstHops, DelayMetricFindsCheapestChain) {
   g.add_edge(2, 1, fast);
   g.add_edge(1, 3, fast);
   const LocalView view(g, 0);
-  const FirstHopTable table = compute_first_hops<DelayMetric>(view);
+  const FirstHopTable table = testing::first_hops<DelayMetric>(view);
   const std::uint32_t l1 = view.local_id(1);
   EXPECT_EQ(to_global(view, table.fp[l1]), (std::vector<NodeId>{2}));
   EXPECT_DOUBLE_EQ(table.best[l1], 2.0);
@@ -107,7 +108,7 @@ TEST(FirstHops, ZeroWeightLinkBetweenEqualDistanceNodesCarriesFirstHop) {
     g.add_edge(a, b, zero);
     g.add_edge(anchor, v, one);
     const LocalView view(g, u);
-    const FirstHopTable table = compute_first_hops<JitterMetric>(view);
+    const FirstHopTable table = testing::first_hops<JitterMetric>(view);
 
     const std::uint32_t lv = view.local_id(v);
     EXPECT_EQ(to_global(view, table.fp[lv]), (std::vector<NodeId>{a, b}))
@@ -149,7 +150,7 @@ TEST(FirstHops, PathsTiedWithinToleranceBothCount) {
     link(b, v, w.bv);
     ASSERT_NE(w.ua + w.av, w.ub + w.bv);
     const LocalView view(g, u);
-    const FirstHopTable table = compute_first_hops<DelayMetric>(view);
+    const FirstHopTable table = testing::first_hops<DelayMetric>(view);
     const std::uint32_t lv = view.local_id(v);
     EXPECT_EQ(to_global(view, table.fp[lv]), (std::vector<NodeId>{a, b}))
         << "u-a " << w.ua;
@@ -166,7 +167,7 @@ void expect_brute_force_first_hops(const Graph& g, bool integral) {
   for (NodeId u = 0; u < g.node_count(); ++u) {
     const LocalView view(g, u);
     if (view.size() > 10) continue;  // keep the exhaustive search tractable
-    const FirstHopTable table = compute_first_hops<M>(view);
+    const FirstHopTable table = testing::first_hops<M>(view);
     for (std::uint32_t v = 1; v < view.size(); ++v) {
       EXPECT_EQ(table.fp[v], brute_force_first_hops<M>(view, v))
           << M::name() << " u=" << u << " v=" << view.global_id(v);
@@ -227,7 +228,7 @@ TEST_P(FirstHopsPropertyTest, FirstHopsAreAlwaysOneHopNeighbors) {
   const Graph g = testing::random_geometric_graph(GetParam(), 8.0);
   for (NodeId u = 0; u < g.node_count(); ++u) {
     const LocalView view(g, u);
-    const FirstHopTable table = compute_first_hops<BandwidthMetric>(view);
+    const FirstHopTable table = testing::first_hops<BandwidthMetric>(view);
     for (std::uint32_t v = 1; v < view.size(); ++v)
       for (std::uint32_t w : table.fp[v]) EXPECT_TRUE(view.is_one_hop(w));
   }

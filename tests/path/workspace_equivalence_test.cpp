@@ -9,9 +9,8 @@
 //    engine's single Dijkstra from u replaces) — fp sets must match
 //    exactly, best values exactly for concave metrics and within the
 //    tolerance band for additive ones;
-//  * the allocating convenience APIs and the workspace APIs must agree
-//    bit-for-bit even when one workspace is reused across every node of
-//    several graphs (no cross-run contamination).
+//  * a workspace reused across every node of several graphs must agree
+//    bit-for-bit with a fresh one (no cross-run contamination).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,23 +18,32 @@
 #include <vector>
 
 #include "core/fnbp.hpp"
+#include "core/multi_criteria.hpp"
 #include "graph/deployment.hpp"
 #include "olsr/mpr.hpp"
 #include "olsr/qolsr_mpr.hpp"
 #include "olsr/topology_filtering.hpp"
 #include "path/dijkstra.hpp"
 #include "path/first_hops.hpp"
+#include "support/engines.hpp"
 #include "support/paper_graphs.hpp"
 #include "support/random_graphs.hpp"
 
 namespace qolsr {
 namespace {
 
+/// Dense labels of a reference run; M::unreachable() marks unreached nodes.
+struct RefLabels {
+  std::vector<double> value;
+  std::vector<std::uint32_t> hops;
+  std::vector<std::uint32_t> parent;
+};
+
 template <Metric M, typename G>
-DijkstraResult ref_dijkstra(const G& graph, std::uint32_t source,
-                            std::uint32_t excluded = kInvalidNode) {
+RefLabels ref_dijkstra(const G& graph, std::uint32_t source,
+                       std::uint32_t excluded = kInvalidNode) {
   const std::size_t n = dijkstra_detail::graph_size(graph);
-  DijkstraResult result;
+  RefLabels result;
   result.value.assign(n, M::unreachable());
   result.hops.assign(n, 0);
   result.parent.assign(n, kInvalidNode);
@@ -91,7 +99,7 @@ FirstHopTable ref_first_hops(const LocalView& view) {
         view.local_edge_qos(LocalView::origin_index(), w);
     if (first_link == nullptr) continue;
     const double first_value = M::link_value(*first_link);
-    const DijkstraResult from_w =
+    const RefLabels from_w =
         ref_dijkstra<M>(view, w, LocalView::origin_index());
     for (std::uint32_t v = 1; v < n; ++v) {
       if (from_w.value[v] == M::unreachable()) continue;
@@ -155,22 +163,35 @@ std::vector<NodeId> ref_select_fnbp(const LocalView& view) {
 /// link values) and within metric tolerance for additive ones (summation
 /// order may differ between engines on tolerance-tied paths).
 template <Metric M>
-void expect_labels_equal(const DijkstraResult& got, const DijkstraResult& want,
+void expect_labels_equal(const DijkstraWorkspace& got, const RefLabels& want,
                          const char* context) {
-  ASSERT_EQ(got.value.size(), want.value.size()) << context;
-  for (std::size_t v = 0; v < want.value.size(); ++v) {
+  ASSERT_EQ(got.size(), want.value.size()) << context;
+  for (std::uint32_t v = 0; v < want.value.size(); ++v) {
     const bool want_reached = want.value[v] != M::unreachable();
-    const bool got_reached = got.value[v] != M::unreachable();
-    ASSERT_EQ(got_reached, want_reached) << context << " node " << v;
+    ASSERT_EQ(got.reached(v), want_reached) << context << " node " << v;
     if (!want_reached) continue;
     if constexpr (M::kind == MetricKind::kConcave) {
-      EXPECT_EQ(got.value[v], want.value[v]) << context << " node " << v;
+      EXPECT_EQ(got.value(v), want.value[v]) << context << " node " << v;
     } else {
-      EXPECT_TRUE(metric_equal(got.value[v], want.value[v]))
-          << context << " node " << v << ": " << got.value[v] << " vs "
+      EXPECT_TRUE(metric_equal(got.value(v), want.value[v]))
+          << context << " node " << v << ": " << got.value(v) << " vs "
           << want.value[v];
     }
-    EXPECT_EQ(got.hops[v], want.hops[v]) << context << " node " << v;
+    EXPECT_EQ(got.hops(v), want.hops[v]) << context << " node " << v;
+  }
+}
+
+/// Bit-identical labels, parents included: a warm workspace must reproduce
+/// a fresh one exactly.
+void expect_same_labels(const DijkstraWorkspace& fresh,
+                        const DijkstraWorkspace& warm, const char* context) {
+  ASSERT_EQ(warm.size(), fresh.size()) << context;
+  for (std::uint32_t v = 0; v < fresh.size(); ++v) {
+    ASSERT_EQ(warm.reached(v), fresh.reached(v)) << context << " node " << v;
+    if (!fresh.reached(v)) continue;
+    EXPECT_EQ(warm.value(v), fresh.value(v)) << context << " node " << v;
+    EXPECT_EQ(warm.hops(v), fresh.hops(v)) << context << " node " << v;
+    EXPECT_EQ(warm.parent(v), fresh.parent(v)) << context << " node " << v;
   }
 }
 
@@ -178,13 +199,15 @@ void expect_labels_equal(const DijkstraResult& got, const DijkstraResult& want,
 /// it encodes a valid optimal path: right length, consistent with the
 /// graph, and of exactly the labeled value.
 template <Metric M, typename G>
-void expect_parents_consistent(const G& graph, const DijkstraResult& result,
+void expect_parents_consistent(const G& graph, const DijkstraWorkspace& ws,
                                std::uint32_t source, std::uint32_t excluded) {
   const std::size_t n = dijkstra_detail::graph_size(graph);
+  std::vector<std::uint32_t> path;
   for (std::uint32_t v = 0; v < n; ++v) {
-    if (result.value[v] == M::unreachable() || v == source) continue;
-    const auto path = extract_path(result, source, v);
-    ASSERT_EQ(path.size(), result.hops[v] + 1) << "node " << v;
+    if (!ws.reached(v) || v == source) continue;
+    ws.path_to(v, path);
+    ASSERT_EQ(path.size(), ws.hops(v) + 1) << "node " << v;
+    EXPECT_EQ(path.front(), source) << "node " << v;
     double value = M::identity();
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
       EXPECT_NE(path[i], excluded);
@@ -198,7 +221,7 @@ void expect_parents_consistent(const G& graph, const DijkstraResult& result,
       }
       ASSERT_TRUE(found) << "missing edge on extracted path";
     }
-    EXPECT_TRUE(metric_equal(value, result.value[v])) << "node " << v;
+    EXPECT_TRUE(metric_equal(value, ws.value(v))) << "node " << v;
   }
 }
 
@@ -224,26 +247,28 @@ std::vector<Graph> test_graphs() {
 
 template <Metric M>
 void check_dijkstra_everywhere() {
-  DijkstraWorkspace ws;  // deliberately shared across every run below
+  DijkstraWorkspace warm;  // deliberately shared across every run below
   for (const Graph& g : test_graphs()) {
     for (NodeId s = 0; s < g.node_count(); ++s) {
-      const DijkstraResult want = ref_dijkstra<M>(g, s);
-      const DijkstraResult got = dijkstra<M>(g, s);
-      expect_labels_equal<M>(got, want, "full graph");
-      expect_parents_consistent<M>(g, got, s, kInvalidNode);
+      const RefLabels want = ref_dijkstra<M>(g, s);
+      DijkstraWorkspace fresh;
+      dijkstra<M>(g, s, kInvalidNode, fresh);
+      expect_labels_equal<M>(fresh, want, "full graph");
+      expect_parents_consistent<M>(g, fresh, s, kInvalidNode);
 
-      dijkstra<M>(g, s, kInvalidNode, ws);
-      expect_labels_equal<M>(ws.to_result<M>(), want, "workspace full graph");
+      dijkstra<M>(g, s, kInvalidNode, warm);
+      expect_same_labels(fresh, warm, "warm full graph");
     }
     LocalViewBuilder builder;
     LocalView view;
     for (NodeId u = 0; u < g.node_count(); ++u) {
       builder.build(g, u, view);
       for (std::uint32_t w : view.one_hop()) {
-        const DijkstraResult want =
+        const RefLabels want =
             ref_dijkstra<M>(view, w, LocalView::origin_index());
-        dijkstra<M>(view, w, LocalView::origin_index(), ws);
-        expect_labels_equal<M>(ws.to_result<M>(), want, "local view");
+        dijkstra<M>(view, w, LocalView::origin_index(), warm);
+        expect_labels_equal<M>(warm, want, "local view");
+        expect_parents_consistent<M>(view, warm, w, LocalView::origin_index());
       }
     }
   }
@@ -258,15 +283,13 @@ TEST(WorkspaceEquivalence, DijkstraDelay) {
 }
 
 TEST(WorkspaceEquivalence, DijkstraMinHop) {
-  DijkstraWorkspace ws;
+  DijkstraWorkspace warm;
   for (const Graph& g : test_graphs()) {
     for (NodeId s = 0; s < g.node_count(); ++s) {
-      const DijkstraResult a = dijkstra_min_hop<BandwidthMetric>(g, s);
-      dijkstra_min_hop<BandwidthMetric>(g, s, kInvalidNode, ws);
-      const DijkstraResult b = ws.to_result<BandwidthMetric>();
-      EXPECT_EQ(a.value, b.value);
-      EXPECT_EQ(a.hops, b.hops);
-      EXPECT_EQ(a.parent, b.parent);
+      DijkstraWorkspace fresh;
+      dijkstra_min_hop<BandwidthMetric>(g, s, kInvalidNode, fresh);
+      dijkstra_min_hop<BandwidthMetric>(g, s, kInvalidNode, warm);
+      expect_same_labels(fresh, warm, "min-hop");
     }
   }
 }
@@ -281,7 +304,7 @@ void check_first_hops_everywhere() {
     for (NodeId u = 0; u < g.node_count(); ++u) {
       builder.build(g, u, view);
       const FirstHopTable want = ref_first_hops<M>(view);
-      const FirstHopTable got = compute_first_hops<M>(view);
+      const FirstHopTable got = testing::first_hops<M>(view);
       compute_first_hops<M>(view, ws, reused);
 
       ASSERT_EQ(got.fp.size(), want.fp.size());
@@ -334,7 +357,7 @@ TEST(WorkspaceEquivalence, FnbpSelectionMatchesReference) {
     for (NodeId u = 0; u < g.node_count(); ++u) {
       builder.build(g, u, view);
       const auto want_bw = ref_select_fnbp<BandwidthMetric>(view);
-      EXPECT_EQ(select_fnbp_ans<BandwidthMetric>(view), want_bw);
+      EXPECT_EQ(FnbpSelector<BandwidthMetric>().select(view), want_bw);
       select_fnbp_ans<BandwidthMetric>(view, ws, out);
       EXPECT_EQ(out, want_bw);
 
@@ -345,7 +368,25 @@ TEST(WorkspaceEquivalence, FnbpSelectionMatchesReference) {
   }
 }
 
-TEST(WorkspaceEquivalence, AllSelectorsWorkspaceAgreesWithPlainApi) {
+TEST(WorkspaceEquivalence, AllSelectorsWarmWorkspaceMatchesFresh) {
+  // Each selector's select_into through one workspace warmed on every
+  // earlier view must match select, which runs on a fresh workspace.
+  FnbpOptions ablation;
+  ablation.loop_fix = false;
+  ablation.qos_tiebreak = false;
+  const Rfc3626Selector rfc;
+  const QolsrSelector<BandwidthMetric> mpr1_bw(QolsrVariant::kMpr1);
+  const QolsrSelector<BandwidthMetric> mpr2_bw(QolsrVariant::kMpr2);
+  const QolsrSelector<DelayMetric> mpr1_delay(QolsrVariant::kMpr1);
+  const QolsrSelector<DelayMetric> mpr2_delay(QolsrVariant::kMpr2);
+  const TopologyFilteringSelector<BandwidthMetric> topo_bw;
+  const TopologyFilteringSelector<DelayMetric> topo_delay;
+  const FnbpSelector<BandwidthMetric> fnbp_ablation(ablation);
+  const BicriteriaFnbpSelector<BandwidthMetric, EnergyMetric> bicriteria;
+  const std::vector<const AnsSelector*> selectors{
+      &rfc,     &mpr1_bw,    &mpr2_bw,       &mpr1_delay, &mpr2_delay,
+      &topo_bw, &topo_delay, &fnbp_ablation, &bicriteria};
+
   SelectionWorkspace ws;
   std::vector<NodeId> out;
   for (const Graph& g : test_graphs()) {
@@ -353,44 +394,29 @@ TEST(WorkspaceEquivalence, AllSelectorsWorkspaceAgreesWithPlainApi) {
     LocalView view;
     for (NodeId u = 0; u < g.node_count(); ++u) {
       builder.build(g, u, view);
-
-      select_mpr_rfc3626(view, ws, out);
-      EXPECT_EQ(out, select_mpr_rfc3626(view));
-
-      for (QolsrVariant variant : {QolsrVariant::kMpr1, QolsrVariant::kMpr2}) {
-        select_qolsr_mpr<BandwidthMetric>(view, variant, ws, out);
-        EXPECT_EQ(out, select_qolsr_mpr<BandwidthMetric>(view, variant));
-        select_qolsr_mpr<DelayMetric>(view, variant, ws, out);
-        EXPECT_EQ(out, select_qolsr_mpr<DelayMetric>(view, variant));
+      for (const AnsSelector* selector : selectors) {
+        selector->select_into(view, ws, out);
+        EXPECT_EQ(out, selector->select(view))
+            << selector->name() << " node " << u;
       }
-
-      select_topology_filtering_ans<BandwidthMetric>(view, ws, out);
-      EXPECT_EQ(out, select_topology_filtering_ans<BandwidthMetric>(view));
-      select_topology_filtering_ans<DelayMetric>(view, ws, out);
-      EXPECT_EQ(out, select_topology_filtering_ans<DelayMetric>(view));
-
-      FnbpOptions ablation;
-      ablation.loop_fix = false;
-      ablation.qos_tiebreak = false;
-      select_fnbp_ans<BandwidthMetric>(view, ws, out, ablation);
-      EXPECT_EQ(out, select_fnbp_ans<BandwidthMetric>(view, ablation));
     }
   }
 }
 
-TEST(WorkspaceEquivalence, RngReduceOutParamMatchesReturning) {
-  LocalView scratch;
+TEST(WorkspaceEquivalence, RngReduceWarmScratchMatchesFresh) {
+  RngWitnessScratch scratch;
+  LocalView warm;
   for (const Graph& g : test_graphs()) {
     LocalViewBuilder builder;
     LocalView view;
     for (NodeId u = 0; u < g.node_count(); ++u) {
       builder.build(g, u, view);
-      const LocalView by_value = rng_reduce<BandwidthMetric>(view);
-      rng_reduce<BandwidthMetric>(view, scratch);
-      ASSERT_EQ(scratch.size(), by_value.size());
-      for (std::uint32_t l = 0; l < by_value.size(); ++l) {
-        const auto a = by_value.neighbors(l);
-        const auto b = scratch.neighbors(l);
+      const LocalView fresh = testing::rng_reduced<BandwidthMetric>(view);
+      rng_reduce<BandwidthMetric>(view, warm, scratch);
+      ASSERT_EQ(warm.size(), fresh.size());
+      for (std::uint32_t l = 0; l < fresh.size(); ++l) {
+        const auto a = fresh.neighbors(l);
+        const auto b = warm.neighbors(l);
         ASSERT_EQ(a.size(), b.size());
         for (std::size_t k = 0; k < a.size(); ++k) {
           EXPECT_EQ(a[k].to, b[k].to);

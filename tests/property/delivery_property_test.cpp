@@ -5,31 +5,35 @@
 #include "core/fnbp.hpp"
 #include "graph/connectivity.hpp"
 #include "routing/forwarding.hpp"
+#include "support/engines.hpp"
 #include "support/random_graphs.hpp"
 
 namespace qolsr {
 namespace {
 
-template <Metric M>
-Graph advertised_for(const Graph& g, const AnsSelector& selector) {
+CsrTopology advertised_for(const Graph& g, const AnsSelector& selector) {
   std::vector<std::vector<NodeId>> ans(g.node_count());
   for (NodeId u = 0; u < g.node_count(); ++u)
     ans[u] = selector.select(LocalView(g, u));
-  return build_advertised_topology(g, ans);
+  AdvertisedTopologyBuilder builder;
+  CsrTopology csr;
+  builder.build_advertised(g, ans, csr);
+  return csr;
 }
 
 class DeliveryPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   Graph graph_ = testing::random_geometric_graph(GetParam(), 7.0, 300.0);
   Components components_ = connected_components(graph_);
+  ForwardingWorkspace ws_;
 
   template <Metric M>
   void expect_full_delivery(const AnsSelector& selector) {
-    const Graph adv = advertised_for<M>(graph_, selector);
+    const CsrTopology adv = advertised_for(graph_, selector);
     for (NodeId s = 0; s < graph_.node_count(); ++s) {
       for (NodeId d = 0; d < graph_.node_count(); ++d) {
         if (s == d || !components_.connected(s, d)) continue;
-        const auto r = forward_packet<M>(graph_, adv, s, d);
+        const auto r = forward_packet<M>(graph_, adv, s, d, {}, ws_);
         EXPECT_TRUE(r.delivered())
             << selector.name() << " " << s << "→" << d << " status "
             << static_cast<int>(r.status);
@@ -57,15 +61,16 @@ TEST_P(DeliveryPropertyTest, FnbpDeliversEverywhereBothMetrics) {
 
 TEST_P(DeliveryPropertyTest, AchievedDelayNeverBeatsOptimum) {
   const FnbpSelector<DelayMetric> fnbp;
-  const Graph adv = advertised_for<DelayMetric>(graph_, fnbp);
+  const CsrTopology adv = advertised_for(graph_, fnbp);
+  DijkstraWorkspace optimal;
   for (NodeId s = 0; s < std::min<std::size_t>(graph_.node_count(), 10);
        ++s) {
-    const auto optimal = dijkstra<DelayMetric>(graph_, s);
+    dijkstra<DelayMetric>(graph_, s, kInvalidNode, optimal);
     for (NodeId d = 0; d < graph_.node_count(); ++d) {
       if (s == d || !components_.connected(s, d)) continue;
-      const auto r = forward_packet<DelayMetric>(graph_, adv, s, d);
+      const auto r = forward_packet<DelayMetric>(graph_, adv, s, d, {}, ws_);
       if (!r.delivered()) continue;
-      EXPECT_FALSE(DelayMetric::better(r.value, optimal.value[d]))
+      EXPECT_FALSE(DelayMetric::better(r.value, optimal.value(d)))
           << s << "→" << d;
     }
   }
@@ -77,13 +82,14 @@ TEST_P(DeliveryPropertyTest, TwoHopRoutesAchieveLocalOptimum) {
   // local-view best value B̃(u,v) — nothing was lost by advertising a
   // single first hop.
   const FnbpSelector<BandwidthMetric> fnbp;
-  const Graph adv = advertised_for<BandwidthMetric>(graph_, fnbp);
+  const CsrTopology adv = advertised_for(graph_, fnbp);
   for (NodeId u = 0; u < graph_.node_count(); ++u) {
     const LocalView view(graph_, u);
-    const FirstHopTable table = compute_first_hops<BandwidthMetric>(view);
+    const FirstHopTable table = testing::first_hops<BandwidthMetric>(view);
     for (std::uint32_t lv : view.two_hop()) {
       const NodeId v = view.global_id(lv);
-      const auto r = forward_packet<BandwidthMetric>(graph_, adv, u, v);
+      const auto r =
+          forward_packet<BandwidthMetric>(graph_, adv, u, v, {}, ws_);
       ASSERT_TRUE(r.delivered()) << u << "→" << v;
       EXPECT_FALSE(BandwidthMetric::better(table.best[lv], r.value))
           << u << "→" << v << ": local optimum " << table.best[lv]

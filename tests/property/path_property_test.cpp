@@ -3,6 +3,7 @@
 
 #include "path/dijkstra.hpp"
 #include "path/first_hops.hpp"
+#include "support/engines.hpp"
 #include "support/random_graphs.hpp"
 
 namespace qolsr {
@@ -26,15 +27,17 @@ TEST_P(PathInvariantTest, DijkstraValueTreeConsistent) {
   // the parent tree justifies the reported values.
   const Graph g = testing::random_geometric_graph(GetParam(), 8.0);
   if (g.node_count() == 0) GTEST_SKIP();
-  const auto r = dijkstra<BandwidthMetric>(g, 0);
+  DijkstraWorkspace ws;
+  dijkstra<BandwidthMetric>(g, 0, kInvalidNode, ws);
   for (NodeId v = 1; v < g.node_count(); ++v) {
-    if (r.parent[v] == kInvalidNode) continue;
-    const LinkQos* q = g.edge_qos(r.parent[v], v);
+    const NodeId p = ws.parent(v);
+    if (p == kInvalidNode) continue;
+    const LinkQos* q = g.edge_qos(p, v);
     ASSERT_NE(q, nullptr);
     EXPECT_TRUE(metric_equal(
-        r.value[v], BandwidthMetric::combine(r.value[r.parent[v]],
-                                             BandwidthMetric::link_value(*q))));
-    EXPECT_EQ(r.hops[v], r.hops[r.parent[v]] + 1);
+        ws.value(v), BandwidthMetric::combine(
+                         ws.value(p), BandwidthMetric::link_value(*q))));
+    EXPECT_EQ(ws.hops(v), ws.hops(p) + 1);
   }
 }
 
@@ -43,14 +46,16 @@ TEST_P(PathInvariantTest, AdditiveSubpathOptimality) {
   // optimal-substructure; relied on by hop-by-hop forwarding).
   const Graph g = testing::random_geometric_graph(GetParam() + 5, 7.0);
   if (g.node_count() < 2) GTEST_SKIP();
-  const auto from0 = dijkstra<DelayMetric>(g, 0);
+  DijkstraWorkspace from0;
+  dijkstra<DelayMetric>(g, 0, kInvalidNode, from0);
+  std::vector<std::uint32_t> path;
   for (NodeId t = 1; t < g.node_count(); ++t) {
-    const auto path = extract_path(from0, 0, t);
+    from0.path_to(t, path);
     if (path.empty()) continue;
     double prefix = 0.0;
     for (std::size_t i = 1; i < path.size(); ++i) {
       prefix += g.edge_qos(path[i - 1], path[i])->delay;
-      EXPECT_TRUE(metric_equal(prefix, from0.value[path[i]]))
+      EXPECT_TRUE(metric_equal(prefix, from0.value(path[i])))
           << "prefix to " << path[i];
     }
   }
@@ -58,7 +63,8 @@ TEST_P(PathInvariantTest, AdditiveSubpathOptimality) {
 
 TEST_P(PathInvariantTest, AddingEdgesNeverHurtsTheOptimum) {
   Graph g = testing::random_uniform_graph(GetParam(), 14, 0.2);
-  const auto before = dijkstra<BandwidthMetric>(g, 0);
+  DijkstraWorkspace before;
+  dijkstra<BandwidthMetric>(g, 0, kInvalidNode, before);
   // Add a few random edges with random QoS.
   util::Rng rng(GetParam() * 31 + 7);
   int added = 0;
@@ -71,26 +77,32 @@ TEST_P(PathInvariantTest, AddingEdgesNeverHurtsTheOptimum) {
     g.add_edge(a, b, q);
     ++added;
   }
-  const auto after = dijkstra<BandwidthMetric>(g, 0);
-  for (NodeId v = 1; v < g.node_count(); ++v)
-    EXPECT_FALSE(BandwidthMetric::better(before.value[v], after.value[v]))
+  DijkstraWorkspace after;
+  dijkstra<BandwidthMetric>(g, 0, kInvalidNode, after);
+  for (NodeId v = 1; v < g.node_count(); ++v) {
+    if (!before.reached(v)) continue;
+    ASSERT_TRUE(after.reached(v)) << "node " << v;
+    EXPECT_FALSE(BandwidthMetric::better(before.value(v), after.value(v)))
         << "node " << v;
+  }
 }
 
 TEST_P(PathInvariantTest, FirstHopBestMatchesDijkstraFromOrigin) {
   // B̃(u,v) from the per-neighbor decomposition equals the direct
   // origin-rooted Dijkstra value (paths can't improve by revisiting u).
   const Graph g = testing::random_geometric_graph(GetParam() + 11, 8.0);
+  DijkstraWorkspace direct;
   for (NodeId u = 0; u < g.node_count(); ++u) {
     const LocalView view(g, u);
-    const FirstHopTable table = compute_first_hops<BandwidthMetric>(view);
-    const auto direct =
-        dijkstra<BandwidthMetric>(view, LocalView::origin_index());
+    const FirstHopTable table = testing::first_hops<BandwidthMetric>(view);
+    dijkstra<BandwidthMetric>(view, LocalView::origin_index(), kInvalidNode,
+                              direct);
     for (std::uint32_t v = 1; v < view.size(); ++v) {
       if (table.fp[v].empty()) {
-        EXPECT_EQ(direct.value[v], BandwidthMetric::unreachable());
+        EXPECT_FALSE(direct.reached(v));
       } else {
-        EXPECT_TRUE(metric_equal(table.best[v], direct.value[v]))
+        ASSERT_TRUE(direct.reached(v));
+        EXPECT_TRUE(metric_equal(table.best[v], direct.value(v)))
             << "u=" << u << " v=" << view.global_id(v);
       }
     }

@@ -3,6 +3,7 @@
 
 #include "core/fnbp.hpp"
 #include "olsr/mpr.hpp"
+#include "support/engines.hpp"
 #include "support/random_graphs.hpp"
 
 namespace qolsr {
@@ -55,7 +56,7 @@ TEST_P(SelectionPropertyTest, FnbpEmptyOnlyWhenNothingToImprove) {
     const LocalView view(graph_, u);
     if (!fnbp.select(view).empty()) continue;
     EXPECT_TRUE(view.two_hop().empty());
-    const FirstHopTable table = compute_first_hops<BandwidthMetric>(view);
+    const FirstHopTable table = testing::first_hops<BandwidthMetric>(view);
     for (std::uint32_t v : view.one_hop())
       EXPECT_TRUE(
           std::binary_search(table.fp[v].begin(), table.fp[v].end(), v));
@@ -82,12 +83,14 @@ TEST_P(SelectionPropertyTest, MetricsAreIndependentDimensions) {
 }
 
 TEST_P(SelectionPropertyTest, LoopFixOnlyEverAddsNodes) {
-  FnbpOptions with, without;
+  FnbpOptions without;
   without.loop_fix = false;
+  const FnbpSelector<BandwidthMetric> with_fix;
+  const FnbpSelector<BandwidthMetric> without_fix(without);
   for (NodeId u = 0; u < graph_.node_count(); ++u) {
     const LocalView view(graph_, u);
-    const auto fixed = select_fnbp_ans<BandwidthMetric>(view, with);
-    const auto plain = select_fnbp_ans<BandwidthMetric>(view, without);
+    const auto fixed = with_fix.select(view);
+    const auto plain = without_fix.select(view);
     EXPECT_TRUE(std::includes(fixed.begin(), fixed.end(), plain.begin(),
                               plain.end()))
         << "node " << u;
@@ -106,10 +109,11 @@ TEST_P(SelectionPropertyTest, BuffersMetricBehavesLikeBandwidth) {
       g.set_edge_qos(u, e.to, q);
     }
   }
+  const FnbpSelector<BuffersMetric> buffers;
+  const FnbpSelector<BandwidthMetric> bandwidth;
   for (NodeId u = 0; u < g.node_count(); ++u) {
     const LocalView view(g, u);
-    EXPECT_EQ(select_fnbp_ans<BuffersMetric>(view),
-              select_fnbp_ans<BandwidthMetric>(view));
+    EXPECT_EQ(buffers.select(view), bandwidth.select(view));
   }
 }
 

@@ -41,21 +41,6 @@ TEST(AdvertisedTopology, QosCopiedFromFullGraph) {
             g.edge_qos(Fig1::v1, Fig1::v2)->bandwidth);
 }
 
-TEST(MergeLocalView, AddsOnlyMissingLinks) {
-  const Graph g = Fig1::build();
-  std::vector<std::vector<NodeId>> ans(g.node_count());
-  ans[Fig1::v1] = {Fig1::v2};
-  Graph base = build_advertised_topology(g, ans);
-  const std::size_t before = base.edge_count();
-  merge_local_view(base, LocalView(g, Fig1::v1));
-  // G_v1 covers every link incident to N(v1) = {v2,v5,v6}: all 9 Fig.-1
-  // edges except (v4,v3); (v1,v2) already existed, so 7 are added.
-  EXPECT_EQ(base.edge_count(), before + 7);
-  EXPECT_TRUE(base.has_edge(Fig1::v1, Fig1::v6));
-  merge_local_view(base, LocalView(g, Fig1::v1));  // idempotent
-  EXPECT_EQ(base.edge_count(), before + 7);
-}
-
 TEST(AverageSetSize, Basics) {
   EXPECT_EQ(average_set_size({}), 0.0);
   EXPECT_DOUBLE_EQ(average_set_size({{1, 2}, {}, {3}}), 1.0);

@@ -1,9 +1,8 @@
-// Tests for the directed ANS-chain machinery: DirectedGraph, the
+// Tests for the directed ANS-chain machinery: the directed relay base, the
 // hop-count-primary Dijkstra/next-hop, and forward_via_ans.
 #include <gtest/gtest.h>
 
 #include "core/fnbp.hpp"
-#include "routing/directed.hpp"
 #include "routing/forwarding.hpp"
 #include "support/paper_graphs.hpp"
 #include "support/random_graphs.hpp"
@@ -21,40 +20,21 @@ LinkQos qos_bw(double b, double d = 1.0) {
   return q;
 }
 
-TEST(DirectedGraph, EdgesAreOneWay) {
-  DirectedGraph g(3);
-  g.add_edge(0, 1, qos_bw(5));
-  EXPECT_TRUE(g.has_edge(0, 1));
-  EXPECT_FALSE(g.has_edge(1, 0));
-  EXPECT_EQ(g.neighbors(0).size(), 1u);
-  EXPECT_TRUE(g.neighbors(1).empty());
-}
-
-TEST(DirectedGraph, DuplicateInsertIgnored) {
-  DirectedGraph g(2);
-  g.add_edge(0, 1, qos_bw(5));
-  g.add_edge(0, 1, qos_bw(9));
-  ASSERT_EQ(g.neighbors(0).size(), 1u);
-  EXPECT_EQ(g.neighbors(0)[0].qos.bandwidth, 5.0);  // first insert wins
-}
-
-TEST(DirectedGraph, NeighborsSorted) {
-  DirectedGraph g(4);
-  g.add_edge(0, 3, {});
-  g.add_edge(0, 1, {});
-  g.add_edge(0, 2, {});
-  EXPECT_EQ(g.neighbors(0)[0].to, 1u);
-  EXPECT_EQ(g.neighbors(0)[2].to, 3u);
-}
-
-TEST(DirectedGraph, DijkstraRespectsDirection) {
-  DirectedGraph g(3);
+TEST(AnsChain, DijkstraRespectsDirection) {
+  // ANS(0) = {1} and ANS(1) = {2} give the directed base 0→1→2 only.
+  Graph g(3);
   g.add_edge(0, 1, qos_bw(5));
   g.add_edge(1, 2, qos_bw(5));
-  const auto from0 = dijkstra<BandwidthMetric>(g, 0u);
-  EXPECT_DOUBLE_EQ(from0.value[2], 5.0);
-  const auto from2 = dijkstra<BandwidthMetric>(g, 2u);
-  EXPECT_EQ(from2.value[0], BandwidthMetric::unreachable());
+  const std::vector<std::vector<NodeId>> ans{{1}, {2}, {}};
+  AdvertisedTopologyBuilder builder;
+  CsrTopology base;
+  builder.build_ans_chain(g, ans, /*destination=*/2, base);
+  DijkstraWorkspace ws;
+  dijkstra<BandwidthMetric>(base, 0u, kInvalidNode, ws);
+  ASSERT_TRUE(ws.reached(2));
+  EXPECT_DOUBLE_EQ(ws.value(2), 5.0);
+  dijkstra<BandwidthMetric>(base, 2u, kInvalidNode, ws);
+  EXPECT_FALSE(ws.reached(0));
 }
 
 TEST(MinHopDijkstra, PrefersFewerHopsOverBetterValue) {
@@ -63,12 +43,13 @@ TEST(MinHopDijkstra, PrefersFewerHopsOverBetterValue) {
   g.add_edge(0, 2, qos_bw(2));
   g.add_edge(0, 1, qos_bw(9));
   g.add_edge(1, 2, qos_bw(9));
-  const auto r = dijkstra_min_hop<BandwidthMetric>(g, 0u);
-  EXPECT_EQ(r.hops[2], 1u);
-  EXPECT_DOUBLE_EQ(r.value[2], 2.0);
+  DijkstraWorkspace ws;
+  dijkstra_min_hop<BandwidthMetric>(g, 0u, kInvalidNode, ws);
+  EXPECT_EQ(ws.hops(2), 1u);
+  EXPECT_DOUBLE_EQ(ws.value(2), 2.0);
   // QoS-first takes the detour.
-  const auto q = dijkstra<BandwidthMetric>(g, 0u);
-  EXPECT_DOUBLE_EQ(q.value[2], 9.0);
+  dijkstra<BandwidthMetric>(g, 0u, kInvalidNode, ws);
+  EXPECT_DOUBLE_EQ(ws.value(2), 9.0);
 }
 
 TEST(MinHopDijkstra, QosBreaksHopTies) {
@@ -78,10 +59,11 @@ TEST(MinHopDijkstra, QosBreaksHopTies) {
   g.add_edge(1, 3, qos_bw(3));
   g.add_edge(0, 2, qos_bw(7));
   g.add_edge(2, 3, qos_bw(7));
-  const auto r = dijkstra_min_hop<BandwidthMetric>(g, 0u);
-  EXPECT_EQ(r.hops[3], 2u);
-  EXPECT_DOUBLE_EQ(r.value[3], 7.0);
-  EXPECT_EQ(compute_min_hop_next_hop<BandwidthMetric>(g, 0, 3), 2u);
+  DijkstraWorkspace ws;
+  dijkstra_min_hop<BandwidthMetric>(g, 0u, kInvalidNode, ws);
+  EXPECT_EQ(ws.hops(3), 2u);
+  EXPECT_DOUBLE_EQ(ws.value(3), 7.0);
+  EXPECT_EQ(compute_min_hop_next_hop<BandwidthMetric>(g, 0, 3, ws), 2u);
 }
 
 TEST(MinHopDijkstra, DelayVariant) {
@@ -90,15 +72,19 @@ TEST(MinHopDijkstra, DelayVariant) {
   g.add_edge(1, 3, qos_bw(1, 9));
   g.add_edge(0, 2, qos_bw(1, 2));
   g.add_edge(2, 3, qos_bw(1, 2));
-  const auto r = dijkstra_min_hop<DelayMetric>(g, 0u);
-  EXPECT_DOUBLE_EQ(r.value[3], 4.0);  // best among the 2-hop routes
+  DijkstraWorkspace ws;
+  dijkstra_min_hop<DelayMetric>(g, 0u, kInvalidNode, ws);
+  EXPECT_DOUBLE_EQ(ws.value(3), 4.0);  // best among the 2-hop routes
 }
 
 TEST(MinHopNextHop, UnreachableAndSelf) {
   Graph g(3);
   g.add_edge(0, 1, qos_bw(1));
-  EXPECT_EQ(compute_min_hop_next_hop<BandwidthMetric>(g, 0, 2), kInvalidNode);
-  EXPECT_EQ(compute_min_hop_next_hop<BandwidthMetric>(g, 0, 0), kInvalidNode);
+  DijkstraWorkspace ws;
+  EXPECT_EQ(compute_min_hop_next_hop<BandwidthMetric>(g, 0, 2, ws),
+            kInvalidNode);
+  EXPECT_EQ(compute_min_hop_next_hop<BandwidthMetric>(g, 0, 0, ws),
+            kInvalidNode);
 }
 
 std::vector<std::vector<NodeId>> fnbp_sets(const Graph& g) {
@@ -111,19 +97,21 @@ std::vector<std::vector<NodeId>> fnbp_sets(const Graph& g) {
 
 TEST(AnsChain, Fig1FnbpStillFindsTheWidestPath) {
   const Graph g = Fig1::build();
-  const auto r =
-      forward_via_ans<BandwidthMetric>(g, fnbp_sets(g), Fig1::v1, Fig1::v3);
+  ForwardingWorkspace ws;
+  const auto r = forward_via_ans<BandwidthMetric>(g, fnbp_sets(g), Fig1::v1,
+                                                  Fig1::v3, {}, ws);
   ASSERT_TRUE(r.delivered());
   EXPECT_DOUBLE_EQ(r.value, 10.0);
 }
 
 TEST(AnsChain, SelfAndNeighborDelivery) {
   const Graph g = Fig1::build();
-  const auto self =
-      forward_via_ans<BandwidthMetric>(g, fnbp_sets(g), Fig1::v1, Fig1::v1);
+  ForwardingWorkspace ws;
+  const auto self = forward_via_ans<BandwidthMetric>(g, fnbp_sets(g), Fig1::v1,
+                                                     Fig1::v1, {}, ws);
   EXPECT_TRUE(self.delivered());
-  const auto hop =
-      forward_via_ans<BandwidthMetric>(g, fnbp_sets(g), Fig1::v1, Fig1::v6);
+  const auto hop = forward_via_ans<BandwidthMetric>(g, fnbp_sets(g), Fig1::v1,
+                                                    Fig1::v6, {}, ws);
   EXPECT_TRUE(hop.delivered());
   EXPECT_EQ(hop.path.size(), 2u);
 }
@@ -133,8 +121,10 @@ TEST(AnsChain, LoopFixIsLoadBearingOnFig4) {
   // loop-fix: A stops advertising D, the relay chains dead-end, and A
   // itself can no longer reach E (its only out-links lead away).
   const Graph g = Fig4::build();
+  const auto fixed = fnbp_sets(g);
+  ForwardingWorkspace ws;
   const auto with_fix =
-      forward_via_ans<BandwidthMetric>(g, fnbp_sets(g), Fig4::a, Fig4::e);
+      forward_via_ans<BandwidthMetric>(g, fixed, Fig4::a, Fig4::e, {}, ws);
   EXPECT_TRUE(with_fix.delivered());
 
   FnbpOptions no_fix;
@@ -147,9 +137,9 @@ TEST(AnsChain, LoopFixIsLoadBearingOnFig4) {
   // the advertised chains are poorer: B must fall back to its own links and
   // the bottleneck path.
   const auto b_route =
-      forward_via_ans<BandwidthMetric>(g, ans, Fig4::b, Fig4::e);
+      forward_via_ans<BandwidthMetric>(g, ans, Fig4::b, Fig4::e, {}, ws);
   const auto b_fixed =
-      forward_via_ans<BandwidthMetric>(g, fnbp_sets(g), Fig4::b, Fig4::e);
+      forward_via_ans<BandwidthMetric>(g, fixed, Fig4::b, Fig4::e, {}, ws);
   EXPECT_TRUE(b_fixed.delivered());
   // Either the unfixed route fails or it is no better than the fixed one.
   if (b_route.delivered())
@@ -160,7 +150,9 @@ TEST(AnsChain, NoRouteAcrossComponents) {
   Graph g(4);
   g.add_edge(0, 1, qos_bw(1));
   g.add_edge(2, 3, qos_bw(1));
-  const auto r = forward_via_ans<BandwidthMetric>(g, fnbp_sets(g), 0, 3);
+  ForwardingWorkspace ws;
+  const auto r =
+      forward_via_ans<BandwidthMetric>(g, fnbp_sets(g), 0, 3, {}, ws);
   EXPECT_FALSE(r.delivered());
 }
 
@@ -170,15 +162,19 @@ class AnsChainPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(AnsChainPropertyTest, NeverLoopsAndNeverBeatsOptimum) {
   const Graph g = testing::random_geometric_graph(GetParam(), 7.0, 280.0);
   const auto ans = fnbp_sets(g);
+  ForwardingWorkspace ws;
+  DijkstraWorkspace optimal;
   for (NodeId s = 0; s < std::min<std::size_t>(g.node_count(), 15); ++s) {
-    const auto optimal = dijkstra<BandwidthMetric>(g, s);
+    dijkstra<BandwidthMetric>(g, s, kInvalidNode, optimal);
     for (NodeId d = 0; d < g.node_count(); ++d) {
       if (s == d) continue;
-      const auto r = forward_via_ans<BandwidthMetric>(g, ans, s, d);
+      const auto r = forward_via_ans<BandwidthMetric>(g, ans, s, d, {}, ws);
       EXPECT_NE(r.status, ForwardingStatus::kLoop) << s << "→" << d;
       EXPECT_NE(r.status, ForwardingStatus::kHopLimit) << s << "→" << d;
-      if (r.delivered())
-        EXPECT_FALSE(BandwidthMetric::better(r.value, optimal.value[d]));
+      if (r.delivered()) {
+        ASSERT_TRUE(optimal.reached(d)) << s << "→" << d;
+        EXPECT_FALSE(BandwidthMetric::better(r.value, optimal.value(d)));
+      }
     }
   }
 }

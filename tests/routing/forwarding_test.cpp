@@ -12,18 +12,28 @@ namespace {
 
 using testing::Fig1;
 
-Graph fnbp_advertised(const Graph& g) {
+CsrTopology advertised_csr(const Graph& g,
+                           const std::vector<std::vector<NodeId>>& ans) {
+  AdvertisedTopologyBuilder builder;
+  CsrTopology csr;
+  builder.build_advertised(g, ans, csr);
+  return csr;
+}
+
+CsrTopology fnbp_advertised(const Graph& g) {
   const FnbpSelector<BandwidthMetric> fnbp;
   std::vector<std::vector<NodeId>> ans(g.node_count());
   for (NodeId u = 0; u < g.node_count(); ++u)
     ans[u] = fnbp.select(LocalView(g, u));
-  return build_advertised_topology(g, ans);
+  return advertised_csr(g, ans);
 }
 
 TEST(Forwarding, TrivialSelfDelivery) {
   const Graph g = Fig1::build();
-  const Graph adv = fnbp_advertised(g);
-  const auto r = forward_packet<BandwidthMetric>(g, adv, Fig1::v1, Fig1::v1);
+  const CsrTopology adv = fnbp_advertised(g);
+  ForwardingWorkspace ws;
+  const auto r =
+      forward_packet<BandwidthMetric>(g, adv, Fig1::v1, Fig1::v1, {}, ws);
   EXPECT_TRUE(r.delivered());
   EXPECT_EQ(r.path, (Path{Fig1::v1}));
   EXPECT_EQ(r.value, BandwidthMetric::identity());
@@ -31,8 +41,10 @@ TEST(Forwarding, TrivialSelfDelivery) {
 
 TEST(Forwarding, OneHopDelivery) {
   const Graph g = Fig1::build();
-  const Graph adv = fnbp_advertised(g);
-  const auto r = forward_packet<BandwidthMetric>(g, adv, Fig1::v1, Fig1::v6);
+  const CsrTopology adv = fnbp_advertised(g);
+  ForwardingWorkspace ws;
+  const auto r =
+      forward_packet<BandwidthMetric>(g, adv, Fig1::v1, Fig1::v6, {}, ws);
   EXPECT_TRUE(r.delivered());
   EXPECT_EQ(r.path, (Path{Fig1::v1, Fig1::v6}));
   EXPECT_DOUBLE_EQ(r.value, 10.0);
@@ -42,16 +54,19 @@ TEST(Forwarding, NoRouteAcrossComponents) {
   Graph g(4);
   g.add_edge(0, 1);
   g.add_edge(2, 3);
-  const Graph adv = fnbp_advertised(g);
-  const auto r = forward_packet<BandwidthMetric>(g, adv, 0, 3);
+  const CsrTopology adv = fnbp_advertised(g);
+  ForwardingWorkspace ws;
+  const auto r = forward_packet<BandwidthMetric>(g, adv, 0, 3, {}, ws);
   EXPECT_FALSE(r.delivered());
   EXPECT_EQ(r.status, ForwardingStatus::kNoRoute);
 }
 
 TEST(Forwarding, ValueIsEvaluatedOnTheFullGraph) {
   const Graph g = Fig1::build();
-  const Graph adv = fnbp_advertised(g);
-  const auto r = forward_packet<BandwidthMetric>(g, adv, Fig1::v1, Fig1::v3);
+  const CsrTopology adv = fnbp_advertised(g);
+  ForwardingWorkspace ws;
+  const auto r =
+      forward_packet<BandwidthMetric>(g, adv, Fig1::v1, Fig1::v3, {}, ws);
   ASSERT_TRUE(r.delivered());
   EXPECT_TRUE(metric_equal(r.value,
                            evaluate_path<BandwidthMetric>(g, r.path)));
@@ -59,10 +74,12 @@ TEST(Forwarding, ValueIsEvaluatedOnTheFullGraph) {
 
 TEST(Forwarding, SourceRouteAgreesOnFig1) {
   const Graph g = Fig1::build();
-  const Graph adv = fnbp_advertised(g);
-  const auto hop = forward_packet<BandwidthMetric>(g, adv, Fig1::v1, Fig1::v3);
-  const auto src =
-      source_route_packet<BandwidthMetric>(g, adv, Fig1::v1, Fig1::v3);
+  const CsrTopology adv = fnbp_advertised(g);
+  ForwardingWorkspace ws;
+  const auto hop =
+      forward_packet<BandwidthMetric>(g, adv, Fig1::v1, Fig1::v3, {}, ws);
+  const auto src = source_route_packet<BandwidthMetric>(g, adv, Fig1::v1,
+                                                        Fig1::v3, {}, ws);
   ASSERT_TRUE(hop.delivered());
   ASSERT_TRUE(src.delivered());
   EXPECT_DOUBLE_EQ(hop.value, src.value);
@@ -77,23 +94,26 @@ TEST(Forwarding, AdvertisedOnlyModeUsesOwnLinksForFirstHop) {
   g.add_edge(1, 2, q);
   std::vector<std::vector<NodeId>> ans(3);
   ans[1] = {2};  // only link (1,2) is advertised
-  const Graph adv = build_advertised_topology(g, ans);
+  const CsrTopology adv = advertised_csr(g, ans);
+  ForwardingWorkspace ws;
   ForwardingOptions opt;
   opt.use_local_views = false;
-  const auto r = forward_packet<BandwidthMetric>(g, adv, 0, 2, opt);
+  const auto r = forward_packet<BandwidthMetric>(g, adv, 0, 2, opt, ws);
   EXPECT_TRUE(r.delivered());
   EXPECT_EQ(r.path, (Path{0, 1, 2}));
 }
 
 TEST(Forwarding, HopCapTerminates) {
   const Graph g = Fig1::build();
-  const Graph adv = fnbp_advertised(g);
+  const CsrTopology adv = fnbp_advertised(g);
+  ForwardingWorkspace ws;
   ForwardingOptions opt;
   opt.max_hops = 1;  // too small for the 4-hop widest route
-  const auto r = forward_packet<BandwidthMetric>(g, adv, Fig1::v1, Fig1::v3);
+  const auto r =
+      forward_packet<BandwidthMetric>(g, adv, Fig1::v1, Fig1::v3, {}, ws);
   EXPECT_TRUE(r.delivered());  // default cap is generous
   const auto capped =
-      forward_packet<BandwidthMetric>(g, adv, Fig1::v1, Fig1::v3, opt);
+      forward_packet<BandwidthMetric>(g, adv, Fig1::v1, Fig1::v3, opt, ws);
   EXPECT_EQ(capped.status, ForwardingStatus::kHopLimit);
 }
 
@@ -104,13 +124,14 @@ TEST_P(ForwardingPropertyTest, FnbpDeliversBetweenAllConnectedPairs) {
   // Delivery + loop-freedom of hop-by-hop QoS forwarding over the FNBP
   // advertised topology, for every connected pair of a random network.
   const Graph g = testing::random_geometric_graph(GetParam(), 7.0, 280.0);
-  const Graph adv = fnbp_advertised(g);
+  const CsrTopology adv = fnbp_advertised(g);
+  ForwardingWorkspace ws;
   const Components comp = connected_components(g);
   const std::size_t n = g.node_count();
   for (NodeId s = 0; s < n; ++s) {
     for (NodeId d = 0; d < n; ++d) {
       if (s == d || !comp.connected(s, d)) continue;
-      const auto r = forward_packet<BandwidthMetric>(g, adv, s, d);
+      const auto r = forward_packet<BandwidthMetric>(g, adv, s, d, {}, ws);
       EXPECT_TRUE(r.delivered())
           << s << "→" << d << " status " << static_cast<int>(r.status);
       EXPECT_NE(r.status, ForwardingStatus::kLoop);
@@ -120,16 +141,19 @@ TEST_P(ForwardingPropertyTest, FnbpDeliversBetweenAllConnectedPairs) {
 
 TEST_P(ForwardingPropertyTest, DeliveredValueNeverBeatsOptimum) {
   const Graph g = testing::random_geometric_graph(GetParam() + 13, 8.0, 280.0);
-  const Graph adv = fnbp_advertised(g);
+  const CsrTopology adv = fnbp_advertised(g);
+  ForwardingWorkspace ws;
+  DijkstraWorkspace optimal;
   for (NodeId s = 0; s < std::min<std::size_t>(g.node_count(), 12); ++s) {
-    const DijkstraResult optimal = dijkstra<BandwidthMetric>(g, s);
+    dijkstra<BandwidthMetric>(g, s, kInvalidNode, optimal);
     for (NodeId d = 0; d < g.node_count(); ++d) {
       if (d == s) continue;
-      const auto r = forward_packet<BandwidthMetric>(g, adv, s, d);
+      const auto r = forward_packet<BandwidthMetric>(g, adv, s, d, {}, ws);
       if (!r.delivered()) continue;
       // b ≤ b*: the protocol can never do better than the centralized
       // optimum (sanity of the overhead definition).
-      EXPECT_FALSE(BandwidthMetric::better(r.value, optimal.value[d]))
+      ASSERT_TRUE(optimal.reached(d)) << s << "→" << d;
+      EXPECT_FALSE(BandwidthMetric::better(r.value, optimal.value(d)))
           << s << "→" << d;
     }
   }

@@ -33,9 +33,10 @@ LinkQos random_qos(util::Rng& rng) {
 }
 
 CsrTopology advertised_base(const Graph& g) {
+  const FnbpSelector<BandwidthMetric> fnbp;
   std::vector<std::vector<NodeId>> ans(g.node_count());
   for (NodeId u = 0; u < g.node_count(); ++u)
-    ans[u] = select_fnbp_ans<BandwidthMetric>(LocalView(g, u));
+    ans[u] = fnbp.select(LocalView(g, u));
   AdvertisedTopologyBuilder builder;
   CsrTopology csr;
   builder.build_advertised(g, ans, csr);

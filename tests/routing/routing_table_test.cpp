@@ -10,46 +10,48 @@ namespace {
 
 using testing::Fig1;
 
-TEST(RoutingTable, NextHopsFollowWidestPaths) {
+TEST(NextHop, FollowsWidestPathOnFig1) {
   const Graph g = Fig1::build();
-  const RoutingTable t = compute_routing_table<BandwidthMetric>(g, Fig1::v1);
-  EXPECT_EQ(t.self, Fig1::v1);
+  DijkstraWorkspace dws;
+  NextHopScratch bfs;
+  const auto next_hop = [&](NodeId dest) {
+    return compute_next_hop<BandwidthMetric>(g, Fig1::v1, dest, dws, bfs);
+  };
   // Widest v1→v3 goes over v6 (bandwidth 10 vs 6 over v2).
-  EXPECT_EQ(t.next_hop[Fig1::v3], Fig1::v6);
-  EXPECT_DOUBLE_EQ(t.value[Fig1::v3], 10.0);
+  EXPECT_EQ(next_hop(Fig1::v3), Fig1::v6);
+  EXPECT_DOUBLE_EQ(dws.value(Fig1::v3), 10.0);
   // Direct neighbors route directly when the link is on a best path.
-  EXPECT_EQ(t.next_hop[Fig1::v6], Fig1::v6);
+  EXPECT_EQ(next_hop(Fig1::v6), Fig1::v6);
 }
 
-TEST(RoutingTable, SelfAndUnreachable) {
+TEST(NextHop, SelfAndUnreachable) {
   Graph g(3);
   g.add_edge(0, 1);
-  const RoutingTable t = compute_routing_table<DelayMetric>(g, 0);
-  EXPECT_EQ(t.next_hop[0], kInvalidNode);
-  EXPECT_TRUE(t.reachable(0));  // trivially
-  EXPECT_TRUE(t.reachable(1));
-  EXPECT_FALSE(t.reachable(2));
+  DijkstraWorkspace dws;
+  NextHopScratch bfs;
+  EXPECT_EQ(compute_next_hop<DelayMetric>(g, 0, 0, dws, bfs), kInvalidNode);
+  EXPECT_EQ(compute_next_hop<DelayMetric>(g, 0, 1, dws, bfs), 1u);
+  EXPECT_EQ(compute_next_hop<DelayMetric>(g, 0, 2, dws, bfs), kInvalidNode);
 }
 
-TEST(RoutingTable, NextHopIsAlwaysANeighbor) {
-  const Graph g = testing::random_geometric_graph(321, 8.0);
+template <Metric M>
+void expect_next_hops_are_neighbors(const Graph& g) {
+  DijkstraWorkspace dws;
+  NextHopScratch bfs;
   for (NodeId u = 0; u < std::min<std::size_t>(g.node_count(), 20); ++u) {
-    const RoutingTable t = compute_routing_table<BandwidthMetric>(g, u);
     for (NodeId d = 0; d < g.node_count(); ++d) {
-      if (d == u || !t.reachable(d)) continue;
-      EXPECT_TRUE(g.has_edge(u, t.next_hop[d]))
-          << u << "→" << d << " via " << t.next_hop[d];
+      const NodeId hop = compute_next_hop<M>(g, u, d, dws, bfs);
+      if (hop == kInvalidNode) continue;  // self or unreachable
+      EXPECT_TRUE(g.has_edge(u, hop))
+          << M::name() << " " << u << "→" << d << " via " << hop;
     }
   }
 }
 
-TEST(RoutingTable, ValuesMatchDijkstra) {
-  const Graph g = testing::random_geometric_graph(654, 8.0);
-  const NodeId u = 0;
-  const RoutingTable t = compute_routing_table<DelayMetric>(g, u);
-  const DijkstraResult r = dijkstra<DelayMetric>(g, u);
-  for (NodeId d = 0; d < g.node_count(); ++d)
-    EXPECT_EQ(t.value[d], r.value[d]);
+TEST(NextHop, NextHopIsAlwaysANeighbor) {
+  const Graph g = testing::random_geometric_graph(321, 8.0);
+  expect_next_hops_are_neighbors<BandwidthMetric>(g);
+  expect_next_hops_are_neighbors<DelayMetric>(g);
 }
 
 }  // namespace

@@ -12,18 +12,14 @@
 
 #include "core/fnbp.hpp"
 #include "sim/simulator.hpp"
+#include "support/engines.hpp"
 #include "support/paper_graphs.hpp"
 
 namespace qolsr {
 namespace {
 
 using testing::Fig1;
-
-OlsrNode::RouteFn bandwidth_routes() {
-  return [](const Graph& g, NodeId self, NodeId dest) {
-    return compute_next_hop<BandwidthMetric>(g, self, dest);
-  };
-}
+using testing::next_hop_routes;
 
 /// A spec naming its victims explicitly — no roster draw, so tests pin
 /// exactly which node misbehaves.
@@ -39,12 +35,12 @@ TEST(AdversaryEngine, InactiveSpecIsIndistinguishableFromNoSpec) {
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
 
-  Simulator plain(g, flooding, ans, bandwidth_routes());
+  Simulator plain(g, flooding, ans, next_hop_routes());
   const ConvergenceReport plain_report = plain.run_to_convergence();
 
   const AdversarySpec inactive;  // no kinds, no roster, corrupt 0
   ASSERT_FALSE(inactive.active());
-  Simulator subverted(g, flooding, ans, bandwidth_routes(), SimConfig{},
+  Simulator subverted(g, flooding, ans, next_hop_routes(), SimConfig{},
                       nullptr, &inactive);
   const ConvergenceReport subverted_report = subverted.run_to_convergence();
 
@@ -67,14 +63,14 @@ TEST(AdversaryEngine, BlackholeAbsorbsRelayedDataAndIsCaught) {
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
 
-  Simulator honest(g, flooding, ans, bandwidth_routes());
+  Simulator honest(g, flooding, ans, next_hop_routes());
   honest.run_to_convergence();
   honest.node(Fig1::v1).send_data(Fig1::v4, 1);
   honest.run_until(honest.now() + 2.0);
   ASSERT_TRUE(honest.trace().journeys.at(1).delivered);
 
   const AdversarySpec spec = pinned(AdversaryKind::kBlackhole, {Fig1::v5});
-  Simulator sim(g, flooding, ans, bandwidth_routes(), SimConfig{}, nullptr,
+  Simulator sim(g, flooding, ans, next_hop_routes(), SimConfig{}, nullptr,
                 &spec);
   ASSERT_TRUE(sim.is_adversary(Fig1::v5));
   EXPECT_EQ(sim.node(Fig1::v5).role(), AdversaryKind::kBlackhole);
@@ -101,7 +97,7 @@ TEST(AdversaryEngine, SelfishNodeRefusesTcDutyButForwardsData) {
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
   const AdversarySpec spec = pinned(AdversaryKind::kSelfish, {Fig1::v5});
-  Simulator sim(g, flooding, ans, bandwidth_routes(), SimConfig{}, nullptr,
+  Simulator sim(g, flooding, ans, next_hop_routes(), SimConfig{}, nullptr,
                 &spec);
   sim.run_to_convergence();
 
@@ -122,7 +118,7 @@ TEST(AdversaryEngine, LiarPoisonsConvergedTopologyBases) {
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
   const AdversarySpec spec = pinned(AdversaryKind::kLiar, {Fig1::v6});
-  Simulator sim(g, flooding, ans, bandwidth_routes(), SimConfig{}, nullptr,
+  Simulator sim(g, flooding, ans, next_hop_routes(), SimConfig{}, nullptr,
                 &spec);
   sim.run_to_convergence();
 
@@ -142,7 +138,7 @@ TEST(AdversaryEngine, ReplayerStaleTcsAreRejectedAndFlagged) {
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
   const AdversarySpec spec = pinned(AdversaryKind::kReplayer, {Fig1::v6});
-  Simulator sim(g, flooding, ans, bandwidth_routes(), SimConfig{}, nullptr,
+  Simulator sim(g, flooding, ans, next_hop_routes(), SimConfig{}, nullptr,
                 &spec);
   sim.run_to_convergence();
 
@@ -163,9 +159,9 @@ TEST(AdversaryEngine, WireCorruptionIsSeededAndDeterministic) {
 
   SimConfig config;
   config.seed = 99;
-  Simulator a(g, flooding, ans, bandwidth_routes(), config, nullptr, &spec);
+  Simulator a(g, flooding, ans, next_hop_routes(), config, nullptr, &spec);
   a.run_to_convergence();
-  Simulator b(g, flooding, ans, bandwidth_routes(), config, nullptr, &spec);
+  Simulator b(g, flooding, ans, next_hop_routes(), config, nullptr, &spec);
   b.run_to_convergence();
 
   EXPECT_GT(a.trace().frames_corrupted, 0u);
@@ -191,7 +187,7 @@ TEST(AdversaryEngine, RosterDrawIsSeedDeterministicAndRoundRobin) {
   auto roster_of = [&](std::uint64_t seed) {
     SimConfig config;
     config.seed = seed;
-    Simulator sim(g, flooding, ans, bandwidth_routes(), config, nullptr,
+    Simulator sim(g, flooding, ans, next_hop_routes(), config, nullptr,
                   &spec);
     return sim.adversary_ids();
   };
@@ -204,7 +200,7 @@ TEST(AdversaryEngine, RosterDrawIsSeedDeterministicAndRoundRobin) {
   // Round-robin kinds: with two kinds and two victims, one of each.
   SimConfig config;
   config.seed = 7;
-  Simulator sim(g, flooding, ans, bandwidth_routes(), config, nullptr, &spec);
+  Simulator sim(g, flooding, ans, next_hop_routes(), config, nullptr, &spec);
   std::size_t blackholes = 0, selfish = 0;
   for (NodeId id : sim.adversary_ids()) {
     blackholes += sim.node(id).role() == AdversaryKind::kBlackhole;
@@ -225,7 +221,7 @@ TEST(AdversaryEngine, ResetClearsRolesAndMonitor) {
   const Graph g = Fig1::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  const OlsrNode::RouteFn routes = bandwidth_routes();
+  const OlsrNode::RouteFn routes = next_hop_routes();
   const AdversarySpec spec = pinned(AdversaryKind::kBlackhole, {Fig1::v5});
 
   Simulator sim(g, flooding, ans, routes, SimConfig{}, nullptr, &spec);

@@ -12,11 +12,12 @@
 #include <new>
 
 #include "core/fnbp.hpp"
+#include "core/multi_criteria.hpp"
 #include "graph/deployment.hpp"
 #include "olsr/selector_registry.hpp"
 #include "proto/duplicate_set.hpp"
-#include "routing/routing_table.hpp"
 #include "sim/simulator.hpp"
+#include "support/engines.hpp"
 #include "support/paper_graphs.hpp"
 #include "support/random_graphs.hpp"
 
@@ -38,15 +39,10 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace qolsr {
 namespace {
 
+using testing::next_hop_routes;
+
 std::uint64_t allocations() {
   return g_allocations.load(std::memory_order_relaxed);
-}
-
-OlsrNode::RouteFn workspace_routes(DijkstraWorkspace& dws,
-                                   NextHopScratch& bfs) {
-  return [&dws, &bfs](const Graph& g, NodeId self, NodeId dest) {
-    return compute_next_hop<BandwidthMetric>(g, self, dest, dws, bfs);
-  };
 }
 
 TEST(Allocation, DuplicateSetSteadyStateAllocatesNothing) {
@@ -77,10 +73,7 @@ TEST(Allocation, KnowledgeCacheHitAllocatesNothing) {
   const Graph g = testing::random_geometric_graph(13, 6.0, 250.0);
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans,
-                [](const Graph& kg, NodeId self, NodeId dest) {
-                  return compute_next_hop<BandwidthMetric>(kg, self, dest);
-                });
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_to_convergence();
 
   OlsrNode& node = sim.node(0);
@@ -125,6 +118,33 @@ TEST(Allocation, WarmSelectionAllocatesNothing) {
           << " allocated over a warm pass of " << views.size() << " views";
     }
   }
+}
+
+TEST(Allocation, WarmBicriteriaSelectionAllocatesNothing) {
+  // The bi-criteria FNBP selector is not in the registry, so the pass
+  // above does not cover it: it must run the same allocation-free rule
+  // body through select_into, not an allocating copy.
+  Graph g = testing::random_geometric_graph(29, 20.0, 500.0);
+  util::Rng rng(31);
+  QosIntervals qos;
+  qos.integral = true;
+  assign_uniform_qos(g, qos, rng);
+  std::vector<LocalView> views;
+  for (NodeId u = 0; u < g.node_count(); ++u) views.emplace_back(g, u);
+
+  const BicriteriaFnbpSelector<BandwidthMetric, EnergyMetric> selector;
+  SelectionWorkspace ws;
+  std::vector<NodeId> out;
+  const auto pass = [&] {
+    for (const LocalView& view : views) selector.select_into(view, ws, out);
+  };
+  pass();
+  pass();
+  const std::uint64_t before = allocations();
+  pass();
+  EXPECT_EQ(allocations() - before, 0u)
+      << selector.name() << " allocated over a warm pass of " << views.size()
+      << " views";
 }
 
 TEST(Allocation, WarmNodeSelectionAllocatesNothing) {
@@ -240,9 +260,7 @@ TEST(Allocation, SteadyStateForwardingIsBounded) {
   const Graph g = testing::Fig1::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  DijkstraWorkspace dws;
-  NextHopScratch bfs;
-  Simulator sim(g, flooding, ans, workspace_routes(dws, bfs));
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_to_convergence();
 
   // Warm: route memo for the v1->v3 destination, journey-map buckets.

@@ -10,23 +10,20 @@
 #include "core/fnbp.hpp"
 #include "routing/routing_table.hpp"
 #include "sim/simulator.hpp"
+#include "support/engines.hpp"
 #include "support/paper_graphs.hpp"
 #include "support/random_graphs.hpp"
 
 namespace qolsr {
 namespace {
 
-OlsrNode::RouteFn bandwidth_routes() {
-  return [](const Graph& g, NodeId self, NodeId dest) {
-    return compute_next_hop<BandwidthMetric>(g, self, dest);
-  };
-}
+using testing::next_hop_routes;
 
 TEST(ConvergenceExactness, ConvergedAtIsTheLastMutationTimestamp) {
   const Graph g = testing::Fig2::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   const ConvergenceReport report = sim.run_to_convergence();
 
   EXPECT_TRUE(report.converged);
@@ -49,11 +46,11 @@ TEST(ConvergenceExactness, MatchesFineGrainedDigestReplay) {
   SimConfig config;
   config.seed = 21;
 
-  Simulator exact(g, flooding, ans, bandwidth_routes(), config);
+  Simulator exact(g, flooding, ans, next_hop_routes(), config);
   const ConvergenceReport report = exact.run_to_convergence();
   ASSERT_TRUE(report.converged);
 
-  Simulator replay(g, flooding, ans, bandwidth_routes(), config);
+  Simulator replay(g, flooding, ans, next_hop_routes(), config);
   const double grain = 0.0005;
   std::uint64_t digest = replay.state_digest();
   double last_change = 0.0;
@@ -78,7 +75,7 @@ TEST(ConvergenceExactness, SecondCallAnchorsAtCallInstant) {
   const Graph g = testing::Fig1::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   const ConvergenceReport first = sim.run_to_convergence();
   ASSERT_TRUE(first.converged);
 
@@ -92,7 +89,7 @@ TEST(ConvergenceExactness, CrashReconvergenceIsEventExact) {
   const Graph g = testing::random_geometric_graph(77, 6.0, 250.0);
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   ASSERT_TRUE(sim.run_to_convergence().converged);
 
   const double injected_at = sim.now();
@@ -114,7 +111,7 @@ TEST(ConvergenceExactness, SnapshotIsCountersAsOfLastMutation) {
   const Graph g = testing::Fig2::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   ASSERT_TRUE(sim.run_to_convergence().converged);
 
   const TraceStats& at = sim.trace_at_convergence();

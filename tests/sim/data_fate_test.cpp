@@ -10,22 +10,19 @@
 #include "core/fnbp.hpp"
 #include "routing/routing_table.hpp"
 #include "sim/simulator.hpp"
+#include "support/engines.hpp"
 #include "support/paper_graphs.hpp"
 
 namespace qolsr {
 namespace {
 
-OlsrNode::RouteFn bandwidth_routes() {
-  return [](const Graph& g, NodeId self, NodeId dest) {
-    return compute_next_hop<BandwidthMetric>(g, self, dest);
-  };
-}
+using testing::next_hop_routes;
 
 TEST(DataFate, OutOfRangeDestinationIsChargedMalformedNotNoRoute) {
   const Graph g = testing::Fig1::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_to_convergence();
 
   sim.node(testing::Fig1::v1).send_data(/*destination=*/99, /*payload=*/1);
@@ -44,7 +41,7 @@ TEST(DataFate, UnreachableInRangeDestinationStaysNoRoute) {
   const NodeId island = g.add_node({1e6, 1e6});  // in range, no links
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_to_convergence();
 
   sim.node(testing::Fig1::v1).send_data(island, /*payload=*/2);

@@ -4,24 +4,20 @@
 
 #include "core/fnbp.hpp"
 #include "sim/simulator.hpp"
+#include "support/engines.hpp"
 #include "support/paper_graphs.hpp"
 
 namespace qolsr {
 namespace {
 
 using testing::Fig1;
-
-OlsrNode::RouteFn bandwidth_routes() {
-  return [](const Graph& g, NodeId self, NodeId dest) {
-    return compute_next_hop<BandwidthMetric>(g, self, dest);
-  };
-}
+using testing::next_hop_routes;
 
 TEST(FailureInjection, NeighborEntriesExpireAfterLinkFailure) {
   const Graph g = Fig1::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_to_convergence();
   ASSERT_TRUE(sim.node(Fig1::v1).tables().is_symmetric(Fig1::v6));
 
@@ -38,7 +34,7 @@ TEST(FailureInjection, FailLinkLeavesGroundTruthIntact) {
   const Graph g = Fig1::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   ASSERT_TRUE(sim.fail_link(Fig1::v1, Fig1::v6));
   EXPECT_TRUE(sim.network().has_edge(Fig1::v1, Fig1::v6));
   EXPECT_TRUE(g.has_edge(Fig1::v1, Fig1::v6));
@@ -51,7 +47,7 @@ TEST(FailureInjection, FailLinkRejectsUnknownLink) {
   const Graph g = Fig1::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   EXPECT_FALSE(sim.fail_link(Fig1::v1, Fig1::v4));  // never existed
   EXPECT_TRUE(sim.fail_link(Fig1::v1, Fig1::v6));
   EXPECT_FALSE(sim.fail_link(Fig1::v1, Fig1::v6));  // already gone
@@ -61,7 +57,7 @@ TEST(FailureInjection, SelectionsReconvergeToPostFailureOracle) {
   const Graph g = Fig1::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_to_convergence();
 
   // Kill the wide v1–v6 entry of the ring; every node must re-select
@@ -80,7 +76,7 @@ TEST(FailureInjection, DataReroutesAroundFailure) {
   const Graph g = Fig1::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_to_convergence();
 
   // Before the failure the v1→v3 flow rides the wide ring (Fig. 1 claim).
@@ -113,7 +109,7 @@ TEST(FailureInjection, PartitionStopsDeliveryGracefully) {
   const Graph g = testing::Fig4::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_to_convergence();
   ASSERT_TRUE(sim.fail_link(testing::Fig4::d, testing::Fig4::e));
   sim.run_until(sim.now() + 25.0);

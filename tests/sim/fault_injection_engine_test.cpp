@@ -11,30 +11,26 @@
 
 #include "core/fnbp.hpp"
 #include "sim/simulator.hpp"
+#include "support/engines.hpp"
 #include "support/paper_graphs.hpp"
 
 namespace qolsr {
 namespace {
 
 using testing::Fig1;
-
-OlsrNode::RouteFn bandwidth_routes() {
-  return [](const Graph& g, NodeId self, NodeId dest) {
-    return compute_next_hop<BandwidthMetric>(g, self, dest);
-  };
-}
+using testing::next_hop_routes;
 
 TEST(FaultEngine, EmptyPlanIsIndistinguishableFromNoPlan) {
   const Graph g = Fig1::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
 
-  Simulator plain(g, flooding, ans, bandwidth_routes());
+  Simulator plain(g, flooding, ans, next_hop_routes());
   const ConvergenceReport plain_report = plain.run_to_convergence();
 
   const FaultPlan inactive;  // loss 0, no overrides, no incidents
   ASSERT_FALSE(inactive.active());
-  Simulator faulted(g, flooding, ans, bandwidth_routes(), SimConfig{},
+  Simulator faulted(g, flooding, ans, next_hop_routes(), SimConfig{},
                     &inactive);
   const ConvergenceReport faulted_report = faulted.run_to_convergence();
 
@@ -55,9 +51,9 @@ TEST(FaultEngine, AmbientLossIsSeededAndDeterministic) {
 
   SimConfig config;
   config.seed = 99;
-  Simulator a(g, flooding, ans, bandwidth_routes(), config, &plan);
+  Simulator a(g, flooding, ans, next_hop_routes(), config, &plan);
   a.run_to_convergence();
-  Simulator b(g, flooding, ans, bandwidth_routes(), config, &plan);
+  Simulator b(g, flooding, ans, next_hop_routes(), config, &plan);
   b.run_to_convergence();
 
   EXPECT_GT(a.trace().frames_lost, 0u);
@@ -77,7 +73,7 @@ TEST(FaultEngine, PerLinkTotalLossHidesANeighborForever) {
   plan.link_loss.push_back({Fig1::v1, Fig1::v6, 1.0});
   plan.link_loss.push_back({Fig1::v5, Fig1::v6, 1.0});
 
-  Simulator sim(g, flooding, ans, bandwidth_routes(), SimConfig{}, &plan);
+  Simulator sim(g, flooding, ans, next_hop_routes(), SimConfig{}, &plan);
   sim.run_to_convergence();
   EXPECT_FALSE(sim.node(Fig1::v1).tables().is_symmetric(Fig1::v6));
   EXPECT_FALSE(sim.node(Fig1::v5).tables().is_symmetric(Fig1::v6));
@@ -92,7 +88,7 @@ TEST(FaultEngine, CrashedNodeIsAgedOutWithinHoldTime) {
   const Graph g = Fig1::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_to_convergence();
   ASSERT_TRUE(sim.node(Fig1::v1).tables().is_symmetric(Fig1::v6));
   ASSERT_TRUE(sim.node(Fig1::v5).tables().is_symmetric(Fig1::v6));
@@ -116,7 +112,7 @@ TEST(FaultEngine, CrashRestartRoundTripReconverges) {
   const Graph g = Fig1::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_to_convergence();
 
   FaultIncident crash;
@@ -150,7 +146,7 @@ TEST(FaultEngine, RandomCrashVictimIsSeedDeterministic) {
   auto crashed_set = [&](std::uint64_t seed) {
     SimConfig config;
     config.seed = seed;
-    Simulator sim(g, flooding, ans, bandwidth_routes(), config);
+    Simulator sim(g, flooding, ans, next_hop_routes(), config);
     sim.run_to_convergence();
     sim.inject(crash);
     std::vector<bool> down;
@@ -170,7 +166,7 @@ TEST(FaultEngine, LinkFlapHealsBack) {
   const Graph g = Fig1::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_to_convergence();
   ASSERT_TRUE(sim.node(Fig1::v1).tables().is_symmetric(Fig1::v6));
 
@@ -200,7 +196,7 @@ TEST(FaultEngine, PartitionBlocksCrossTrafficThenHeals) {
   const Graph g = Fig1::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_to_convergence();
 
   FaultIncident split;
@@ -231,7 +227,7 @@ TEST(FaultEngine, DroppedDataFramesAreClassified) {
   const Graph g = Fig1::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_to_convergence();
 
   FaultIncident crash;

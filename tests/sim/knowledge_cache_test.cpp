@@ -17,17 +17,14 @@
 #include "olsr/selector_registry.hpp"
 #include "routing/routing_table.hpp"
 #include "sim/simulator.hpp"
+#include "support/engines.hpp"
 #include "support/paper_graphs.hpp"
 #include "support/random_graphs.hpp"
 
 namespace qolsr {
 namespace {
 
-OlsrNode::RouteFn bandwidth_routes() {
-  return [](const Graph& g, NodeId self, NodeId dest) {
-    return compute_next_hop<BandwidthMetric>(g, self, dest);
-  };
-}
+using testing::next_hop_routes;
 
 /// What knowledge_graph() promises to equal: a from-scratch validity-aware
 /// topology read merged with the node's current symmetric links — the
@@ -82,7 +79,7 @@ TEST(KnowledgeCache, MatchesFreshBuildAcrossSelectorsAndSeeds) {
           registry.create_flooding(name, MetricId::kBandwidth);
       SimConfig config;
       config.seed = seed;
-      Simulator sim(g, *flooding, *ans, bandwidth_routes(), config);
+      Simulator sim(g, *flooding, *ans, next_hop_routes(), config);
       sim.run_to_convergence();
       check_all_nodes(sim, name + " seed " + std::to_string(seed) +
                                " converged");
@@ -98,7 +95,7 @@ TEST(KnowledgeCache, TracksHoldTimeExpiryAfterPermanentCrash) {
   const Graph g = testing::random_geometric_graph(91, 6.0, 250.0);
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_to_convergence();
 
   FaultIncident crash;
@@ -122,7 +119,7 @@ TEST(KnowledgeCache, TracksCrashAndRestart) {
   const Graph g = testing::Fig2::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_to_convergence();
 
   FaultIncident crash;
@@ -145,7 +142,7 @@ TEST(KnowledgeCache, TracksLinkFlap) {
   const Graph g = testing::Fig1::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_to_convergence();
 
   FaultIncident flap;
@@ -172,7 +169,7 @@ TEST(KnowledgeCache, TracksLiarPoisoning) {
   AdversarySpec spec;
   spec.kinds = {AdversaryKind::kLiar};
   spec.nodes = {1};
-  Simulator sim(g, flooding, ans, bandwidth_routes(), SimConfig{}, nullptr,
+  Simulator sim(g, flooding, ans, next_hop_routes(), SimConfig{}, nullptr,
                 &spec);
   sim.run_to_convergence();
   check_all_nodes(sim, "liar converged");

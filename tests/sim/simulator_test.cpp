@@ -11,23 +11,20 @@
 
 #include "core/fnbp.hpp"
 #include "routing/advertised_topology.hpp"
+#include "support/engines.hpp"
 #include "support/paper_graphs.hpp"
 #include "support/random_graphs.hpp"
 
 namespace qolsr {
 namespace {
 
-OlsrNode::RouteFn bandwidth_routes() {
-  return [](const Graph& g, NodeId self, NodeId dest) {
-    return compute_next_hop<BandwidthMetric>(g, self, dest);
-  };
-}
+using testing::next_hop_routes;
 
 TEST(Simulator, HelloHandshakeBuildsSymmetricNeighborhoods) {
   const Graph g = testing::Fig1::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_until(5.0);  // a couple of HELLO rounds
   for (NodeId u = 0; u < g.node_count(); ++u) {
     std::vector<NodeId> expected;
@@ -41,7 +38,7 @@ TEST(Simulator, ConvergedLocalViewsEqualOracle) {
   const Graph g = testing::Fig2::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_to_convergence();
   for (NodeId u = 0; u < g.node_count(); ++u) {
     const LocalView oracle(g, u);
@@ -62,7 +59,7 @@ TEST(Simulator, ConvergedAnsEqualsOracleSelection) {
   const Graph g = testing::Fig2::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_to_convergence();
   for (NodeId u = 0; u < g.node_count(); ++u)
     EXPECT_EQ(sim.node(u).ans(), ans.select(LocalView(g, u)))
@@ -73,7 +70,7 @@ TEST(Simulator, TcFloodPopulatesEveryTopologyBase) {
   const Graph g = testing::Fig1::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_to_convergence();
 
   // Oracle advertised topology.
@@ -97,7 +94,7 @@ TEST(Simulator, DataPacketFollowsQosRoute) {
   const Graph g = testing::Fig1::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_to_convergence();
   sim.node(testing::Fig1::v1).send_data(testing::Fig1::v3, /*payload=*/1);
   sim.run_until(sim.now() + 1.0);
@@ -117,7 +114,7 @@ TEST(Simulator, ControlTrafficCountersAdvance) {
   const Graph g = testing::Fig1::build();
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_to_convergence();
   const TraceStats& t = sim.trace();
   EXPECT_GT(t.hello_sent, 0u);
@@ -133,8 +130,8 @@ TEST(Simulator, DeterministicGivenSeed) {
   const FnbpSelector<BandwidthMetric> ans;
   SimConfig config;
   config.seed = 99;
-  Simulator a(g, flooding, ans, bandwidth_routes(), config);
-  Simulator b(g, flooding, ans, bandwidth_routes(), config);
+  Simulator a(g, flooding, ans, next_hop_routes(), config);
+  Simulator b(g, flooding, ans, next_hop_routes(), config);
   a.run_to_convergence();
   b.run_to_convergence();
   EXPECT_EQ(a.trace().hello_sent, b.trace().hello_sent);
@@ -148,7 +145,7 @@ TEST(Simulator, RandomNetworkConvergesToOracle) {
   const Graph g = testing::random_geometric_graph(31337, 6.0, 250.0);
   const Rfc3626Selector flooding;
   const FnbpSelector<BandwidthMetric> ans;
-  Simulator sim(g, flooding, ans, bandwidth_routes());
+  Simulator sim(g, flooding, ans, next_hop_routes());
   sim.run_to_convergence();
   for (NodeId u = 0; u < g.node_count(); ++u)
     EXPECT_EQ(sim.node(u).ans(), ans.select(LocalView(g, u)))
@@ -159,7 +156,7 @@ TEST(Simulator, QolsrModeUsesSameSetForFloodingAndRouting) {
   // Original QOLSR: the MPR-2 set is both the flooding set and the ANS.
   const Graph g = testing::Fig1::build();
   const QolsrSelector<BandwidthMetric> qolsr(QolsrVariant::kMpr2);
-  Simulator sim(g, qolsr, qolsr, bandwidth_routes());
+  Simulator sim(g, qolsr, qolsr, next_hop_routes());
   sim.run_to_convergence();
   for (NodeId u = 0; u < g.node_count(); ++u) {
     EXPECT_EQ(sim.node(u).ans(), sim.node(u).flooding_mpr());

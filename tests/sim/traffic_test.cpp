@@ -13,18 +13,14 @@
 #include "core/fnbp.hpp"
 #include "sim/simulator.hpp"
 #include "sim/traffic.hpp"
+#include "support/engines.hpp"
 #include "support/paper_graphs.hpp"
 
 namespace qolsr {
 namespace {
 
 using testing::Fig1;
-
-OlsrNode::RouteFn bandwidth_routes() {
-  return [](const Graph& g, NodeId self, NodeId dest) {
-    return compute_next_hop<BandwidthMetric>(g, self, dest);
-  };
-}
+using testing::next_hop_routes;
 
 TrafficSpec poisson_spec() {
   TrafficSpec spec;
@@ -189,13 +185,13 @@ TEST(ContendedMedium, InactiveSpecIsIndistinguishableFromNoSpec) {
   const FnbpSelector<BandwidthMetric> ans;
 
   Simulator plain;
-  plain.reset(g, flooding, ans, bandwidth_routes(), 1);
+  plain.reset(g, flooding, ans, next_hop_routes(), 1);
   const ConvergenceReport plain_report = plain.run_to_convergence();
 
   TrafficSpec zero_load = poisson_spec();
   zero_load.load = 0.0;  // the CLI's --load=0
   Simulator gated;
-  gated.reset(g, flooding, ans, bandwidth_routes(), 1, nullptr, &zero_load);
+  gated.reset(g, flooding, ans, next_hop_routes(), 1, nullptr, &zero_load);
   EXPECT_FALSE(gated.contention_active());
   const ConvergenceReport gated_report = gated.run_to_convergence();
 
@@ -212,7 +208,7 @@ TEST(ContendedMedium, BackloggedLinkDelaysDeliveryInFifoOrder) {
   const TrafficSpec spec = poisson_spec();  // defaults: ample queue
 
   Simulator sim;
-  sim.reset(g, flooding, ans, bandwidth_routes(), 1, nullptr, &spec);
+  sim.reset(g, flooding, ans, next_hop_routes(), 1, nullptr, &spec);
   EXPECT_TRUE(sim.contention_active());
   ASSERT_TRUE(sim.run_to_convergence().converged);
 
@@ -243,7 +239,7 @@ TEST(ContendedMedium, QueueOverflowTailDropsWithTheQueueDropFate) {
   spec.queue_bytes = 1200;
 
   Simulator sim;
-  sim.reset(g, flooding, ans, bandwidth_routes(), 1, nullptr, &spec);
+  sim.reset(g, flooding, ans, next_hop_routes(), 1, nullptr, &spec);
   ASSERT_TRUE(sim.run_to_convergence().converged);
 
   for (std::uint32_t pid = 1; pid <= 4; ++pid)
