@@ -2,7 +2,8 @@
 # Builds the benchmarks in Release and records the results at the repo
 # root, so successive PRs leave a perf trajectory:
 #   BENCH_micro.json — google-benchmark micro suites
-#   BENCH_sweep.json — wall-clock of an end-to-end qolsr_eval sweep
+#   BENCH_sweep.json — wall-clock of end-to-end qolsr_eval sweeps, the
+#                      wire backend's process fleets included
 # Usage:
 #
 #   scripts/bench.sh [--quick]
@@ -25,7 +26,8 @@ fi
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target micro_selection micro_path micro_sim micro_forwarding qolsr_eval
+  --target micro_selection micro_path micro_sim micro_forwarding qolsr_eval \
+  qolsr_node qolsr_switch
 
 # Host metadata embedded in both result files: without it, numbers like a
 # threads=0 vs threads=1 parity are uninterpretable (was the runner
@@ -133,6 +135,26 @@ for _ in range(reps):
 results.append({"name": f"packet_sweep/runs={min(int(runs), 3)}/threads=1",
                 "flags": packet_flags, "reps": reps,
                 "best_seconds": min(timings),
+                "mean_seconds": sum(timings) / len(timings)})
+
+# Wire-backend point: every (run, protocol) is a fleet of real qolsr_node
+# daemons plus a switch (qolsr_eval spawns them from next to itself),
+# digest-checked against an in-process twin. Its 60 fleets overlap under
+# the harness's 64-process budget, so the point tracks how well they do:
+# each fleet idles through its convergence dwell, so wall clock, not CPU,
+# is the cost.
+wire_flags = ["--backend=wire", "--field=250x250", "--densities=6,8",
+              "--runs=6", "--selectors=olsr_mpr,qolsr_mpr1,qolsr_mpr2,"
+              "topology_filtering,fnbp", "--seed=42", "--threads=1",
+              "--format=csv"]
+timings = []
+for _ in range(reps):
+    start = time.perf_counter()
+    subprocess.run([binary, *wire_flags], check=True,
+                   stdout=subprocess.DEVNULL)
+    timings.append(time.perf_counter() - start)
+results.append({"name": "wire_sweep/runs=6/threads=1", "flags": wire_flags,
+                "reps": reps, "best_seconds": min(timings),
                 "mean_seconds": sum(timings) / len(timings)})
 
 # Single canned-figure points on the packet backend, one run each: the

@@ -81,19 +81,22 @@ class WireBackend final : public EvalBackend {
       throw ExperimentError(
           "experiment '" + spec.name +
           "': the wire backend reports aggregates only (drop --per-run)");
-    // Every node of every run is a real OS process; refuse deployments
-    // whose expected fleets would fork-bomb the machine instead of timing
-    // out one by one.
+    // Every node of every run is a real OS process, and the fleets in
+    // flight share net::kWireProcessBudget. Refuse deployments whose
+    // expected size alone exceeds it: their fleets would each run alone
+    // over budget (see net::admits_fleet) instead of overlapping.
     DeploymentConfig field = spec.scenario.field;
     for (const double density : spec.scenario.densities) {
       field.degree = density;
-      if (field.expected_nodes() > 64.0)
+      if (field.expected_nodes() >
+          static_cast<double>(net::kWireProcessBudget))
         throw ExperimentError(
             "experiment '" + spec.name + "': density " +
             std::to_string(density) + " expects ~" +
             std::to_string(static_cast<long>(field.expected_nodes())) +
             " nodes per deployment - every node is a real process; shrink "
-            "--field (e.g. 250x250) to keep wire fleets under 64");
+            "--field (e.g. 250x250) to keep each wire fleet within the " +
+            std::to_string(net::kWireProcessBudget) + "-process budget");
     }
     return dispatch_metric(spec.metric, [&](auto tag) {
       using M = typename decltype(tag)::type;

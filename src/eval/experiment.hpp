@@ -87,8 +87,9 @@ struct ExperimentSpec {
   /// scenario's densities default to empty — set them or use figure_spec).
   Scenario scenario;
   /// Worker threads for run_sweep; 0 = hardware_concurrency. Benches and
-  /// CI set 1 for deterministic timing. The wire backend always runs its
-  /// process fleets sequentially (each run is a fleet of real processes).
+  /// CI set 1 for deterministic timing. The wire backend ignores it: one
+  /// thread drives all of its process fleets, which overlap under
+  /// net::kWireProcessBudget instead.
   unsigned threads = 0;
   /// Wire backend only (--wire-scale): uniform compression factor applied
   /// to ProtocolTiming for the daemons' wall-clock timers AND the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <iterator>
 #include <limits>
@@ -465,6 +466,14 @@ inline DensityStats empty_stats(
 
 namespace eval_detail {
 
+/// The RNG seed of run `run_index` at sweep point `point_index`: every run
+/// draws from its own stream, so each backend samples the same deployment
+/// for the same (point, run) whatever order it runs them in.
+inline std::uint64_t run_seed(const Scenario& scenario,
+                              std::size_t point_index, std::size_t run_index) {
+  return scenario.seed + 0x1000003 * (point_index + 1) + run_index;
+}
+
 /// The threaded sweep scaffold shared by the static and the dynamics
 /// evaluation modes: distributes `scenario.runs` independent runs per
 /// sweep point over `threads` workers (each worker owns one `Workspace`),
@@ -491,7 +500,7 @@ std::vector<DensityStats> sweep_harness(
   for (std::size_t di = 0; di < scenario.densities.size(); ++di) {
     const double axis_value = scenario.densities[di];
     auto seed_of = [&](std::size_t run_index) {
-      return scenario.seed + 0x1000003 * (di + 1) + run_index;
+      return run_seed(scenario, di, run_index);
     };
 
     std::vector<DensityStats> partials(

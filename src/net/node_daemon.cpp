@@ -144,9 +144,10 @@ int run_node_daemon(const std::string& path, NodeId id) {
   send_control(sock, id, kControllerId, encode_control(ControlOp::kAnnounce));
 
   // Phase 1: blocking wait for the harness's Configure.
+  RecvBuffer rx;
   NodeSetup setup;
   for (;;) {
-    const auto datagram = recv_datagram(sock);
+    const auto datagram = recv_datagram(sock, rx);
     if (!datagram.has_value()) return 1;  // switch died before config
     const auto frame = decode_frame(*datagram);
     if (!frame.has_value() || frame->kind != kKindControl) continue;
@@ -208,7 +209,7 @@ int run_node_daemon(const std::string& path, NodeId id) {
     if (rc == 0) continue;  // timer due; top of loop fires it
 
     for (;;) {
-      const RecvStatus st = try_recv_datagram(sock, datagram);
+      const RecvStatus st = try_recv_datagram(sock, rx, datagram);
       if (st == RecvStatus::kWouldBlock) break;
       if (st == RecvStatus::kClosed) return 1;  // switch vanished
       const auto frame = decode_frame(datagram);

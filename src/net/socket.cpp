@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <memory>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -93,28 +94,31 @@ bool send_datagram(const Fd& fd, const std::vector<std::byte>& bytes) {
   }
 }
 
-std::optional<std::vector<std::byte>> recv_datagram(const Fd& fd) {
-  std::vector<std::byte> buf(kMaxDatagram);
+RecvBuffer::RecvBuffer()
+    : bytes_(std::make_unique_for_overwrite<std::byte[]>(kMaxDatagram)) {}
+
+std::size_t RecvBuffer::size() const { return kMaxDatagram; }
+
+std::optional<std::vector<std::byte>> recv_datagram(const Fd& fd,
+                                                    RecvBuffer& buf) {
   for (;;) {
     const ssize_t n = ::recv(fd.get(), buf.data(), buf.size(), 0);
     if (n > 0) {
       if (static_cast<std::size_t>(n) >= buf.size()) return std::nullopt;
-      buf.resize(static_cast<std::size_t>(n));
-      return buf;
+      return std::vector<std::byte>(buf.data(), buf.data() + n);
     }
     if (n == 0) return std::nullopt;  // orderly shutdown
     if (errno != EINTR) return std::nullopt;
   }
 }
 
-RecvStatus try_recv_datagram(const Fd& fd, std::vector<std::byte>& out) {
-  std::vector<std::byte> buf(kMaxDatagram);
+RecvStatus try_recv_datagram(const Fd& fd, RecvBuffer& buf,
+                             std::vector<std::byte>& out) {
   for (;;) {
     const ssize_t n = ::recv(fd.get(), buf.data(), buf.size(), 0);
     if (n > 0) {
       if (static_cast<std::size_t>(n) >= buf.size()) return RecvStatus::kClosed;
-      buf.resize(static_cast<std::size_t>(n));
-      out = std::move(buf);
+      out.assign(buf.data(), buf.data() + n);
       return RecvStatus::kOk;
     }
     if (n == 0) return RecvStatus::kClosed;

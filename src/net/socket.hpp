@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -55,15 +56,34 @@ void set_nonblocking(const Fd& fd);
 /// Sends one datagram (blocking, EINTR-retried). False on a dead peer.
 bool send_datagram(const Fd& fd, const std::vector<std::byte>& bytes);
 
-/// Receives one datagram (blocking, EINTR-retried). nullopt on EOF / dead
-/// peer; a datagram larger than the internal cap is an error (nullopt) —
+/// The buffer a socket loop receives into: room for the largest datagram
+/// the transport accepts (the fixed header plus a u16-length payload).
+/// Each loop owns one and allocates it once, uninitialized, so only the
+/// pages a receive writes become resident. A receive copies out only the
+/// bytes that arrived, so a queued frame never pins the full capacity.
+class RecvBuffer {
+ public:
+  RecvBuffer();
+
+  std::byte* data() { return bytes_.get(); }
+  std::size_t size() const;
+
+ private:
+  std::unique_ptr<std::byte[]> bytes_;
+};
+
+/// Receives one datagram (blocking, EINTR-retried) through `buf`. nullopt
+/// on EOF / dead peer; a datagram that fills `buf` is an error (nullopt) —
 /// frames are bounded by the u16 length prefix plus the fixed header.
-std::optional<std::vector<std::byte>> recv_datagram(const Fd& fd);
+std::optional<std::vector<std::byte>> recv_datagram(const Fd& fd,
+                                                    RecvBuffer& buf);
 
 /// Nonblocking receive outcome.
 enum class RecvStatus { kOk, kWouldBlock, kClosed };
 
-/// Nonblocking receive of one datagram into `out` (only written on kOk).
-RecvStatus try_recv_datagram(const Fd& fd, std::vector<std::byte>& out);
+/// Nonblocking receive of one datagram through `buf` into `out`, which
+/// holds exactly the received bytes afterwards (only written on kOk).
+RecvStatus try_recv_datagram(const Fd& fd, RecvBuffer& buf,
+                             std::vector<std::byte>& out);
 
 }  // namespace qolsr::net

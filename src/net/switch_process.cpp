@@ -90,6 +90,7 @@ int run_switch(const std::string& path) {
     }
   };
 
+  RecvBuffer rx;
   std::vector<std::byte> datagram;
   while (running) {
     // Release delayed copies that came due.
@@ -137,7 +138,7 @@ int run_switch(const std::string& path) {
       if (pfds[i].revents & POLLOUT) drain(port);
       if (!(pfds[i].revents & (POLLIN | POLLHUP | POLLERR))) continue;
       for (;;) {
-        const RecvStatus st = try_recv_datagram(ports[port].fd, datagram);
+        const RecvStatus st = try_recv_datagram(ports[port].fd, rx, datagram);
         if (st == RecvStatus::kWouldBlock) break;
         if (st == RecvStatus::kClosed) {
           drop_port(port);

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,8 +25,9 @@ struct WireRunConfig {
   /// timing-independent, so scaling buys wall-clock speed, not drift; the
   /// caller passes the *same* struct to the comparison Simulator.
   ProtocolTiming timing = ProtocolTiming{}.scaled(0.02);
-  /// Hard wall-clock budget for the whole run (spawn → converged digests).
-  /// Expired budget kills every child and throws.
+  /// Hard wall-clock budget for the whole fleet (spawn → converged
+  /// digests), counted from its admission. Expired budget kills every
+  /// child and throws.
   double timeout_seconds = 60.0;
   /// Override the daemon/switch binary paths (tests point them at the
   /// build tree; empty = `qolsr_node`/`qolsr_switch` next to /proc/self/exe,
@@ -41,16 +44,44 @@ struct WireRunResult {
   std::vector<StatusReport> reports;  ///< index == node id
 };
 
-/// Spawns the software switch plus one qolsr_node daemon per node of
-/// `graph` (Unix SOCK_SEQPACKET under a private temp dir), uploads the
-/// adjacency, configures and starts every daemon, and stops by the
-/// simulator's own rule — at the fleet's last mutation + the convergence
-/// dwell, certified by status rounds over the control socket (see
-/// next_status_round). Then it collects each daemon's converged digest and
-/// tears the whole process tree down. Throws std::runtime_error on
-/// timeout, a spawn failure, or a child that exits before shutdown (at
-/// once, naming the node or the switch and its exit status) — never leaks
-/// children.
+/// The processes every wire fleet in flight shares: a fleet of N nodes
+/// costs N + 1 (its daemons and its switch). The eval backend also refuses
+/// deployments that expect more nodes than this.
+inline constexpr std::size_t kWireProcessBudget = 64;
+
+/// One fleet of a batch: the deployment to stand up and how to run it.
+/// `graph` must outlive the run_wire_networks call.
+struct WireJob {
+  const Graph* graph = nullptr;
+  WireRunConfig config;
+};
+
+/// Runs every job as a fleet of real processes — the software switch plus
+/// one qolsr_node daemon per node (Unix SOCK_SEQPACKET under a private
+/// temp dir) — and calls `done(index, result)` on the calling thread as
+/// each fleet ends, in completion order.
+///
+/// Each fleet uploads its adjacency, configures and starts every daemon,
+/// and stops by the simulator's own rule — at the fleet's last mutation +
+/// the convergence dwell, certified by status rounds over the control
+/// socket (see next_status_round). It then collects each daemon's
+/// converged digest and tears its process tree down.
+///
+/// Fleets overlap. Jobs are admitted in order while the processes in
+/// flight stay within kWireProcessBudget (see admits_fleet), and one poll
+/// loop over every fleet's plug and pidfds drives them all. A fleet's
+/// `timeout_seconds` counts from its admission.
+///
+/// Throws std::runtime_error on a timeout, a spawn failure, or a child
+/// that exits before shutdown (at once, naming the node or the switch, its
+/// exit status and the fleet), and rethrows whatever `done` throws. Every
+/// fleet in flight is killed and reaped, and its socket dir removed,
+/// before the error propagates — no child is ever leaked.
+void run_wire_networks(
+    const std::vector<WireJob>& jobs,
+    const std::function<void(std::size_t, WireRunResult&&)>& done);
+
+/// One fleet: run_wire_networks on a single job.
 WireRunResult run_wire_network(const Graph& graph, const WireRunConfig& config);
 
 /// One daemon's answer to a status round, stamped with its arrival time on
@@ -74,6 +105,12 @@ struct StatusReply {
 std::optional<double> next_status_round(const std::vector<StatusReply>& replies,
                                         std::uint32_t round, double round_sent,
                                         double start_sent, double dwell);
+
+/// The admission rule of run_wire_networks, free of processes: whether a
+/// fleet of `cost` processes may start while `in_flight` processes run.
+/// It may when both fit within kWireProcessBudget, or when nothing is in
+/// flight — a fleet larger than the budget then runs alone.
+bool admits_fleet(std::size_t in_flight, std::size_t cost);
 
 /// The bundled-binary discovery used when WireRunConfig paths are empty:
 /// $QOLSR_NODE_BIN / $QOLSR_SWITCH_BIN, else `name` next to the running

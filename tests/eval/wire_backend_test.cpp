@@ -1,8 +1,10 @@
-// The --backend=wire eval path: spec validation, one real sweep where
-// every (run, protocol) stands up a fleet of qolsr_node processes over the
+// The --backend=wire eval path: spec validation, real sweeps where every
+// (run, protocol) stands up a fleet of qolsr_node processes over the
 // software switch and is digest-verified against the in-process Simulator
 // twin (a mismatch throws, so a passing sweep IS the equivalence check),
-// and sweeps whose daemons cannot start or die mid-run.
+// a sweep whose fleets queue behind the process budget pinned to the CSV
+// the one-fleet-at-a-time harness wrote, and sweeps whose daemons cannot
+// start or die mid-run.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -10,9 +12,11 @@
 #include <cerrno>
 #include <cstdlib>
 #include <optional>
+#include <sstream>
 #include <string>
 
 #include "eval/experiment.hpp"
+#include "eval/result_sink.hpp"
 #include "net/wire_harness.hpp"
 #include "support/daemon_wrapper.hpp"
 
@@ -94,6 +98,28 @@ TEST(WireBackend, SweepsRealProcessFleetsAndVerifiesDigests) {
     EXPECT_GT(ps.control.convergence_time.mean(), 0.0);
     EXPECT_EQ(ps.control.unconverged, 0u);
   }
+}
+
+TEST(WireBackend, ConcurrentSweepMatchesGoldenPin) {
+  // Five selectors on ~10-node deployments: one run's fleets alone need
+  // ~56 processes, so fleets queue behind the budget and end out of (run,
+  // protocol) order. The CSV must still be the one the sequential harness
+  // wrote; it holds only the deterministic columns (set sizes from the
+  // digest-checked daemons).
+  ExperimentSpec spec = wire_spec();
+  spec.selectors = {"olsr_mpr", "qolsr_mpr1", "qolsr_mpr2",
+                    "topology_filtering", "fnbp"};
+  spec.scenario.runs = 4;
+  std::ostringstream csv;
+  CsvSink().write(run_experiment(spec), csv);
+  EXPECT_EQ(csv.str(),
+            R"(metric,density,runs,avg_nodes,protocol,set_size_mean,set_size_stddev,delivered,failed,overhead_mean,overhead_stddev,path_hops_mean
+bandwidth,6,4,10.25,olsr_mpr,1.152272727,0.261735572,0,0,0,0,0
+bandwidth,6,4,10.25,qolsr_mpr1_bandwidth,1.152272727,0.261735572,0,0,0,0,0
+bandwidth,6,4,10.25,qolsr_mpr2_bandwidth,1.444318182,0.3613636364,0,0,0,0,0
+bandwidth,6,4,10.25,topology_filtering_bandwidth,2.315530303,0.8407278675,0,0,0,0,0
+bandwidth,6,4,10.25,fnbp_bandwidth,1.283143939,0.205603674,0,0,0,0,0
+)");
 }
 
 /// Points QOLSR_NODE_BIN at `path` for one scope, then restores it.

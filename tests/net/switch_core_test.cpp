@@ -1,7 +1,10 @@
 // SwitchCore routing rules (no sockets: plain frames through the
 // forwarding brain) plus a kernel-socketpair loopback that pushes a real
-// serialized OLSR packet through a SEQPACKET pair and re-parses it.
+// serialized OLSR packet through a SEQPACKET pair and re-parses it, and
+// checks that a received datagram holds only its own bytes.
 #include <algorithm>
+#include <cstddef>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -244,7 +247,8 @@ TEST(SocketLoopback, SeqpacketRoundTripsAnOlsrPacket) {
   f.payload = packet_bytes;
   ASSERT_TRUE(send_datagram(left, encode_frame(f)));
 
-  const auto received = recv_datagram(right);
+  RecvBuffer rx;
+  const auto received = recv_datagram(right, rx);
   ASSERT_TRUE(received.has_value());
   const auto back = decode_frame(*received);
   ASSERT_TRUE(back.has_value());
@@ -258,8 +262,34 @@ TEST(SocketLoopback, SeqpacketRoundTripsAnOlsrPacket) {
   // Message boundaries hold: two sends arrive as two datagrams.
   ASSERT_TRUE(send_datagram(left, encode_frame(f)));
   ASSERT_TRUE(send_datagram(left, encode_frame(f)));
-  EXPECT_EQ(recv_datagram(right)->size(), encode_frame(f).size());
-  EXPECT_EQ(recv_datagram(right)->size(), encode_frame(f).size());
+  EXPECT_EQ(recv_datagram(right, rx)->size(), encode_frame(f).size());
+  EXPECT_EQ(recv_datagram(right, rx)->size(), encode_frame(f).size());
+}
+
+TEST(SocketLoopback, ReceivedDatagramHoldsExactlyItsBytes) {
+  // Every datagram lands in the loop's one RecvBuffer and is handed out at
+  // its own size: the switch queues each received frame as is, so a frame
+  // that kept the buffer's 64 KB capacity would pin it for as long as it
+  // waits in an output queue.
+  auto [left, right] = seqpacket_pair();
+  ASSERT_TRUE(left.valid());
+  ASSERT_TRUE(right.valid());
+  const std::vector<std::byte> sent(100, std::byte{0x5a});
+  RecvBuffer rx;
+
+  ASSERT_TRUE(send_datagram(left, sent));
+  const auto blocking = recv_datagram(right, rx);
+  ASSERT_TRUE(blocking.has_value());
+  EXPECT_EQ(*blocking, sent);
+  EXPECT_LT(blocking->capacity(), 1024u);
+
+  ASSERT_TRUE(send_datagram(left, sent));
+  set_nonblocking(right);
+  std::vector<std::byte> polled;
+  ASSERT_EQ(try_recv_datagram(right, rx, polled), RecvStatus::kOk);
+  EXPECT_EQ(polled, sent);
+  EXPECT_LT(polled.capacity(), 1024u);
+  EXPECT_EQ(try_recv_datagram(right, rx, polled), RecvStatus::kWouldBlock);
 }
 
 }  // namespace

@@ -2,15 +2,24 @@
 // wire run — qolsr_switch + one qolsr_node daemon per node over Unix
 // SOCK_SEQPACKET — converges to per-node digests equal byte-for-byte to
 // an in-process Simulator run of the same topology, seed and (shared)
-// timing struct, for all five registry selectors.
+// timing struct, for all five registry selectors, with their fleets in
+// flight together; and a batch larger than the process budget overlaps
+// its fleets without exceeding it.
 //
 // The daemon/switch binaries are discovered next to this test binary
 // (all CMake targets land in the build root); QOLSR_NODE_BIN /
 // QOLSR_SWITCH_BIN override for out-of-tree runs.
+#include <cstddef>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "graph/graph.hpp"
 #include "net/wire_harness.hpp"
@@ -69,29 +78,66 @@ std::vector<std::uint64_t> simulator_digests(const Graph& graph,
   return digests;
 }
 
+/// The processes whose parent is this test, read from /proc: the wire
+/// harness's children, running or not yet reaped.
+std::size_t child_processes() {
+  const pid_t self = ::getpid();
+  std::size_t count = 0;
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it("/proc", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    std::ifstream stat(it->path() / "stat");
+    std::string line;
+    std::getline(stat, line);
+    const std::size_t after_comm = line.rfind(')');  // comm may hold spaces
+    if (after_comm == std::string::npos) continue;
+    std::istringstream fields(line.substr(after_comm + 1));
+    char state = 0;
+    pid_t parent = 0;
+    if (fields >> state >> parent && parent == self) ++count;
+  }
+  return count;
+}
+
+/// Runs `jobs` as one batch and returns each fleet's converged digests,
+/// indexed by job. With `live_children_at_done`, also records how many
+/// child processes were alive at each `done`.
+std::vector<std::vector<std::uint64_t>> wire_digests(
+    const std::vector<net::WireJob>& jobs,
+    std::vector<std::size_t>* live_children_at_done = nullptr) {
+  std::vector<std::vector<std::uint64_t>> digests(jobs.size());
+  net::run_wire_networks(
+      jobs, [&](std::size_t index, net::WireRunResult&& wire) {
+        if (live_children_at_done != nullptr)
+          live_children_at_done->push_back(child_processes());
+        for (const net::StatusReport& report : wire.reports)
+          digests[index].push_back(report.digest);
+      });
+  return digests;
+}
+
 TEST(WireEquivalence, AllFiveSelectorsMatchTheSimulatorByteForByte) {
+  // One batch: the five fleets (45 processes) are in flight together.
   const Graph graph = test_graph();
-  const std::uint64_t seed = 20260808;
-  net::WireRunConfig config;
-  config.seed = seed;
-  config.timeout_seconds = 60.0;
+  const std::vector<std::string> protocols =
+      SelectorRegistry::builtin().names();
+  std::vector<net::WireJob> jobs(protocols.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].graph = &graph;
+    jobs[i].config.protocol = protocols[i];
+    jobs[i].config.seed = 20260808;
+    jobs[i].config.timeout_seconds = 60.0;
+  }
+  const auto per_protocol = wire_digests(jobs);
 
-  std::vector<std::vector<std::uint64_t>> per_protocol;
-  for (const std::string& protocol : SelectorRegistry::builtin().names()) {
-    SCOPED_TRACE(protocol);
-    config.protocol = protocol;
-    const net::WireRunResult wire = net::run_wire_network(graph, config);
-    ASSERT_EQ(wire.reports.size(), graph.node_count());
-
-    const auto expected =
-        simulator_digests(graph, protocol, config.timing, seed);
-    std::vector<std::uint64_t> got(graph.node_count());
-    for (NodeId id = 0; id < graph.node_count(); ++id)
-      got[id] = wire.reports[id].digest;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    SCOPED_TRACE(protocols[i]);
+    ASSERT_EQ(per_protocol[i].size(), graph.node_count());
     // Byte-for-byte: the N processes on real sockets and wall-clock
     // timers folded exactly the state the discrete-event run folded.
-    EXPECT_EQ(got, expected);
-    per_protocol.push_back(got);
+    EXPECT_EQ(per_protocol[i],
+              simulator_digests(graph, protocols[i], jobs[i].config.timing,
+                                jobs[i].config.seed));
   }
 
   // Sanity that the equality above is not vacuous: on this graph every
@@ -100,6 +146,35 @@ TEST(WireEquivalence, AllFiveSelectorsMatchTheSimulatorByteForByte) {
   for (std::size_t i = 0; i < per_protocol.size(); ++i)
     for (std::size_t j = i + 1; j < per_protocol.size(); ++j)
       EXPECT_NE(per_protocol[i], per_protocol[j]) << i << " vs " << j;
+}
+
+TEST(WireHarness, FleetsOverlapWithinTheProcessBudget) {
+  // Eight fleets of 9 processes: seven fit the budget together, and the
+  // eighth queues until one ends. The harness ends fleets one at a time,
+  // so when the first `done` runs, the six others admitted with it are
+  // still alive.
+  const Graph graph = test_graph();
+  const std::vector<std::string> protocols =
+      SelectorRegistry::builtin().names();
+  std::vector<net::WireJob> jobs(8);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    jobs[j].graph = &graph;
+    jobs[j].config.protocol = protocols[j % protocols.size()];
+    jobs[j].config.seed = 20260808 + j;
+    jobs[j].config.timeout_seconds = 60.0;
+  }
+  std::vector<std::size_t> live;
+  const auto digests = wire_digests(jobs, &live);
+
+  ASSERT_EQ(live.size(), jobs.size());
+  EXPECT_EQ(live.front(), 6u * 9u);
+  for (const std::size_t children : live)
+    EXPECT_LE(children, net::kWireProcessBudget);
+  for (std::size_t j = 0; j < jobs.size(); ++j)
+    EXPECT_EQ(digests[j],
+              simulator_digests(graph, jobs[j].config.protocol,
+                                jobs[j].config.timing, jobs[j].config.seed))
+        << "job " << j;
 }
 
 TEST(WireEquivalence, SetSizesTravelWithTheDigests) {

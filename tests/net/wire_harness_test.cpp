@@ -1,7 +1,8 @@
-// The wire harness's stopping rule as a pure function (no processes), and
-// its fail-fast contract with real ones: a fleet whose daemon or switch
-// cannot start, or whose daemon or switch dies mid-run, throws at once,
-// naming the child and its exit status, and leaves no process behind.
+// The wire harness's stopping and admission rules as pure functions (no
+// processes), and its fail-fast contract with real ones: a fleet whose
+// daemon or switch cannot start, or whose daemon or switch dies mid-run,
+// throws at once, naming the child, its exit status and the fleet, and a
+// failing batch leaves no process behind.
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -128,6 +129,25 @@ TEST(StatusRound, StaggeredArrivalsBoundTheCommonQuietWindowFromBelow) {
             }
 }
 
+TEST(FleetAdmission, AFleetThatFitsIsAdmitted) {
+  EXPECT_TRUE(admits_fleet(0, 9));
+  EXPECT_TRUE(admits_fleet(54, 9));  // 63 of 64
+  EXPECT_TRUE(admits_fleet(kWireProcessBudget - 9, 9));
+}
+
+TEST(FleetAdmission, AFleetOverTheBudgetWaits) {
+  EXPECT_FALSE(admits_fleet(63, 9));
+  EXPECT_FALSE(admits_fleet(kWireProcessBudget - 8, 9));
+  EXPECT_FALSE(admits_fleet(1, kWireProcessBudget));
+}
+
+TEST(FleetAdmission, AFleetLargerThanTheBudgetRunsAlone) {
+  // A Poisson draw can exceed the expected size the backend guards: such a
+  // fleet waits for every other to end, then runs rather than never.
+  EXPECT_TRUE(admits_fleet(0, kWireProcessBudget + 7));
+  EXPECT_FALSE(admits_fleet(5, kWireProcessBudget + 7));
+}
+
 /// 4 nodes on a ring with one chord.
 Graph ring_graph() {
   Graph g(4);
@@ -170,6 +190,8 @@ TEST(WireHarness, MissingNodeBinaryFailsFastAndNamesTheNode) {
   ASSERT_FALSE(what.empty()) << "the run did not throw";
   EXPECT_NE(what.find("node "), std::string::npos) << what;
   EXPECT_NE(what.find("exited with status 127"), std::string::npos) << what;
+  EXPECT_NE(what.find("(fleet 'olsr_mpr', seed 1)"), std::string::npos)
+      << what;
   EXPECT_LT(took, 10.0) << what;
   expect_no_children();
 }
@@ -203,6 +225,69 @@ TEST(WireHarness, DaemonKilledMidRunFailsFastAndNamesIt) {
   EXPECT_NE(what.find("node 2 "), std::string::npos) << what;
   EXPECT_NE(what.find("exited with status 9"), std::string::npos) << what;
   EXPECT_LT(took, 10.0) << what;
+  expect_no_children();
+}
+
+/// Four fleets of 5 processes on the ring, seeds 1 to 4: all in flight
+/// at once.
+std::vector<WireJob> four_ring_jobs(const Graph& graph) {
+  std::vector<WireJob> jobs(4);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    jobs[j].graph = &graph;
+    jobs[j].config.seed = j + 1;
+    jobs[j].config.timeout_seconds = 30.0;
+  }
+  return jobs;
+}
+
+TEST(WireHarness, DaemonKilledInOneOfFourFleetsNamesThatFleet) {
+  // Job 2's node 2 runs under the kill wrapper while three healthy fleets
+  // are in flight beside it. The error names the daemon, its exit status
+  // and its fleet, and every fleet is torn down before it propagates.
+  const std::string script = testing::write_daemon_kill_wrapper(
+      find_sibling_binary("QOLSR_NODE_BIN", "qolsr_node"), 2);
+  ASSERT_FALSE(script.empty());
+  const Graph graph = ring_graph();
+  std::vector<WireJob> jobs = four_ring_jobs(graph);
+  jobs[2].config.node_binary = script;
+
+  const auto t0 = std::chrono::steady_clock::now();
+  std::string what;
+  try {
+    run_wire_networks(jobs, [](std::size_t, WireRunResult&&) {});
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - t0;
+  ::unlink(script.c_str());
+  ASSERT_FALSE(what.empty()) << "the batch did not throw";
+  EXPECT_NE(what.find("node 2 "), std::string::npos) << what;
+  EXPECT_NE(what.find("exited with status 9"), std::string::npos) << what;
+  EXPECT_NE(what.find("(fleet 'olsr_mpr', seed 3)"), std::string::npos)
+      << what;
+  EXPECT_LT(took.count(), 10.0) << what;
+  expect_no_children();
+}
+
+TEST(WireHarness, ThrowingDoneTearsEveryFleetDown) {
+  // A digest mismatch surfaces as `done` throwing. The first call throws
+  // while the other three fleets are still in flight; the error reaches
+  // the caller only after all of them are killed and reaped.
+  const Graph graph = ring_graph();
+  std::size_t calls = 0;
+  std::string what;
+  try {
+    run_wire_networks(four_ring_jobs(graph),
+                      [&calls](std::size_t, WireRunResult&&) {
+                        ++calls;
+                        throw std::runtime_error("rejected by done");
+                      });
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  EXPECT_EQ(what, "rejected by done");
+  EXPECT_EQ(calls, 1u);
   expect_no_children();
 }
 
