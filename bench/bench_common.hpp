@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "eval/figures.hpp"
+#include "util/table.hpp"
 
 namespace qolsr::bench {
 

@@ -20,35 +20,6 @@ struct ResolvedProtocols {
   std::vector<const AnsSelector*> flooding;
 };
 
-/// The execution seam of the experiment engine: a backend turns a spec
-/// plus resolved selectors into per-sweep-point aggregates. Both
-/// implementations run the same threaded sweep harness and fill the same
-/// DensityStats, so every result sink works on either's output unchanged:
-///
-///  * OracleBackend (BackendId::kOracle) — the templated run_sweep /
-///    run_dynamic_sweep analytic path;
-///  * PacketBackend (BackendId::kPacket) — run_packet_sweep: one
-///    discrete-event Simulator per (run, protocol), converged, then
-///    measured from protocol state, including ControlPlaneStats;
-///  * WireBackend (BackendId::kWire) — run_wire_sweep: one fleet of real
-///    qolsr_node processes over the software switch per (run, protocol),
-///    digest-verified against an in-process Simulator twin.
-///
-/// `run` validates backend-specific spec constraints (e.g. the packet
-/// backend rejects mobility epochs for now) and throws ExperimentError.
-class EvalBackend {
- public:
-  virtual ~EvalBackend() = default;
-  virtual BackendId id() const = 0;
-  virtual std::vector<DensityStats> run(
-      const ExperimentSpec& spec,
-      const ResolvedProtocols& protocols) const = 0;
-};
-
-/// The backend registered for `id`. Backends are stateless singletons;
-/// the reference stays valid for the program's lifetime.
-const EvalBackend& backend_for(BackendId id);
-
 /// Resolves the spec's selector names (and, for backends that need it,
 /// their flooding roles) through `registry`. Throws ExperimentError on
 /// unknown names.

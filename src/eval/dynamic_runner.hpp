@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "eval/runner.hpp"
-#include "graph/connectivity.hpp"
 #include "olsr/incremental.hpp"
 #include "sim/mobility.hpp"
 
@@ -143,36 +142,13 @@ void execute_dynamic_run(const Scenario& scenario, double axis_value,
     }
 
     // -- draw this epoch's measured pair on the current graph ------------
-    NodeId source = kInvalidNode, destination = kInvalidNode;
-    if (scenario.pair_mode == Scenario::PairMode::kTwoHop) {
-      for (std::size_t attempt = 0; attempt < scenario.max_pair_draws;
-           ++attempt) {
-        const NodeId s = static_cast<NodeId>(rng.uniform_int(n));
-        ws.eval.view_builder.build(graph, s, ws.eval.view);
-        if (ws.eval.view.two_hop().empty()) continue;
-        const std::uint32_t pick = static_cast<std::uint32_t>(rng.uniform_int(
-            std::uint64_t{ws.eval.view.two_hop().size()}));
-        source = s;
-        destination = ws.eval.view.global_id(ws.eval.view.two_hop()[pick]);
-        break;
-      }
-    } else {
-      const Components components = connected_components(graph);
-      for (std::size_t attempt = 0; attempt < scenario.max_pair_draws;
-           ++attempt) {
-        const NodeId s = static_cast<NodeId>(rng.uniform_int(n));
-        const NodeId d = static_cast<NodeId>(rng.uniform_int(n));
-        if (s == d || !components.connected(s, d)) continue;
-        source = s;
-        destination = d;
-        break;
-      }
-    }
     // The pair is connected *now*, so every undelivered packet below is a
     // loss chargeable to stale or insufficient advertised state. An epoch
     // with no drawable pair (the churn tore the graph apart) records set
     // sizes but no packet, for every selector alike.
-    const bool pair_found = source != kInvalidNode;
+    NodeId source = kInvalidNode, destination = kInvalidNode;
+    const bool pair_found =
+        draw_pair(graph, scenario, rng, ws.eval, source, destination);
     double optimal_value = 0.0;
     double optimal_hops = 0.0;
     if (pair_found) {

@@ -4,6 +4,9 @@
 #include <memory>
 
 #include "eval/backend.hpp"
+#include "eval/dynamic_runner.hpp"
+#include "eval/packet_runner.hpp"
+#include "eval/wire_runner.hpp"
 
 namespace qolsr {
 
@@ -63,6 +66,32 @@ std::uint64_t parse_uint(std::string_view flag, std::string_view text) {
 }
 
 }  // namespace
+
+ResolvedProtocols resolve_protocols(const ExperimentSpec& spec,
+                                    const SelectorRegistry& registry) {
+  ResolvedProtocols protocols;
+  protocols.owned.reserve(2 * spec.selectors.size());
+  protocols.ans.reserve(spec.selectors.size());
+  try {
+    for (const std::string& name : spec.selectors) {
+      protocols.owned.push_back(registry.create(name, spec.metric));
+      protocols.ans.push_back(protocols.owned.back().get());
+    }
+    // Backends that flood real packets (in-process or across processes)
+    // also need each protocol's TC-flooding role; the oracle does not.
+    if (spec.backend != BackendId::kOracle) {
+      protocols.flooding.reserve(spec.selectors.size());
+      for (const std::string& name : spec.selectors) {
+        protocols.owned.push_back(
+            registry.create_flooding(name, spec.metric));
+        protocols.flooding.push_back(protocols.owned.back().get());
+      }
+    }
+  } catch (const std::invalid_argument& e) {
+    throw ExperimentError("experiment '" + spec.name + "': " + e.what());
+  }
+  return protocols;
+}
 
 ExperimentResult run_experiment(const ExperimentSpec& spec,
                                 const SelectorRegistry& registry) {
@@ -234,6 +263,53 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   // whichever backend executes the sweep (and by its worker threads).
   const ResolvedProtocols protocols = resolve_protocols(spec, registry);
 
+  if (spec.backend == BackendId::kPacket) {
+    if (dynamics.enabled())
+      throw ExperimentError(
+          "experiment '" + spec.name +
+          "': the packet backend does not run mobility epochs yet "
+          "(ROADMAP open item) - drop --mobility or use --backend=oracle");
+    if (spec.scenario.routing_model == Scenario::RoutingModel::kAnsChain)
+      throw ExperimentError(
+          "experiment '" + spec.name +
+          "': the packet backend's nodes route hop-by-hop on their own "
+          "knowledge (the advertised-union model); --routing=chain is an "
+          "oracle-only discipline");
+  }
+  if (spec.backend == BackendId::kWire) {
+    if (dynamics.enabled())
+      throw ExperimentError(
+          "experiment '" + spec.name +
+          "': the wire backend runs static deployments only - drop "
+          "--mobility or use --backend=oracle");
+    if (spec.scenario.sweep_axis != Scenario::SweepAxis::kDensity)
+      throw ExperimentError(
+          "experiment '" + spec.name +
+          "': the wire backend sweeps density only (loss/load/adversary "
+          "axes live on --backend=packet)");
+    if (spec.per_run || spec.scenario.record_runs)
+      throw ExperimentError(
+          "experiment '" + spec.name +
+          "': the wire backend reports aggregates only (drop --per-run)");
+    // Every node of every run is a real OS process, and the fleets in
+    // flight share net::kWireProcessBudget. Refuse deployments whose
+    // expected size alone exceeds it: their fleets would each run alone
+    // over budget (see net::admits_fleet) instead of overlapping.
+    DeploymentConfig field = spec.scenario.field;
+    for (const double density : spec.scenario.densities) {
+      field.degree = density;
+      if (field.expected_nodes() >
+          static_cast<double>(net::kWireProcessBudget))
+        throw ExperimentError(
+            "experiment '" + spec.name + "': density " +
+            std::to_string(density) + " expects ~" +
+            std::to_string(static_cast<long>(field.expected_nodes())) +
+            " nodes per deployment - every node is a real process; shrink "
+            "--field (e.g. 250x250) to keep each wire fleet within the " +
+            std::to_string(net::kWireProcessBudget) + "-process budget");
+    }
+  }
+
   ExperimentSpec executed = spec;
   executed.scenario.record_runs =
       executed.scenario.record_runs || executed.per_run;
@@ -241,7 +317,21 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   ExperimentResult result;
   result.spec = spec;
   try {
-    result.sweep = backend_for(spec.backend).run(executed, protocols);
+    result.sweep = dispatch_metric(spec.metric, [&](auto tag) {
+      using M = typename decltype(tag)::type;
+      const Scenario& scenario = executed.scenario;
+      switch (spec.backend) {
+        case BackendId::kPacket:
+          return run_packet_sweep<M>(scenario, protocols, spec.threads);
+        case BackendId::kWire:
+          return run_wire_sweep<M>(executed, protocols);
+        case BackendId::kOracle:
+          break;
+      }
+      return dynamics.enabled()
+                 ? run_dynamic_sweep<M>(scenario, protocols.ans, spec.threads)
+                 : run_sweep<M>(scenario, protocols.ans, spec.threads);
+    });
   } catch (const ExperimentError&) {
     throw;
   } catch (const std::exception& e) {

@@ -13,7 +13,7 @@
 
 namespace qolsr {
 
-/// Which engine executes a sweep (see eval/backend.hpp for the seam):
+/// Which engine executes a sweep (run_experiment picks the runner):
 ///  * kOracle — the analytic path: per run, every node's ANS is selected
 ///    on its exact local view computed from the sampled graph, routing
 ///    runs on the oracle advertised topology. Fast, and the reference the
@@ -38,8 +38,8 @@ enum class BackendId { kOracle, kPacket, kWire };
 
 /// The one table every backend consumer shares (the kSweepAxes idiom):
 /// CLI parsing, the unknown-backend error text and emitted names all
-/// derive from it, so adding a backend is one row here plus its
-/// EvalBackend implementation (eval/backend.cpp).
+/// derive from it, so adding a backend is one row here plus its case in
+/// run_experiment's dispatch (eval/experiment.cpp).
 struct BackendInfo {
   BackendId id;
   const char* name;
@@ -111,13 +111,14 @@ struct ExperimentResult {
   std::vector<DensityStats> sweep;
 };
 
-/// Type-erased execution: resolves the named selectors (and, for the
-/// packet backend, their flooding roles) from `registry` exactly once,
-/// resolves the metric via dispatch_metric, and hands the spec to the
-/// backend it names (eval/backend.hpp) — the oracle's templated sweep or
-/// the packet-level simulation. Throws ExperimentError on unknown names,
-/// an empty density list, backend-incompatible scenarios, or a degenerate
-/// deployment (sample_run resample cap).
+/// Type-erased execution: validates the spec, resolves the named
+/// selectors (and, for the packet and wire backends, their flooding roles)
+/// from `registry` exactly once, resolves the metric via dispatch_metric,
+/// and runs the runner of the backend it names — run_sweep or
+/// run_dynamic_sweep (oracle), run_packet_sweep or run_wire_sweep. Throws
+/// ExperimentError on unknown names, an empty density list,
+/// backend-incompatible scenarios, or a degenerate deployment (sample_run
+/// resample cap).
 ExperimentResult run_experiment(
     const ExperimentSpec& spec,
     const SelectorRegistry& registry = SelectorRegistry::builtin());

@@ -2,7 +2,6 @@
 
 #include <cctype>
 
-#include "eval/result_sink.hpp"
 #include "eval/scenario.hpp"
 
 namespace qolsr {
@@ -183,185 +182,6 @@ ExperimentSpec figure_by_name(std::string_view name,
     if (upper == entry.name) return entry.make(config);
   throw ExperimentError("'" + std::string(name) +
                         "' is not a figure (valid: " + figure_names() + ")");
-}
-
-util::Table traffic_table(const std::vector<DensityStats>& sweep,
-                          const std::string& axis) {
-  std::vector<std::string> header{axis};
-  if (!sweep.empty()) {
-    for (const ProtocolStats& p : sweep.front().protocols) {
-      header.push_back(p.name + "_delivery");
-      header.push_back(p.name + "_qdrops");
-      header.push_back(p.name + "_p95_ms");
-    }
-  }
-  util::Table table(std::move(header));
-  for (const DensityStats& d : sweep) {
-    std::vector<std::string> cells{util::format_double(d.density, 2)};
-    for (const ProtocolStats& p : d.protocols) {
-      cells.push_back(util::format_double(p.traffic.delivery_ratio(), 3));
-      cells.push_back(
-          util::format_double(static_cast<double>(p.traffic.queue_drops), 0));
-      const DistributionSummary latency =
-          summarize_distribution(p.traffic.latency);
-      cells.push_back(util::format_double(latency.p95 * 1000.0, 2));
-    }
-    table.add_row(std::move(cells));
-  }
-  return table;
-}
-
-util::Table degradation_table(const std::vector<DensityStats>& sweep,
-                              const std::string& axis) {
-  std::vector<std::string> header{axis};
-  if (!sweep.empty()) {
-    for (const ProtocolStats& p : sweep.front().protocols) {
-      header.push_back(p.name + "_delivery");
-      header.push_back(p.name + "_blackhole");
-      header.push_back(p.name + "_reconv_s");
-    }
-  }
-  util::Table table(std::move(header));
-  for (const DensityStats& d : sweep) {
-    std::vector<std::string> cells{util::format_double(d.density, 2)};
-    for (const ProtocolStats& p : d.protocols) {
-      cells.push_back(util::format_double(p.delivery_ratio(), 3));
-      cells.push_back(
-          util::format_double(static_cast<double>(p.no_route_losses), 0));
-      cells.push_back(
-          util::format_double(p.control.reconvergence_time.mean(), 2));
-    }
-    table.add_row(std::move(cells));
-  }
-  return table;
-}
-
-util::Table invariants_table(const std::vector<DensityStats>& sweep,
-                             const std::string& axis) {
-  std::vector<std::string> header{axis};
-  if (!sweep.empty()) {
-    for (const ProtocolStats& p : sweep.front().protocols) {
-      header.push_back(p.name + "_delivery");
-      header.push_back(p.name + "_violations");
-      header.push_back(p.name + "_poisoned");
-    }
-  }
-  util::Table table(std::move(header));
-  for (const DensityStats& d : sweep) {
-    std::vector<std::string> cells{util::format_double(d.density, 2)};
-    for (const ProtocolStats& p : d.protocols) {
-      cells.push_back(util::format_double(p.delivery_ratio(), 3));
-      cells.push_back(util::format_double(
-          static_cast<double>(p.invariants.counters.total()), 0));
-      cells.push_back(util::format_double(
-          static_cast<double>(p.invariants.poisoned_routes), 0));
-    }
-    table.add_row(std::move(cells));
-  }
-  return table;
-}
-
-util::Table set_size_table(const std::vector<DensityStats>& sweep,
-                           const std::string& axis) {
-  std::vector<std::string> header{axis};
-  if (!sweep.empty())
-    for (const ProtocolStats& p : sweep.front().protocols)
-      header.push_back(p.name);
-  util::Table table(std::move(header));
-  for (const DensityStats& d : sweep) {
-    std::vector<double> row;
-    for (const ProtocolStats& p : d.protocols) row.push_back(p.set_size.mean());
-    table.add_row(d.density, row, 3);
-  }
-  return table;
-}
-
-util::Table overhead_table(const std::vector<DensityStats>& sweep,
-                           const std::string& axis) {
-  std::vector<std::string> header{axis};
-  if (!sweep.empty())
-    for (const ProtocolStats& p : sweep.front().protocols)
-      header.push_back(p.name);
-  util::Table table(std::move(header));
-  for (const DensityStats& d : sweep) {
-    std::vector<double> row;
-    for (const ProtocolStats& p : d.protocols) row.push_back(p.overhead.mean());
-    table.add_row(d.density, row, 4);
-  }
-  return table;
-}
-
-util::Table diagnostics_table(const std::vector<DensityStats>& sweep,
-                              const std::string& axis) {
-  std::vector<std::string> header{axis, "avg_nodes"};
-  if (!sweep.empty()) {
-    for (const ProtocolStats& p : sweep.front().protocols) {
-      header.push_back(p.name + "_delivered");
-      header.push_back(p.name + "_hops");
-    }
-  }
-  util::Table table(std::move(header));
-  for (const DensityStats& d : sweep) {
-    std::vector<std::string> cells{util::format_double(d.density, 0),
-                                   util::format_double(d.node_count.mean(), 1)};
-    for (const ProtocolStats& p : d.protocols) {
-      cells.push_back(util::format_double(static_cast<double>(p.delivered), 0) +
-                      "/" +
-                      util::format_double(
-                          static_cast<double>(p.delivered + p.failed), 0));
-      cells.push_back(util::format_double(p.path_hops.mean(), 2));
-    }
-    table.add_row(std::move(cells));
-  }
-  return table;
-}
-
-util::Table dynamics_table(const std::vector<DensityStats>& sweep,
-                           const std::string& axis) {
-  std::vector<std::string> header{axis};
-  if (!sweep.empty()) {
-    for (const ProtocolStats& p : sweep.front().protocols) {
-      header.push_back(p.name + "_delivery");
-      header.push_back(p.name + "_stretch");
-      header.push_back(p.name + "_readv");
-    }
-  }
-  util::Table table(std::move(header));
-  for (const DensityStats& d : sweep) {
-    std::vector<std::string> cells{util::format_double(d.density, 0)};
-    for (const ProtocolStats& p : d.protocols) {
-      cells.push_back(util::format_double(p.delivery_ratio(), 3));
-      cells.push_back(util::format_double(p.stretch.mean(), 3));
-      cells.push_back(util::format_double(p.readvertised.mean(), 1));
-    }
-    table.add_row(std::move(cells));
-  }
-  return table;
-}
-
-util::Table control_plane_table(const std::vector<DensityStats>& sweep,
-                                const std::string& axis) {
-  std::vector<std::string> header{axis};
-  if (!sweep.empty()) {
-    for (const ProtocolStats& p : sweep.front().protocols) {
-      header.push_back(p.name + "_tcs");
-      header.push_back(p.name + "_bytes");
-      header.push_back(p.name + "_conv_s");
-    }
-  }
-  util::Table table(std::move(header));
-  for (const DensityStats& d : sweep) {
-    std::vector<std::string> cells{util::format_double(d.density, 0)};
-    for (const ProtocolStats& p : d.protocols) {
-      cells.push_back(util::format_double(
-          p.control.tc_msgs.mean() + p.control.tc_forwards.mean(), 1));
-      cells.push_back(util::format_double(p.control.control_bytes.mean(), 0));
-      cells.push_back(
-          util::format_double(p.control.convergence_time.mean(), 2));
-    }
-    table.add_row(std::move(cells));
-  }
-  return table;
 }
 
 }  // namespace qolsr

@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "eval/experiment.hpp"
-#include "util/table.hpp"
 
 namespace qolsr {
 
@@ -77,46 +76,5 @@ std::string figure_names();
 /// figures on an unknown value; adding a figure is one row in the table.
 ExperimentSpec figure_by_name(std::string_view name,
                               const FigureConfig& config = {});
-
-/// Formats a sweep as the paper's Fig. 6/7 series (mean |ANS| per node).
-/// `axis` labels the x column ("density" for Figs. 6-9, "speed" for
-/// dynamics speed sweeps — see sweep_axis_name).
-util::Table set_size_table(const std::vector<DensityStats>& sweep,
-                           const std::string& axis = "density");
-/// Formats a sweep as the paper's Fig. 8/9 series (mean QoS overhead).
-util::Table overhead_table(const std::vector<DensityStats>& sweep,
-                           const std::string& axis = "density");
-/// Companion diagnostics: delivery counts, path lengths, node counts.
-util::Table diagnostics_table(const std::vector<DensityStats>& sweep,
-                              const std::string& axis = "density");
-/// The dynamics (epoch-loop) series: delivery ratio, hop stretch, and TC
-/// re-advertisements per refresh (the CSV/JSON sinks additionally split
-/// failures into stale-link drops vs. the rest). Meaningful only for
-/// sweeps run with a mobility model.
-util::Table dynamics_table(const std::vector<DensityStats>& sweep,
-                           const std::string& axis = "speed");
-/// The packet-backend control-plane series: mean TC messages (originated +
-/// MPR forwards), broadcast control bytes, and measured convergence time
-/// per run. Meaningful only for sweeps run with --backend=packet (the
-/// oracle leaves ControlPlaneStats empty).
-util::Table control_plane_table(const std::vector<DensityStats>& sweep,
-                                const std::string& axis = "density");
-/// The fault-engine degradation series: delivery ratio, blackhole (no
-/// route) drop count, and mean re-convergence seconds after injected
-/// incidents. Meaningful only for packet-backend sweeps with an active
-/// FaultPlan (or the loss axis).
-util::Table degradation_table(const std::vector<DensityStats>& sweep,
-                              const std::string& axis = "loss");
-/// The traffic-workload series: flow delivery ratio, queue-drop count,
-/// and p95 end-to-end latency (ms) under load. Meaningful only for
-/// packet-backend sweeps with an active TrafficSpec (or the load axis).
-util::Table traffic_table(const std::vector<DensityStats>& sweep,
-                          const std::string& axis = "load");
-/// The adversary-engine series: delivery ratio, invariant violations
-/// caught by the runtime monitor, and poisoned-route count per sweep
-/// point. Meaningful only for packet-backend sweeps with an active
-/// AdversarySpec (or the adversary axis).
-util::Table invariants_table(const std::vector<DensityStats>& sweep,
-                             const std::string& axis = "adversary");
 
 }  // namespace qolsr

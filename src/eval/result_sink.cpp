@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <ostream>
 
-#include "eval/figures.hpp"
+#include "util/table.hpp"
 
 namespace qolsr {
 
@@ -330,21 +330,171 @@ void write_packet_csv(const ExperimentResult& result, std::ostream& os) {
   write_run_records_csv(result, os);
 }
 
+/// Whether any protocol at any sweep point carries a measured control
+/// plane (packet and wire backends).
+bool control_measured(const ExperimentResult& result) {
+  for (const DensityStats& d : result.sweep)
+    for (const ProtocolStats& p : d.protocols)
+      if (p.control.measured()) return true;
+  return false;
+}
+
+/// One per-protocol column of a pretty-table section: the header is the
+/// protocol name plus `suffix`.
+struct TableColumn {
+  const char* suffix;
+  std::string (*cell)(const ProtocolStats&);
+};
+
+/// One pretty-table section. `shown` gates it (nullptr: always); the axis
+/// column comes first, then avg_nodes when asked, then every protocol's
+/// columns in legend order.
+struct TableSection {
+  const char* title;
+  bool (*shown)(const ExperimentResult&);
+  bool avg_nodes;
+  std::vector<TableColumn> columns;
+};
+
+using util::format_double;
+
+std::string delivery_cell(const ProtocolStats& p) {
+  return format_double(p.delivery_ratio(), 3);
+}
+
+/// Every section PrettyTableSink prints, in print order.
+const TableSection kTableSections[] = {
+    {"advertised set size (mean |ANS| per node)",
+     nullptr, false,
+     {{"",
+       [](const ProtocolStats& p) {
+         return format_double(p.set_size.mean(), 3);
+       }}}},
+    {"delivery ratio / hop stretch / TC re-advertisements",
+     [](const ExperimentResult& r) {
+       return r.spec.scenario.dynamics.enabled();
+     },
+     false,
+     {{"_delivery", delivery_cell},
+      {"_stretch",
+       [](const ProtocolStats& p) {
+         return format_double(p.stretch.mean(), 3);
+       }},
+      {"_readv",
+       [](const ProtocolStats& p) {
+         return format_double(p.readvertised.mean(), 1);
+       }}}},
+    {"QoS overhead vs. centralized optimum",
+     nullptr, false,
+     {{"",
+       [](const ProtocolStats& p) {
+         return format_double(p.overhead.mean(), 4);
+       }}}},
+    {"diagnostics",
+     nullptr, true,
+     {{"_delivered",
+       [](const ProtocolStats& p) {
+         return std::to_string(p.delivered) + "/" +
+                std::to_string(p.delivered + p.failed);
+       }},
+      {"_hops",
+       [](const ProtocolStats& p) {
+         return format_double(p.path_hops.mean(), 2);
+       }}}},
+    {"graceful degradation (delivery ratio, blackhole drops, mean "
+     "re-convergence seconds after injected faults)",
+     [](const ExperimentResult& r) { return fault_mode(r.spec); }, false,
+     {{"_delivery", delivery_cell},
+      {"_blackhole",
+       [](const ProtocolStats& p) {
+         return std::to_string(p.no_route_losses);
+       }},
+      {"_reconv_s",
+       [](const ProtocolStats& p) {
+         return format_double(p.control.reconvergence_time.mean(), 2);
+       }}}},
+    {"traffic under load (flow delivery ratio, queue-tail drops, p95 "
+     "end-to-end latency in ms)",
+     [](const ExperimentResult& r) { return traffic_mode(r.spec); }, false,
+     {{"_delivery",
+       [](const ProtocolStats& p) {
+         return format_double(p.traffic.delivery_ratio(), 3);
+       }},
+      {"_qdrops",
+       [](const ProtocolStats& p) {
+         return std::to_string(p.traffic.queue_drops);
+       }},
+      {"_p95_ms",
+       [](const ProtocolStats& p) {
+         const DistributionSummary latency =
+             summarize_distribution(p.traffic.latency);
+         return format_double(latency.p95 * 1000.0, 2);
+       }}}},
+    {"adversary engine (delivery ratio, invariant violations caught by the "
+     "runtime monitor, poisoned routes)",
+     [](const ExperimentResult& r) { return adversary_mode(r.spec); },
+     false,
+     {{"_delivery", delivery_cell},
+      {"_violations",
+       [](const ProtocolStats& p) {
+         return std::to_string(p.invariants.counters.total());
+       }},
+      {"_poisoned",
+       [](const ProtocolStats& p) {
+         return std::to_string(p.invariants.poisoned_routes);
+       }}}},
+    {"control plane (mean per run: TC messages incl. forwards, broadcast "
+     "bytes, measured convergence seconds)",
+     control_measured, false,
+     {{"_tcs",
+       [](const ProtocolStats& p) {
+         return format_double(
+             p.control.tc_msgs.mean() + p.control.tc_forwards.mean(), 1);
+       }},
+      {"_bytes",
+       [](const ProtocolStats& p) {
+         return format_double(p.control.control_bytes.mean(), 0);
+       }},
+      {"_conv_s",
+       [](const ProtocolStats& p) {
+         return format_double(p.control.convergence_time.mean(), 2);
+       }}}},
+};
+
+std::string render_section(const TableSection& section,
+                           const ExperimentResult& result) {
+  std::vector<std::string> header{
+      sweep_axis_name(result.spec.scenario.sweep_axis)};
+  if (section.avg_nodes) header.push_back("avg_nodes");
+  if (!result.sweep.empty())
+    for (const ProtocolStats& p : result.sweep.front().protocols)
+      for (const TableColumn& column : section.columns)
+        header.push_back(p.name + column.suffix);
+  util::Table table(std::move(header));
+  for (const DensityStats& d : result.sweep) {
+    std::vector<std::string> cells{fmt(d.density)};
+    if (section.avg_nodes)
+      cells.push_back(format_double(d.node_count.mean(), 1));
+    for (const ProtocolStats& p : d.protocols)
+      for (const TableColumn& column : section.columns)
+        cells.push_back(column.cell(p));
+    table.add_row(std::move(cells));
+  }
+  return table.to_string();
+}
+
 }  // namespace
 
 void PrettyTableSink::write(const ExperimentResult& result,
                             std::ostream& os) const {
   const ExperimentSpec& spec = result.spec;
-  const bool dynamic = spec.scenario.dynamics.enabled();
-  const std::string axis = sweep_axis_name(spec.scenario.sweep_axis);
   os << "# " << spec.name << " — metric=" << metric_name(spec.metric)
      << " runs/density=" << spec.scenario.runs << " seed=" << spec.scenario.seed
      << "\n";
   if (spec.backend == BackendId::kPacket)
     os << "# backend=packet — discrete-event HELLO/TC simulation, measured "
           "from converged protocol state\n";
-  const bool faults = fault_mode(spec);
-  if (faults) {
+  if (fault_mode(spec)) {
     os << "# faults: loss="
        << (spec.scenario.sweep_axis == Scenario::SweepAxis::kLoss
                ? "<sweep axis>"
@@ -352,8 +502,7 @@ void PrettyTableSink::write(const ExperimentResult& result,
        << " incidents=" << spec.scenario.faults.incidents.size()
        << " probes/run=" << spec.scenario.probe_packets << "\n";
   }
-  const bool traffic = traffic_mode(spec);
-  if (traffic) {
+  if (traffic_mode(spec)) {
     const TrafficSpec& t = spec.scenario.traffic;
     os << "# traffic: arrival=" << traffic_arrival_name(t.arrival)
        << " pattern=" << traffic_pattern_name(t.pattern)
@@ -363,8 +512,7 @@ void PrettyTableSink::write(const ExperimentResult& result,
                : fmt(t.load))
        << "\n";
   }
-  const bool adversary = adversary_mode(spec);
-  if (adversary) {
+  if (adversary_mode(spec)) {
     const AdversarySpec& adv = spec.scenario.adversaries;
     std::string kinds;
     for (const AdversaryKind kind : adv.kinds) {
@@ -378,55 +526,31 @@ void PrettyTableSink::write(const ExperimentResult& result,
        << " kinds=" << (kinds.empty() ? "none" : kinds)
        << " corrupt=" << fmt(adv.corrupt_rate) << "\n";
   }
-  if (dynamic) {
+  if (spec.scenario.dynamics.enabled()) {
     const DynamicsSpec& dyn = spec.scenario.dynamics;
     os << "# mobility="
        << (dyn.model == DynamicsSpec::Model::kWaypoint ? "waypoint" : "churn")
        << " epochs/run=" << dyn.epochs << " refresh=" << dyn.refresh_interval
        << "\n";
   }
-  os << "\n## advertised set size (mean |ANS| per node)\n"
-     << set_size_table(result.sweep, axis).to_string();
-  if (dynamic)
-    os << "\n## delivery ratio / hop stretch / TC re-advertisements\n"
-       << dynamics_table(result.sweep, axis).to_string();
-  os << "\n## QoS overhead vs. centralized optimum\n"
-     << overhead_table(result.sweep, axis).to_string();
-  os << "\n## diagnostics\n"
-     << diagnostics_table(result.sweep, axis).to_string();
-  if (faults)
-    os << "\n## graceful degradation (delivery ratio, blackhole drops, mean "
-          "re-convergence seconds after injected faults)\n"
-       << degradation_table(result.sweep, axis).to_string();
-  if (traffic)
-    os << "\n## traffic under load (flow delivery ratio, queue-tail drops, "
-          "p95 end-to-end latency in ms)\n"
-       << traffic_table(result.sweep, axis).to_string();
-  if (adversary)
-    os << "\n## adversary engine (delivery ratio, invariant violations "
-          "caught by the runtime monitor, poisoned routes)\n"
-       << invariants_table(result.sweep, axis).to_string();
-  bool has_control = false;
-  for (const DensityStats& d : result.sweep)
-    for (const ProtocolStats& p : d.protocols)
-      has_control = has_control || p.control.measured();
-  if (has_control) {
-    os << "\n## control plane (mean per run: TC messages incl. forwards, "
-          "broadcast bytes, measured convergence seconds)\n"
-       << control_plane_table(result.sweep, axis).to_string();
+  for (const TableSection& section : kTableSections)
+    if (section.shown == nullptr || section.shown(result))
+      os << "\n## " << section.title << "\n"
+         << render_section(section, result);
+  if (control_measured(result)) {
     std::size_t unconverged = 0;
-    for (const DensityStats& d : result.sweep)
-      for (const ProtocolStats& p : d.protocols)
+    std::size_t reconv_unconverged = 0;
+    for (const DensityStats& d : result.sweep) {
+      for (const ProtocolStats& p : d.protocols) {
         unconverged += p.control.unconverged;
+        reconv_unconverged += p.control.reconv_unconverged;
+      }
+    }
     if (unconverged > 0)
       os << "\nWARNING: " << unconverged
          << " simulation run(s) hit the hard time cap before the control "
             "plane quiesced; their measurements are from unconverged state "
             "(see the unconverged_runs column in csv/json).\n";
-    std::size_t reconv_unconverged = 0;
-    for (const DensityStats& d : result.sweep)
-      for (const ProtocolStats& p : d.protocols)
-        reconv_unconverged += p.control.reconv_unconverged;
     if (reconv_unconverged > 0)
       os << "\nWARNING: " << reconv_unconverged
          << " post-fault re-convergence window(s) hit the hard time cap "

@@ -49,8 +49,9 @@ class ResultSink {
                      std::ostream& os) const = 0;
 };
 
-/// Human-readable tables: set sizes, overheads, diagnostics — the view the
-/// old figure harnesses printed.
+/// Human-readable tables: set sizes, overheads, diagnostics, and each
+/// engine's section when it ran — one list of sections (result_sink.cpp)
+/// rendered through util::Table.
 class PrettyTableSink final : public ResultSink {
  public:
   std::string_view format_name() const override { return "table"; }

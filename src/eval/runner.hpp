@@ -270,10 +270,43 @@ struct EvalWorkspace {
   ForwardingWorkspace forwarding;
 };
 
+/// Draws a measured (source, destination) pair on `graph`: up to
+/// `scenario.max_pair_draws` tries of a uniform source, then a uniform
+/// member of its 2-hop set (kTwoHop) or a uniform node of its component
+/// (kAnyConnected). Returns false when every try failed. sample_run and
+/// the dynamics epoch loop both draw here, so their RNG draws agree.
+inline bool draw_pair(const Graph& graph, const Scenario& scenario,
+                      util::Rng& rng, EvalWorkspace& ws, NodeId& source,
+                      NodeId& destination) {
+  const bool two_hop = scenario.pair_mode == Scenario::PairMode::kTwoHop;
+  const Components components =
+      two_hop ? Components{} : connected_components(graph);
+  const auto n = static_cast<NodeId>(graph.node_count());
+  for (std::size_t attempt = 0; attempt < scenario.max_pair_draws;
+       ++attempt) {
+    const NodeId s = static_cast<NodeId>(rng.uniform_int(n));
+    NodeId d = kInvalidNode;
+    if (two_hop) {
+      ws.view_builder.build(graph, s, ws.view);
+      if (ws.view.two_hop().empty()) continue;
+      const std::uint32_t pick = static_cast<std::uint32_t>(
+          rng.uniform_int(std::uint64_t{ws.view.two_hop().size()}));
+      d = ws.view.global_id(ws.view.two_hop()[pick]);
+    } else {
+      d = static_cast<NodeId>(rng.uniform_int(n));
+      if (s == d || !components.connected(s, d)) continue;
+    }
+    source = s;
+    destination = d;
+    return true;
+  }
+  return false;
+}
+
 /// Samples one evaluation topology: Poisson deployment, uniform link QoS,
-/// and a random connected (source, destination) pair. Re-draws the pair up
-/// to `scenario.max_pair_draws` times, then resamples the whole topology —
-/// a disconnected pair has no optimum to compare against (DESIGN.md §4.8).
+/// and a random connected (source, destination) pair (draw_pair). When no
+/// pair is drawn, resamples the whole topology — a disconnected pair has
+/// no optimum to compare against (DESIGN.md §4.8).
 template <Metric M>
 SampledRun sample_run(const Scenario& scenario, double density,
                       util::Rng& rng, EvalWorkspace& ws) {
@@ -292,29 +325,13 @@ SampledRun sample_run(const Scenario& scenario, double density,
     run.graph = sample_poisson_deployment(field, rng);
     if (run.graph.node_count() < 2) continue;
     assign_uniform_qos(run.graph, scenario.qos, rng);
-    const Components components = connected_components(run.graph);
-    const auto n = static_cast<NodeId>(run.graph.node_count());
-    for (std::size_t attempt = 0; attempt < scenario.max_pair_draws;
-         ++attempt) {
-      const NodeId s = static_cast<NodeId>(rng.uniform_int(n));
-      NodeId d = kInvalidNode;
-      if (scenario.pair_mode == Scenario::PairMode::kTwoHop) {
-        ws.view_builder.build(run.graph, s, ws.view);
-        if (ws.view.two_hop().empty()) continue;
-        const std::uint32_t pick = static_cast<std::uint32_t>(
-            rng.uniform_int(std::uint64_t{ws.view.two_hop().size()}));
-        d = ws.view.global_id(ws.view.two_hop()[pick]);
-      } else {
-        d = static_cast<NodeId>(rng.uniform_int(n));
-        if (s == d || !components.connected(s, d)) continue;
-      }
-      run.source = s;
-      run.destination = d;
-      DijkstraWorkspace& optima = ws.forwarding.dijkstra;
-      dijkstra<M>(run.graph, s, kInvalidNode, optima);
-      run.optimal_value = optima.value(d);
-      return run;
-    }
+    if (!draw_pair(run.graph, scenario, rng, ws, run.source,
+                   run.destination))
+      continue;
+    DijkstraWorkspace& optima = ws.forwarding.dijkstra;
+    dijkstra<M>(run.graph, run.source, kInvalidNode, optima);
+    run.optimal_value = optima.value(run.destination);
+    return run;
   }
 }
 

@@ -9,10 +9,10 @@
 
 namespace qolsr {
 
-/// Control- and data-plane counters collected by the simulator, shared by
-/// all nodes of one run. TC bytes are the quantity the paper's set-size
-/// figures proxy: each TC carries one advert per ANS member.
-struct TraceStats {
+/// The scalar control- and data-plane counters of TraceStats. TC bytes are
+/// the quantity the paper's set-size figures proxy: each TC carries one
+/// advert per ANS member.
+struct TraceCounters {
   std::uint64_t hello_sent = 0;
   std::uint64_t tc_originated = 0;
   std::uint64_t tc_forwarded = 0;
@@ -37,7 +37,11 @@ struct TraceStats {
   std::uint64_t frames_corrupted = 0;
   /// Received frames the hardened parser rejected as malformed.
   std::uint64_t frames_malformed = 0;
+};
 
+/// Everything the simulator traces, shared by all nodes of one run: the
+/// counters plus each data packet's journey.
+struct TraceStats : TraceCounters {
   /// Journey of one data packet, keyed by payload id.
   struct Journey {
     /// Why an undelivered packet died, recorded by the node that dropped
@@ -69,20 +73,7 @@ struct TraceStats {
 /// convergence detector takes at every state change (copying the journey
 /// map there would put an O(packets) cost on every table mutation).
 inline void copy_counters(TraceStats& to, const TraceStats& from) {
-  to.hello_sent = from.hello_sent;
-  to.tc_originated = from.tc_originated;
-  to.tc_forwarded = from.tc_forwarded;
-  to.tc_dropped_duplicate = from.tc_dropped_duplicate;
-  to.control_bytes = from.control_bytes;
-  to.data_sent = from.data_sent;
-  to.data_forwarded = from.data_forwarded;
-  to.data_delivered = from.data_delivered;
-  to.data_dropped = from.data_dropped;
-  to.frames_lost = from.frames_lost;
-  to.frames_blocked = from.frames_blocked;
-  to.frames_queue_dropped = from.frames_queue_dropped;
-  to.frames_corrupted = from.frames_corrupted;
-  to.frames_malformed = from.frames_malformed;
+  static_cast<TraceCounters&>(to) = from;
 }
 
 }  // namespace qolsr

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <ostream>
 #include <sstream>
 
 namespace qolsr::util {
@@ -20,15 +19,6 @@ Table::Table(std::vector<std::string> header) : header_(std::move(header)) {}
 void Table::add_row(std::vector<std::string> cells) {
   assert(cells.size() == header_.size());
   rows_.push_back(std::move(cells));
-}
-
-void Table::add_row(double key, const std::vector<double>& values,
-                    int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size() + 1);
-  cells.push_back(format_double(key, 0));
-  for (double v : values) cells.push_back(format_double(v, precision));
-  add_row(std::move(cells));
 }
 
 std::string Table::to_string() const {
@@ -57,8 +47,6 @@ std::string Table::to_string() const {
   for (const auto& row : rows_) emit_row(row, ' ');
   return os.str();
 }
-
-void Table::print(std::ostream& os) const { os << to_string(); }
 
 std::string Table::to_csv() const {
   std::ostringstream os;

@@ -1,13 +1,13 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 namespace qolsr::util {
 
-/// Fixed-width ASCII table printer used by the figure-reproduction benches.
+/// Fixed-width ASCII table printer behind the pretty-table result sink and
+/// the ablation benches.
 ///
 /// Collects rows of cells, then renders with every column padded to the
 /// widest cell, e.g.:
@@ -22,12 +22,7 @@ class Table {
   /// Appends a row; must have exactly as many cells as the header.
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: formats doubles with the given precision.
-  void add_row(double key, const std::vector<double>& values,
-               int precision = 4);
-
   std::string to_string() const;
-  void print(std::ostream& os) const;
 
   /// Renders as RFC-4180-ish CSV (no quoting needed for our numeric cells).
   std::string to_csv() const;

@@ -9,6 +9,9 @@
 
 #include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace qolsr {
 namespace {
@@ -140,6 +143,46 @@ TEST(ResultSink, PrettyTableNamesEverySection) {
   EXPECT_NE(text.find("QoS overhead"), std::string::npos);
   EXPECT_NE(text.find("diagnostics"), std::string::npos);
   EXPECT_NE(text.find("fnbp_bandwidth"), std::string::npos);
+}
+
+TEST(ResultSink, PrettyTableLabelsEveryAxisValue) {
+  // A fractional sweep axis must print each point's own value in every
+  // section, not a rounded integer that merges 0.1 and 0.2 into "0".
+  ExperimentResult result;
+  result.spec.name = "loss_axis";
+  result.spec.backend = BackendId::kPacket;
+  result.spec.selectors = {"fnbp"};
+  result.spec.scenario.sweep_axis = Scenario::SweepAxis::kLoss;
+  for (const double loss : {0.1, 0.2}) {
+    DensityStats d;
+    d.density = loss;
+    d.runs = 1;
+    d.node_count.add(10.0);
+    ProtocolStats p;
+    p.name = "fnbp";
+    p.set_size.add(2.0);
+    p.control.convergence_time.add(1.5);
+    d.protocols.push_back(std::move(p));
+    result.sweep.push_back(std::move(d));
+  }
+  std::ostringstream os;
+  PrettyTableSink{}.write(result, os);
+
+  // Per "## " section: rows starting " 0.1 |" and " 0.2 |".
+  std::vector<std::pair<int, int>> rows;
+  std::istringstream lines(os.str());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("## ", 0) == 0) rows.emplace_back(0, 0);
+    if (rows.empty()) continue;
+    if (line.rfind(" 0.1 |", 0) == 0) ++rows.back().first;
+    if (line.rfind(" 0.2 |", 0) == 0) ++rows.back().second;
+  }
+  // Set size, overhead, diagnostics, degradation, control plane.
+  ASSERT_EQ(rows.size(), 5u) << os.str();
+  for (std::size_t s = 0; s < rows.size(); ++s) {
+    EXPECT_EQ(rows[s].first, 1) << "section " << s << "\n" << os.str();
+    EXPECT_EQ(rows[s].second, 1) << "section " << s << "\n" << os.str();
+  }
 }
 
 TEST(ResultSink, FactoryCoversTheThreeFormatsAndRejectsOthers) {

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/fnbp.hpp"
 #include "eval/figures.hpp"
+#include "eval/result_sink.hpp"
 
 namespace qolsr {
 namespace {
@@ -95,15 +99,23 @@ TEST(RunSweep, DeterministicForFixedSeed) {
 TEST(Figures, TablesHaveExpectedShape) {
   FigureConfig config;
   config.runs = 2;  // smoke test of the full harness path
-  const auto sweep = run_experiment(figure_spec(6, config)).sweep;
-  ASSERT_EQ(sweep.size(), bandwidth_densities().size());
-  const auto sizes = set_size_table(sweep);
-  EXPECT_EQ(sizes.rows(), sweep.size());
-  const auto overheads = overhead_table(sweep);
-  EXPECT_EQ(overheads.rows(), sweep.size());
-  const auto diag = diagnostics_table(sweep);
-  EXPECT_EQ(diag.rows(), sweep.size());
-  EXPECT_FALSE(sizes.to_csv().empty());
+  const ExperimentResult result = run_experiment(figure_spec(6, config));
+  ASSERT_EQ(result.sweep.size(), bandwidth_densities().size());
+  std::ostringstream os;
+  PrettyTableSink{}.write(result, os);
+  // Per "## " section: its table lines (header, rule, one row per point).
+  std::vector<std::size_t> table_lines;
+  std::istringstream lines(os.str());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("## ", 0) == 0)
+      table_lines.push_back(0);
+    else if (!table_lines.empty() && line.find(" | ") != std::string::npos)
+      ++table_lines.back();
+  }
+  // Set size, overhead, diagnostics.
+  ASSERT_EQ(table_lines.size(), 3u) << os.str();
+  for (const std::size_t count : table_lines)
+    EXPECT_EQ(count, 2 + result.sweep.size()) << os.str();
 }
 
 }  // namespace

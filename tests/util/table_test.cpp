@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
 
 namespace qolsr::util {
 namespace {
@@ -17,28 +17,11 @@ TEST(Table, RendersAlignedColumns) {
   EXPECT_NE(s.find("     35 | 2.41"), std::string::npos);
 }
 
-TEST(Table, NumericRowFormatting) {
-  Table t({"d", "a", "b"});
-  t.add_row(15.0, {0.12345, 2.0}, 3);
-  const std::string s = t.to_string();
-  EXPECT_NE(s.find("15"), std::string::npos);
-  EXPECT_NE(s.find("0.123"), std::string::npos);
-  EXPECT_NE(s.find("2.000"), std::string::npos);
-}
-
 TEST(Table, CsvOutput) {
   Table t({"x", "y"});
   t.add_row({"1", "2"});
   t.add_row({"3", "4"});
   EXPECT_EQ(t.to_csv(), "x,y\n1,2\n3,4\n");
-}
-
-TEST(Table, PrintWritesToStream) {
-  Table t({"only"});
-  t.add_row({"cell"});
-  std::ostringstream os;
-  t.print(os);
-  EXPECT_EQ(os.str(), t.to_string());
 }
 
 TEST(Table, RowCount) {
