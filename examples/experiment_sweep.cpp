@@ -1,6 +1,6 @@
 // Experiment-engine walkthrough: describe a sweep as data and run it —
 // here a combination the compiled figure harnesses never offered (the
-// loss metric across all five registered heuristics), emitted as a pretty
+// loss metric across the paper's five heuristics), emitted as a pretty
 // table and as JSON. The same experiment is one qolsr_eval invocation:
 //
 //   $ qolsr_eval --metric=loss \
@@ -18,7 +18,8 @@ int main() {
   ExperimentSpec spec;
   spec.name = "loss_all_selectors";
   spec.metric = MetricId::kLoss;
-  spec.selectors = SelectorRegistry::builtin().names();
+  spec.selectors = {"olsr_mpr", "qolsr_mpr1", "qolsr_mpr2",
+                    "topology_filtering", "fnbp"};
   spec.scenario.densities = {10, 15, 20};
   spec.scenario.runs = 20;
   spec.scenario.seed = 7;

@@ -13,7 +13,8 @@
 namespace qolsr {
 
 /// Tuning knobs for FNBP. The defaults are the paper's Algorithms 1 & 2;
-/// the flags exist for the ablation benches.
+/// each flag turned off is one of the registered ablations
+/// (`fnbp_no_loopfix`, `fnbp_id_tiebreak`), run like any other selector.
 struct FnbpOptions {
   /// Lines 12–14 of Alg. 1/2: the "limiting last link" guard of Fig. 4.
   /// Disabling it reproduces the A/B loop where a 2-hop neighbor behind a
@@ -132,12 +133,17 @@ void select_fnbp_ans(const LocalView& view, SelectionWorkspace& ws,
   select_fnbp_ans<M>(view, ws, out, options.loop_fix, pick);
 }
 
-/// FNBP behind the common selector interface.
+/// FNBP behind the common selector interface. The instance name is
+/// `fnbp`, then `_no_loopfix` and `_id_tiebreak` for each ablated option,
+/// then `_<metric>`; the paper's defaults give `fnbp_<metric>`.
 template <Metric M>
 class FnbpSelector final : public AnsSelector {
  public:
   explicit FnbpSelector(FnbpOptions options = {})
-      : options_(options), name_(std::string("fnbp_") + std::string(M::name())) {}
+      : options_(options),
+        name_(std::string("fnbp") + (options.loop_fix ? "" : "_no_loopfix") +
+              (options.qos_tiebreak ? "" : "_id_tiebreak") + "_" +
+              std::string(M::name())) {}
 
   std::string_view name() const override { return name_; }
   void select_into(const LocalView& view, SelectionWorkspace& ws,

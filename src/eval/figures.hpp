@@ -8,8 +8,9 @@
 namespace qolsr {
 
 /// Shared knobs of the figure-reproduction harness. Defaults are the
-/// paper's (100 runs); benches expose --runs/--seed/--threads flags for
-/// quick deterministic passes. threads == 0 means hardware concurrency.
+/// paper's (100 runs); qolsr_eval's --runs/--seed/--threads override them
+/// for quick deterministic passes. threads == 0 means hardware
+/// concurrency.
 struct FigureConfig {
   std::size_t runs = 100;
   std::uint64_t seed = 42;

@@ -33,6 +33,30 @@ struct PacketEvalWorkspace {
 
 namespace eval_detail {
 
+/// Folds one converged run's control-plane counters into `stats`: the
+/// message, byte and fault-engine frame counts, the convergence time, and
+/// an unconverged run when the state had not `settled`. Both runners that
+/// converge a Simulator share it, so every measured block carries the
+/// same samples.
+inline void add_control_plane(ControlPlaneStats& stats,
+                              const TraceCounters& converged,
+                              double convergence_time, bool settled) {
+  stats.hello_msgs.add(static_cast<double>(converged.hello_sent));
+  stats.tc_msgs.add(static_cast<double>(converged.tc_originated));
+  stats.tc_forwards.add(static_cast<double>(converged.tc_forwarded));
+  stats.duplicate_drops.add(
+      static_cast<double>(converged.tc_dropped_duplicate));
+  stats.control_bytes.add(static_cast<double>(converged.control_bytes));
+  stats.convergence_time.add(convergence_time);
+  // A run stopped by the hard cap mid-change is measured from
+  // not-yet-quiescent state; count it so the sweep point is flagged
+  // instead of silently averaged in.
+  if (!settled) ++stats.unconverged;
+  // Fault-engine frame counters — the price paid reaching convergence.
+  stats.frames_lost.add(static_cast<double>(converged.frames_lost));
+  stats.frames_blocked.add(static_cast<double>(converged.frames_blocked));
+}
+
 /// One packet-level run: sample the same deployment and (source,
 /// destination) pair the oracle backend would (identical RNG stream), then
 /// per protocol bring up a full distributed control plane — HELLO link
@@ -132,25 +156,11 @@ void execute_packet_run(const Scenario& scenario, double axis_value,
     // stopped the clock: every protocol's control-plane cost covers the
     // same window — reaching its converged state — so a slow converger is
     // charged more *time*, not padded with post-convergence keepalives.
+    // Read before the incident loop below: its re-convergence calls
+    // overwrite trace_at_convergence().
     const TraceStats& converged = ws.sim.trace_at_convergence();
-    ps.control.hello_msgs.add(static_cast<double>(converged.hello_sent));
-    ps.control.tc_msgs.add(static_cast<double>(converged.tc_originated));
-    ps.control.tc_forwards.add(static_cast<double>(converged.tc_forwarded));
-    ps.control.duplicate_drops.add(
-        static_cast<double>(converged.tc_dropped_duplicate));
-    ps.control.control_bytes.add(
-        static_cast<double>(converged.control_bytes));
-    ps.control.convergence_time.add(report.converged_at);
-    // A run stopped by the hard cap mid-change is measured from
-    // not-yet-quiescent state; count it so the sweep point is flagged
-    // instead of silently averaged in.
-    if (!report.converged) ++ps.control.unconverged;
-    // Fault-engine frame counters — the price paid reaching convergence.
-    // Snapshot now: the reference is invalidated by the re-convergence
-    // calls of the incident loop below.
-    ps.control.frames_lost.add(static_cast<double>(converged.frames_lost));
-    ps.control.frames_blocked.add(
-        static_cast<double>(converged.frames_blocked));
+    add_control_plane(ps.control, converged, report.converged_at,
+                      report.converged);
 
     // Data probes between the shared pair, forwarded by the nodes
     // themselves on whatever their converged knowledge routes. The slack

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "eval/backend.hpp"
+#include "eval/packet_runner.hpp"
 #include "eval/runner.hpp"
 #include "net/wire_harness.hpp"
 #include "sim/simulator.hpp"
@@ -33,9 +34,12 @@ namespace qolsr {
 /// Measured figures: set sizes straight from the daemons' status frames,
 /// and the wire's own wall-clock convergence time (the latest local
 /// mutation any daemon reported — real elapsed seconds, not simulated
-/// time, so it scales with `wire_scale`). They are folded in (run,
-/// protocol) order, whatever order the fleets end in, so the output is
-/// the same as running the fleets one by one.
+/// time, so it scales with `wire_scale`). The control plane's message and
+/// byte counts are the twin's, as of its convergence: the daemons report
+/// none, and the twin runs the same protocol on the same topology, seed
+/// and timing. Everything is folded in (run, protocol) order, whatever
+/// order the fleets end in, so the output is the same as running the
+/// fleets one by one.
 template <Metric M>
 std::vector<DensityStats> run_wire_sweep(const ExperimentSpec& spec,
                                          const ResolvedProtocols& protocols) {
@@ -74,6 +78,7 @@ std::vector<DensityStats> run_wire_sweep(const ExperimentSpec& spec,
     double set_size = 0.0;
     double settled_at = 0.0;
     bool converged = false;
+    TraceCounters control;  ///< the twin's counters at convergence
   };
   std::vector<Measured> measured(jobs.size());
   net::run_wire_networks(jobs, [&](std::size_t index,
@@ -116,6 +121,7 @@ std::vector<DensityStats> run_wire_sweep(const ExperimentSpec& spec,
     }
     m.set_size = n > 0 ? total_ans / static_cast<double>(n) : 0.0;
     m.converged = report.converged;
+    m.control = sim.trace_at_convergence();
   });
 
   std::vector<DensityStats> sweep;
@@ -130,8 +136,8 @@ std::vector<DensityStats> run_wire_sweep(const ExperimentSpec& spec,
         const Measured& m = measured[run * protocol_count + si];
         ProtocolStats& ps = stats.protocols[si];
         ps.set_size.add(m.set_size);
-        ps.control.convergence_time.add(m.settled_at);
-        if (!m.converged) ++ps.control.unconverged;
+        eval_detail::add_control_plane(ps.control, m.control, m.settled_at,
+                                       m.converged);
       }
     }
     sweep.push_back(std::move(stats));

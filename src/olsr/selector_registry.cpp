@@ -89,13 +89,19 @@ const SelectorRegistry& SelectorRegistry::builtin() {
         return std::make_unique<TopologyFilteringSelector<M>>();
       });
     });
-    r.add("fnbp", [](MetricId metric) {
-      return dispatch_metric(metric,
-                             [](auto tag) -> std::unique_ptr<AnsSelector> {
-        using M = typename decltype(tag)::type;
-        return std::make_unique<FnbpSelector<M>>();
-      });
-    });
+    const auto fnbp = [](FnbpOptions options) -> Factory {
+      return [options](MetricId metric) {
+        return dispatch_metric(metric,
+                               [&](auto tag) -> std::unique_ptr<AnsSelector> {
+          using M = typename decltype(tag)::type;
+          return std::make_unique<FnbpSelector<M>>(options);
+        });
+      };
+    };
+    r.add("fnbp", fnbp({}));
+    // FNBP's two ablations, after the paper's five contenders.
+    r.add("fnbp_no_loopfix", fnbp({.loop_fix = false}));
+    r.add("fnbp_id_tiebreak", fnbp({.qos_tiebreak = false}));
     return r;
   }();
   return registry;

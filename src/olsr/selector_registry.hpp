@@ -46,8 +46,10 @@ class SelectorRegistry {
   /// Registered names, in registration order.
   std::vector<std::string> names() const;
 
-  /// The five heuristics the paper compares, in its legend order:
-  /// olsr_mpr, qolsr_mpr1, qolsr_mpr2, topology_filtering, fnbp.
+  /// The five heuristics the paper compares, in its legend order
+  /// (olsr_mpr, qolsr_mpr1, qolsr_mpr2, topology_filtering, fnbp), then
+  /// FNBP's two ablations: fnbp_no_loopfix (no Fig. 4 loop fix) and
+  /// fnbp_id_tiebreak (smallest id instead of the max≺ QoS pick).
   static const SelectorRegistry& builtin();
 
  private:

@@ -27,11 +27,6 @@ struct SimConfig {
   std::uint64_t seed = 1;
 
   // ---- convergence detection (run_to_convergence) -----------------------
-  /// Unused since detection became event-driven (the nodes report every
-  /// state change to the MutationClock the instant it happens, so there is
-  /// no sampling grid to configure). Kept so existing configs still parse;
-  /// derived_convergence_step() remains for tests that want the old grid.
-  double convergence_step = 0.0;
   /// How long the digest must stay unchanged to declare convergence. 0
   /// derives ProtocolTiming::convergence_dwell() — the same window the
   /// wire harness uses to declare a wall-clock run quiescent, so both
@@ -41,9 +36,6 @@ struct SimConfig {
   /// ProtocolTiming::max_horizon().
   double max_sim_time = 0.0;
 
-  double derived_convergence_step() const {
-    return convergence_step > 0.0 ? convergence_step : node.hello_interval;
-  }
   double derived_convergence_dwell() const {
     return convergence_dwell > 0.0 ? convergence_dwell
                                    : node.convergence_dwell();

@@ -6,8 +6,7 @@
 
 namespace qolsr::util {
 
-/// Fixed-width ASCII table printer behind the pretty-table result sink and
-/// the ablation benches.
+/// Fixed-width ASCII table printer behind the pretty-table result sink.
 ///
 /// Collects rows of cells, then renders with every column padded to the
 /// widest cell, e.g.:
@@ -23,9 +22,6 @@ class Table {
   void add_row(std::vector<std::string> cells);
 
   std::string to_string() const;
-
-  /// Renders as RFC-4180-ish CSV (no quoting needed for our numeric cells).
-  std::string to_csv() const;
 
   std::size_t rows() const { return rows_.size(); }
 

@@ -29,8 +29,9 @@ using testing::next_hop_routes;
 
 constexpr std::uint64_t kGraphSeeds[] = {11, 4242};
 
-/// All five paper protocols by registry name, with their packet-backend
-/// flooding roles resolved the same way the engine resolves them.
+/// Every registered protocol by name (the paper's five and FNBP's two
+/// ablations), with their packet-backend flooding roles resolved the same
+/// way the engine resolves them.
 std::vector<std::string> all_selector_names() {
   return SelectorRegistry::builtin().names();
 }
@@ -111,8 +112,8 @@ TEST(BackendEquivalence, BothBackendsAgreeOnSetSizesOfTheSameDeployments) {
   // Same scenario seed ⇒ both backends sample the identical deployments
   // and pairs (the packet backend reuses sample_run's RNG stream), and a
   // converged control plane selects exactly the oracle sets — so the
-  // set-size aggregates must agree to the last bit, for all five
-  // selectors at once.
+  // set-size aggregates must agree to the last bit, for all seven
+  // registered selectors at once.
   const ExperimentResult oracle =
       run_experiment(small_spec(BackendId::kOracle));
   const ExperimentResult packet =

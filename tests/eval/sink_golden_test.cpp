@@ -2,6 +2,7 @@
 // every JSON block and every per-run field (records with no route
 // included): oracle, dynamics, the packet layouts with and without the
 // fault, traffic and adversary engines, and the figure R, L and B axes.
+// Two more pin FNBP's loop-fix and tie-break ablations.
 // Each spec runs once on one thread and is rendered by the CSV, JSON and
 // pretty-table sinks; each document is pinned by its FNV-1a 64 digest and
 // byte length, the forwarding equivalence suite's convention. A mismatch
@@ -139,6 +140,25 @@ TEST(SinkGolden, FigureB) {
              {{0x9bceba2028c414e0ULL, 6223},
               {0xb136835d0cde0b99ULL, 2019},
               {0xe6bb988ca5b3d136ULL, 14578}});
+}
+
+// FNBP's two ablations, each exactly the figure-6 scenario of the
+// compiled binary it replaced; the CSVs were checked against those
+// binaries' set size, overhead and failures per density.
+TEST(SinkGolden, LoopFixAblation) {
+  check_spec({"--figure=6", "--routing=chain",
+              "--selectors=fnbp,fnbp_no_loopfix", "--runs=1", "--seed=42"},
+             {{0x8c57e562b98d5b42ULL, 2141},
+              {0xe4336b37dfa6ea75ULL, 906},
+              {0xd113c7e5ef8c84c0ULL, 4483}});
+}
+
+TEST(SinkGolden, TieBreakAblation) {
+  check_spec({"--figure=6", "--selectors=fnbp,fnbp_id_tiebreak", "--runs=1",
+              "--seed=42"},
+             {{0xe2da8d85c91526c2ULL, 2173},
+              {0x685d4620980fb5d6ULL, 898},
+              {0xb9b714d305aab60fULL, 4448}});
 }
 
 }  // namespace

@@ -97,6 +97,13 @@ TEST(WireBackend, SweepsRealProcessFleetsAndVerifiesDigests) {
     EXPECT_EQ(ps.control.convergence_time.count(), spec.scenario.runs);
     EXPECT_GT(ps.control.convergence_time.mean(), 0.0);
     EXPECT_EQ(ps.control.unconverged, 0u);
+    // The message and byte counts are the twin's, one sample per run.
+    for (const util::RunningStats* counts :
+         {&ps.control.hello_msgs, &ps.control.tc_msgs,
+          &ps.control.control_bytes}) {
+      EXPECT_EQ(counts->count(), spec.scenario.runs);
+      EXPECT_GT(counts->mean(), 0.0);
+    }
   }
 }
 

@@ -117,10 +117,14 @@ std::vector<std::vector<std::uint64_t>> wire_digests(
 }
 
 TEST(WireEquivalence, AllFiveSelectorsMatchTheSimulatorByteForByte) {
-  // One batch: the five fleets (45 processes) are in flight together.
+  // One batch: the paper's five contenders' fleets (45 processes) are in
+  // flight together. FNBP's ablations are left out: on this graph
+  // fnbp_id_tiebreak converges to topology_filtering's state, so the
+  // distinctness check below could not hold over the whole registry; their
+  // fleets are digest-checked by FleetsOverlapWithinTheProcessBudget.
   const Graph graph = test_graph();
-  const std::vector<std::string> protocols =
-      SelectorRegistry::builtin().names();
+  const std::vector<std::string> protocols = {
+      "olsr_mpr", "qolsr_mpr1", "qolsr_mpr2", "topology_filtering", "fnbp"};
   std::vector<net::WireJob> jobs(protocols.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     jobs[i].graph = &graph;

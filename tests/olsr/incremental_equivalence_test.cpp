@@ -99,8 +99,8 @@ Graph sampled_graph(std::uint64_t seed, double degree, double side,
 }
 
 /// Runs `model` for kEpochs epochs, asserting after every epoch that the
-/// incremental state equals a from-scratch rebuild for all five paper
-/// selectors.
+/// incremental state equals a from-scratch rebuild for all seven registry
+/// selectors: the paper's five and FNBP's two ablations.
 void check_incremental_equals_rebuild(MobilityModel& model, Graph& graph,
                                       util::Rng& rng,
                                       const QosIntervals& qos) {
@@ -112,7 +112,7 @@ void check_incremental_equals_rebuild(MobilityModel& model, Graph& graph,
     owned.push_back(registry.create(name, MetricId::kBandwidth));
     selectors.push_back(owned.back().get());
   }
-  ASSERT_EQ(selectors.size(), 5u);
+  ASSERT_EQ(selectors.size(), 7u);
 
   auto incremental = full_selection(graph, selectors);
 

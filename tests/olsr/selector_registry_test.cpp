@@ -4,14 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/fnbp.hpp"
+#include "support/paper_graphs.hpp"
 
 namespace qolsr {
 namespace {
 
 TEST(SelectorRegistry, BuiltinNamesInLegendOrder) {
+  // The paper's five contenders, then FNBP's two ablations.
   const std::vector<std::string> expected = {
-      "olsr_mpr", "qolsr_mpr1", "qolsr_mpr2", "topology_filtering", "fnbp"};
+      "olsr_mpr", "qolsr_mpr1",      "qolsr_mpr2",      "topology_filtering",
+      "fnbp",     "fnbp_no_loopfix", "fnbp_id_tiebreak"};
   EXPECT_EQ(SelectorRegistry::builtin().names(), expected);
   for (const std::string& name : expected)
     EXPECT_TRUE(SelectorRegistry::builtin().contains(name));
@@ -29,11 +34,15 @@ TEST(SelectorRegistry, CreatesMetricSpecificInstances) {
   EXPECT_EQ(r.create("topology_filtering", MetricId::kEnergy)->name(),
             "topology_filtering_energy");
   EXPECT_EQ(r.create("fnbp", MetricId::kBuffers)->name(), "fnbp_buffers");
+  EXPECT_EQ(r.create("fnbp_no_loopfix", MetricId::kDelay)->name(),
+            "fnbp_no_loopfix_delay");
+  EXPECT_EQ(r.create("fnbp_id_tiebreak", MetricId::kBandwidth)->name(),
+            "fnbp_id_tiebreak_bandwidth");
 }
 
 TEST(SelectorRegistry, CreatedSelectorsSelectLikeTheDirectTypes) {
-  // Fig. 1's topology: the registry's fnbp instance must agree with a
-  // directly constructed FnbpSelector on every node.
+  // Fig. 1's topology: the registry's fnbp instance and its two ablations
+  // must agree with a directly constructed FnbpSelector on every node.
   Graph g(6);
   auto bw = [](double bandwidth) {
     LinkQos qos;
@@ -50,13 +59,34 @@ TEST(SelectorRegistry, CreatedSelectorsSelectLikeTheDirectTypes) {
   g.add_edge(4, 3, bw(10));
   g.add_edge(3, 2, bw(10));
 
-  const auto from_registry =
-      SelectorRegistry::builtin().create("fnbp", MetricId::kBandwidth);
-  const FnbpSelector<BandwidthMetric> direct;
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    const LocalView view(g, u);
-    EXPECT_EQ(from_registry->select(view), direct.select(view)) << "node " << u;
+  const std::pair<const char*, FnbpOptions> cases[] = {
+      {"fnbp", {}},
+      {"fnbp_no_loopfix", {.loop_fix = false}},
+      {"fnbp_id_tiebreak", {.qos_tiebreak = false}}};
+  for (const auto& [name, options] : cases) {
+    const auto from_registry =
+        SelectorRegistry::builtin().create(name, MetricId::kBandwidth);
+    const FnbpSelector<BandwidthMetric> direct(options);
+    for (NodeId u = 0; u < g.node_count(); ++u) {
+      const LocalView view(g, u);
+      EXPECT_EQ(from_registry->select(view), direct.select(view))
+          << name << " node " << u;
+    }
   }
+
+  // Fig. 4, where the loop fix decides: A selects D only with the fix, so
+  // a registry that dropped the options would fail here.
+  using testing::Fig4;
+  const Graph fig4 = Fig4::build();
+  const LocalView view_a(fig4, Fig4::a);
+  EXPECT_EQ(SelectorRegistry::builtin()
+                .create("fnbp", MetricId::kBandwidth)
+                ->select(view_a),
+            (std::vector<NodeId>{Fig4::b, Fig4::d}));
+  EXPECT_EQ(SelectorRegistry::builtin()
+                .create("fnbp_no_loopfix", MetricId::kBandwidth)
+                ->select(view_a),
+            (std::vector<NodeId>{Fig4::b}));
 }
 
 TEST(SelectorRegistry, UnknownNameThrowsWithKnownNames) {

@@ -3,7 +3,7 @@
 // flap, liar poisoning — the cached knowledge_graph() must equal the graph
 // a fresh validity-aware build produces at the same instant (the TC
 // topology base merged with the node's own symmetric links). Checked at
-// arbitrary clock points across all five paper selectors and several
+// arbitrary clock points across all seven registered selectors and several
 // seeds, so a missed invalidation edge anywhere in the cache contract
 // shows up as a graph mismatch here.
 #include <gtest/gtest.h>

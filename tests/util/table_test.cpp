@@ -17,13 +17,6 @@ TEST(Table, RendersAlignedColumns) {
   EXPECT_NE(s.find("     35 | 2.41"), std::string::npos);
 }
 
-TEST(Table, CsvOutput) {
-  Table t({"x", "y"});
-  t.add_row({"1", "2"});
-  t.add_row({"3", "4"});
-  EXPECT_EQ(t.to_csv(), "x,y\n1,2\n3,4\n");
-}
-
 TEST(Table, RowCount) {
   Table t({"h"});
   EXPECT_EQ(t.rows(), 0u);
