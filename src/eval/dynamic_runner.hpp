@@ -2,8 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "eval/runner.hpp"
@@ -61,18 +59,8 @@ void execute_dynamic_run(const Scenario& scenario, double axis_value,
     field.degree = axis_value;
 
   Graph graph;
-  for (std::size_t resample = 0;; ++resample) {
-    if (resample >= scenario.max_topology_resamples)
-      throw std::runtime_error(
-          "execute_dynamic_run: no deployment with >= 2 nodes after " +
-          std::to_string(scenario.max_topology_resamples) +
-          " resamples (expected nodes per deployment: " +
-          std::to_string(field.expected_nodes()) +
-          ") - the deployment configuration is degenerate");
-    graph = sample_poisson_deployment(field, rng);
-    if (graph.node_count() >= 2) break;
-  }
-  assign_uniform_qos(graph, scenario.qos, rng);
+  sample_topology(scenario, field, rng, graph,
+                  [](const Graph&) { return true; });
   stats.node_count.add(static_cast<double>(graph.node_count()));
   const std::size_t n = graph.node_count();
 
@@ -165,22 +153,12 @@ void execute_dynamic_run(const Scenario& scenario, double axis_value,
       if (!pair_found) continue;
 
       ForwardingOptions options;
-      options.use_local_views = scenario.use_local_views;
-      options.min_hop_routing = !selectors[si]->qos_first_routing();
       options.verify_links = true;
-      ForwardingResult routed;
-      if (!union_model) {
-        options.advertised_snapshot = &ws.snapshot;
-        routed = forward_via_ans<M>(graph, ws.advertised_ans[si], source,
-                                    destination, options, ws.eval.forwarding);
-      } else if (scenario.hop_by_hop) {
-        routed = forward_packet<M>(graph, ws.advertised[si], source,
-                                   destination, options, ws.eval.forwarding);
-      } else {
-        routed = source_route_packet<M>(graph, ws.advertised[si], source,
-                                        destination, options,
-                                        ws.eval.forwarding);
-      }
+      if (!union_model) options.advertised_snapshot = &ws.snapshot;
+      const ForwardingResult routed = route_packet<M>(
+          scenario, *selectors[si], graph, ws.advertised_ans[si],
+          ws.advertised[si], source, destination, options,
+          ws.eval.forwarding);
       if (routed.delivered()) {
         ++ps.delivered;
         ps.overhead.add(qos_overhead<M>(routed.value, optimal_value));
@@ -208,13 +186,7 @@ std::vector<DensityStats> run_dynamic_sweep(
     const Scenario& scenario, const std::vector<const AnsSelector*>& selectors,
     unsigned threads = 0) {
   return eval_detail::sweep_harness<DynamicEvalWorkspace>(
-      scenario, selectors, threads,
-      [](const Scenario& sc, double axis_value, std::size_t run_index,
-         std::uint64_t run_seed, const std::vector<const AnsSelector*>& sel,
-         DensityStats& stats, DynamicEvalWorkspace& ws) {
-        eval_detail::execute_dynamic_run<M>(sc, axis_value, run_index,
-                                            run_seed, sel, stats, ws);
-      });
+      scenario, selectors, threads, eval_detail::execute_dynamic_run<M>);
 }
 
 }  // namespace qolsr

@@ -161,13 +161,12 @@ struct ProtocolStats {
   util::RunningStats overhead;   ///< (b*−b)/b* resp. (d−d*)/d*, per run
   util::RunningStats path_hops;  ///< hop length of the delivered route
   std::size_t delivered = 0;
-  std::size_t failed = 0;        ///< no-route / loop / hop-limit outcomes
+  std::size_t failed = 0;        ///< no-route / loop / stale-link outcomes
   // ---- dynamics-mode only (empty in static sweeps) ----------------------
   /// Of `failed`: packets lost handing off over an advertised link that no
   /// longer exists (ForwardingStatus::kStaleLink) — losses specifically
   /// chargeable to advertisement *age*, as opposed to advertised state
-  /// that never connected the pair (kNoRoute) or routing pathologies
-  /// (kLoop / kHopLimit).
+  /// that never connected the pair (kNoRoute) or a routing loop (kLoop).
   std::size_t stale_losses = 0;
   /// Hop stretch of delivered epoch packets: traversed hops / min-hop
   /// distance on the *current* true graph.
@@ -270,11 +269,14 @@ struct EvalWorkspace {
   ForwardingWorkspace forwarding;
 };
 
+/// Tries draw_pair makes before it gives up on a topology.
+inline constexpr std::size_t kMaxPairDraws = 64;
+
 /// Draws a measured (source, destination) pair on `graph`: up to
-/// `scenario.max_pair_draws` tries of a uniform source, then a uniform
-/// member of its 2-hop set (kTwoHop) or a uniform node of its component
-/// (kAnyConnected). Returns false when every try failed. sample_run and
-/// the dynamics epoch loop both draw here, so their RNG draws agree.
+/// kMaxPairDraws tries of a uniform source, then a uniform member of its
+/// 2-hop set (kTwoHop) or a uniform node of its component (kAnyConnected).
+/// Returns false when every try failed. sample_run and the dynamics epoch
+/// loop both draw here, so their RNG draws agree.
 inline bool draw_pair(const Graph& graph, const Scenario& scenario,
                       util::Rng& rng, EvalWorkspace& ws, NodeId& source,
                       NodeId& destination) {
@@ -282,8 +284,7 @@ inline bool draw_pair(const Graph& graph, const Scenario& scenario,
   const Components components =
       two_hop ? Components{} : connected_components(graph);
   const auto n = static_cast<NodeId>(graph.node_count());
-  for (std::size_t attempt = 0; attempt < scenario.max_pair_draws;
-       ++attempt) {
+  for (std::size_t attempt = 0; attempt < kMaxPairDraws; ++attempt) {
     const NodeId s = static_cast<NodeId>(rng.uniform_int(n));
     NodeId d = kInvalidNode;
     if (two_hop) {
@@ -303,36 +304,49 @@ inline bool draw_pair(const Graph& graph, const Scenario& scenario,
   return false;
 }
 
-/// Samples one evaluation topology: Poisson deployment, uniform link QoS,
-/// and a random connected (source, destination) pair (draw_pair). When no
-/// pair is drawn, resamples the whole topology — a disconnected pair has
-/// no optimum to compare against (DESIGN.md §4.8).
+/// Samples one deployment of `field` into `graph`: a Poisson deployment
+/// with uniform link QoS, drawn again while it has fewer than 2 nodes or
+/// `usable(graph)` rejects it. A degenerate deployment configuration
+/// (expected node count near zero, or a field too sparse to ever connect a
+/// pair) raises an error after `scenario.max_topology_resamples` tries
+/// instead of spinning forever. sample_run and execute_dynamic_run both
+/// sample here.
+template <typename Usable>
+void sample_topology(const Scenario& scenario, const DeploymentConfig& field,
+                     util::Rng& rng, Graph& graph, const Usable& usable) {
+  for (std::size_t resample = 0;; ++resample) {
+    if (resample >= scenario.max_topology_resamples)
+      throw std::runtime_error(
+          "no usable deployment after " +
+          std::to_string(scenario.max_topology_resamples) +
+          " topology resamples at density " + std::to_string(field.degree) +
+          " (expected nodes per deployment: " +
+          std::to_string(field.expected_nodes()) +
+          ") - the deployment configuration is degenerate");
+    graph = sample_poisson_deployment(field, rng);
+    if (graph.node_count() < 2) continue;
+    assign_uniform_qos(graph, scenario.qos, rng);
+    if (usable(graph)) return;
+  }
+}
+
+/// Samples one evaluation topology (sample_topology) with a random
+/// connected (source, destination) pair (draw_pair). When no pair is
+/// drawn, resamples the whole topology — a disconnected pair has no
+/// optimum to compare against (DESIGN.md §4.8).
 template <Metric M>
 SampledRun sample_run(const Scenario& scenario, double density,
                       util::Rng& rng, EvalWorkspace& ws) {
   SampledRun run;
   DeploymentConfig field = scenario.field;
   field.degree = density;
-  for (std::size_t resample = 0;; ++resample) {
-    if (resample >= scenario.max_topology_resamples)
-      throw std::runtime_error(
-          "sample_run: no usable (source, destination) pair after " +
-          std::to_string(scenario.max_topology_resamples) +
-          " topology resamples at density " + std::to_string(density) +
-          " (expected nodes per deployment: " +
-          std::to_string(field.expected_nodes()) +
-          ") - the deployment configuration is degenerate");
-    run.graph = sample_poisson_deployment(field, rng);
-    if (run.graph.node_count() < 2) continue;
-    assign_uniform_qos(run.graph, scenario.qos, rng);
-    if (!draw_pair(run.graph, scenario, rng, ws, run.source,
-                   run.destination))
-      continue;
-    DijkstraWorkspace& optima = ws.forwarding.dijkstra;
-    dijkstra<M>(run.graph, run.source, kInvalidNode, optima);
-    run.optimal_value = optima.value(run.destination);
-    return run;
-  }
+  sample_topology(scenario, field, rng, run.graph, [&](const Graph& graph) {
+    return draw_pair(graph, scenario, rng, ws, run.source, run.destination);
+  });
+  DijkstraWorkspace& optima = ws.forwarding.dijkstra;
+  dijkstra<M>(run.graph, run.source, kInvalidNode, optima);
+  run.optimal_value = optima.value(run.destination);
+  return run;
 }
 
 /// Convenience form with a throwaway workspace (tests, one-off callers).
@@ -360,6 +374,29 @@ double qos_overhead(double achieved, double optimal) {
   } else {
     return (achieved - optimal) / optimal;
   }
+}
+
+/// Routes one measured packet of `selector` under the scenario's routing
+/// model: the ANS-chain walk over `ans` (kAnsChain), otherwise the
+/// advertised union `advertised`, hop by hop or source-routed
+/// (Scenario::hop_by_hop). Sets the scenario's knowledge mode and the
+/// selector's routing discipline on `options`; the caller sets the rest.
+template <Metric M>
+ForwardingResult route_packet(const Scenario& scenario,
+                              const AnsSelector& selector, const Graph& full,
+                              const std::vector<std::vector<NodeId>>& ans,
+                              const CsrTopology& advertised, NodeId source,
+                              NodeId destination, ForwardingOptions options,
+                              ForwardingWorkspace& ws) {
+  options.use_local_views = scenario.use_local_views;
+  options.min_hop_routing = !selector.qos_first_routing();
+  if (scenario.routing_model == Scenario::RoutingModel::kAnsChain)
+    return forward_via_ans<M>(full, ans, source, destination, options, ws);
+  if (scenario.hop_by_hop)
+    return forward_packet<M>(full, advertised, source, destination, options,
+                             ws);
+  return source_route_packet<M>(full, advertised, source, destination,
+                                options, ws);
 }
 
 namespace eval_detail {
@@ -397,24 +434,12 @@ void execute_run(const Scenario& scenario, double density,
     const double set_size = average_set_size(ans[si]);
     ps.set_size.add(set_size);
 
-    ForwardingOptions options;
-    options.use_local_views = scenario.use_local_views;
-    options.min_hop_routing = !selectors[si]->qos_first_routing();
-    ForwardingResult routed;
-    if (scenario.routing_model == Scenario::RoutingModel::kAnsChain) {
-      routed = forward_via_ans<M>(run.graph, ans[si], run.source,
-                                  run.destination, options, ws.forwarding);
-    } else {
+    if (scenario.routing_model == Scenario::RoutingModel::kAdvertisedUnion)
       ws.advertised_builder.build_advertised(run.graph, ans[si],
                                              ws.advertised);
-      routed = scenario.hop_by_hop
-                   ? forward_packet<M>(run.graph, ws.advertised, run.source,
-                                       run.destination, options,
-                                       ws.forwarding)
-                   : source_route_packet<M>(run.graph, ws.advertised,
-                                            run.source, run.destination,
-                                            options, ws.forwarding);
-    }
+    const ForwardingResult routed = route_packet<M>(
+        scenario, *selectors[si], run.graph, ans[si], ws.advertised,
+        run.source, run.destination, {}, ws.forwarding);
     const double overhead =
         routed.delivered() ? qos_overhead<M>(routed.value, run.optimal_value)
                            : 0.0;
@@ -516,21 +541,21 @@ std::vector<DensityStats> sweep_harness(
 
   for (std::size_t di = 0; di < scenario.densities.size(); ++di) {
     const double axis_value = scenario.densities[di];
-    auto seed_of = [&](std::size_t run_index) {
-      return run_seed(scenario, di, run_index);
-    };
-
     std::vector<DensityStats> partials(
         threads,
         eval_detail::empty_stats(axis_value, scenario.runs, selectors));
-    if (threads == 1) {
+    // Worker t runs every threads-th run from t, on its own workspace.
+    auto work = [&](unsigned t) {
       Workspace ws;
-      for (std::size_t r = 0; r < scenario.runs; ++r)
-        execute(scenario, axis_value, r, seed_of(r), selectors, partials[0],
-                ws);
+      for (std::size_t r = t; r < scenario.runs; r += threads)
+        execute(scenario, axis_value, r, run_seed(scenario, di, r),
+                selectors, partials[t], ws);
+    };
+    if (threads == 1) {
+      work(0);
     } else {
-      // A worker that throws (e.g. the sample_run resample cap) parks the
-      // exception and stops; the first one is rethrown on the calling
+      // A worker that throws (e.g. the sample_topology resample cap) parks
+      // the exception and stops; the first one is rethrown on the calling
       // thread after the join.
       std::vector<std::exception_ptr> errors(threads);
       std::vector<std::thread> workers;
@@ -538,10 +563,7 @@ std::vector<DensityStats> sweep_harness(
       for (unsigned t = 0; t < threads; ++t) {
         workers.emplace_back([&, t] {
           try {
-            Workspace ws;
-            for (std::size_t r = t; r < scenario.runs; r += threads)
-              execute(scenario, axis_value, r, seed_of(r), selectors,
-                      partials[t], ws);
+            work(t);
           } catch (...) {
             errors[t] = std::current_exception();
           }
@@ -579,13 +601,7 @@ std::vector<DensityStats> run_sweep(
     const Scenario& scenario, const std::vector<const AnsSelector*>& selectors,
     unsigned threads = 0) {
   return eval_detail::sweep_harness<EvalWorkspace>(
-      scenario, selectors, threads,
-      [](const Scenario& sc, double density, std::size_t run_index,
-         std::uint64_t run_seed, const std::vector<const AnsSelector*>& sel,
-         DensityStats& stats, EvalWorkspace& ws) {
-        eval_detail::execute_run<M>(sc, density, run_index, run_seed, sel,
-                                    stats, ws);
-      });
+      scenario, selectors, threads, eval_detail::execute_run<M>);
 }
 
 }  // namespace qolsr

@@ -95,10 +95,7 @@ struct Scenario {
   ///    multi-hop flows).
   enum class PairMode { kTwoHop, kAnyConnected };
   PairMode pair_mode = PairMode::kTwoHop;
-  /// Re-draws of the (source, destination) pair before resampling a
-  /// topology when the draw keeps failing (disconnected pair / empty N²).
-  std::size_t max_pair_draws = 64;
-  /// Hard cap on whole-topology resamples in one sample_run call. A
+  /// Hard cap on whole-topology resamples in one sample_topology call. A
   /// degenerate deployment (expected node count near zero, or a field too
   /// sparse to ever connect a pair) would otherwise spin forever; hitting
   /// the cap raises a descriptive error instead. Generous enough that any

@@ -4,16 +4,15 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include <poll.h>
-#include <time.h>
 
 #include "metrics/metric_id.hpp"
 #include "net/socket.hpp"
 #include "net/wire_format.hpp"
 #include "olsr/selector_registry.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/medium.hpp"
 #include "sim/mutation_clock.hpp"
 #include "sim/olsr_node.hpp"
@@ -23,17 +22,10 @@ namespace qolsr::net {
 
 namespace {
 
-double monotonic_now() {
-  timespec ts;
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
 /// The wall-clock side of the Scheduler seam: the Medium a daemon's
 /// OlsrNode runs against. `now()` is seconds since construction on the
-/// monotonic clock; `schedule_in` arms a timer in the daemon's min-heap
-/// (served between socket polls); broadcast/unicast wrap the serialized
+/// monotonic clock; `schedule_in` arms a timer in the daemon's event
+/// queue (served between socket polls); broadcast/unicast wrap the serialized
 /// OLSR packet in a wire frame and hand it to the switch. The protocol
 /// code is byte-identical to what the Simulator runs — only the clock and
 /// the transport changed underneath it.
@@ -48,7 +40,7 @@ class WireMedium final : public Medium {
   SimTime now() const override { return monotonic_now() - start_; }
 
   void schedule_in(SimTime delay, std::function<void()> callback) override {
-    timers_.push({now() + delay, next_seq_++, std::move(callback)});
+    timers_.schedule_at(now() + delay, std::move(callback));
   }
 
   void broadcast(NodeId from, SharedBytes bytes) override {
@@ -72,30 +64,15 @@ class WireMedium final : public Medium {
   /// Seconds until the earliest pending timer (nullopt when none).
   std::optional<double> until_next_timer() const {
     if (timers_.empty()) return std::nullopt;
-    return timers_.top().due - now();
+    return timers_.next_time() - now();
   }
 
-  /// Fires every timer that is due. One pass: a callback that re-arms
-  /// itself (every protocol tick does) runs again only on a later pass.
-  void fire_due() {
-    while (!timers_.empty() && timers_.top().due <= now()) {
-      // Move the callback out before popping: the pop invalidates the ref.
-      auto cb = std::move(const_cast<Timer&>(timers_.top()).callback);
-      timers_.pop();
-      cb();
-    }
-  }
+  /// Fires every timer due by now, in deadline order (FIFO among equal
+  /// deadlines). A callback that re-arms itself (every protocol tick
+  /// does) runs again only on a later pass.
+  void fire_due() { timers_.run_until(now()); }
 
  private:
-  struct Timer {
-    double due = 0.0;
-    std::uint64_t seq = 0;  ///< FIFO among equal deadlines
-    std::function<void()> callback;
-    bool operator>(const Timer& other) const {
-      return due != other.due ? due > other.due : seq > other.seq;
-    }
-  };
-
   void send_packet(NodeId from, NodeId dest,
                    const std::vector<std::byte>& payload) {
     Frame f;
@@ -111,8 +88,7 @@ class WireMedium final : public Medium {
   const NodeSetup setup_;
   double start_;
   std::map<NodeId, LinkQos> neighbor_qos_;
-  std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
-  std::uint64_t next_seq_ = 0;
+  EventQueue timers_;
 };
 
 void send_control(Fd& sock, NodeId self, NodeId dest,
@@ -197,14 +173,9 @@ int run_node_daemon(const std::string& path, NodeId id) {
   std::vector<std::byte> datagram;
   for (;;) {
     medium.fire_due();
-    int timeout_ms = -1;
-    if (const auto wait = medium.until_next_timer()) {
-      timeout_ms = *wait <= 0.0
-                       ? 0
-                       : static_cast<int>(*wait * 1000.0) + 1;
-    }
+    const auto wait = medium.until_next_timer();
     pollfd pfd{sock.get(), POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, timeout_ms);
+    const int rc = ::poll(&pfd, 1, wait ? poll_timeout_ms(*wait) : -1);
     if (rc < 0) continue;  // EINTR
     if (rc == 0) continue;  // timer due; top of loop fires it
 

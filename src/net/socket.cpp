@@ -1,6 +1,8 @@
 #include "net/socket.hpp"
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <memory>
 
@@ -8,6 +10,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <time.h>
 #include <unistd.h>
 
 namespace qolsr::net {
@@ -27,6 +30,17 @@ bool fill_addr(const std::string& path, sockaddr_un& addr) {
 }
 
 }  // namespace
+
+double monotonic_now() {
+  timespec ts;
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+int poll_timeout_ms(double seconds) {
+  return static_cast<int>(std::ceil(std::max(seconds, 0.0) * 1000.0));
+}
 
 void Fd::reset() {
   if (fd_ >= 0) ::close(fd_);

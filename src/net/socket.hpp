@@ -9,6 +9,14 @@
 
 namespace qolsr::net {
 
+/// Seconds on the monotonic clock: the one wall clock of the wire
+/// transport (harness, switch and daemons).
+double monotonic_now();
+
+/// poll() timeout for a wait of `seconds`, rounded up so a wait never
+/// wakes before its instant (0 for a wait already due).
+int poll_timeout_ms(double seconds);
+
 /// RAII file descriptor: closes on destruction, move-only.
 class Fd {
  public:

@@ -9,7 +9,6 @@
 
 #include <poll.h>
 #include <sys/socket.h>
-#include <time.h>
 #include <unistd.h>
 
 #include "net/socket.hpp"
@@ -19,13 +18,6 @@
 namespace qolsr::net {
 
 namespace {
-
-double monotonic_now() {
-  timespec ts;
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
 
 /// A forwarded copy shares the original datagram bytes — forwarding never
 /// re-encodes (the frame is immutable in flight), mirroring SharedBytes in
@@ -112,11 +104,9 @@ int run_switch(const std::string& path) {
       pfd_port.push_back(i);
     }
 
-    int timeout_ms = -1;
-    if (!delayed.empty()) {
-      const double wait = delayed.top().due - monotonic_now();
-      timeout_ms = wait <= 0.0 ? 0 : static_cast<int>(wait * 1000.0) + 1;
-    }
+    const int timeout_ms =
+        delayed.empty() ? -1
+                        : poll_timeout_ms(delayed.top().due - monotonic_now());
     if (::poll(pfds.data(), pfds.size(), timeout_ms) < 0) {
       if (errno == EINTR) continue;
       return 1;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -18,7 +17,6 @@
 #include <poll.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
-#include <time.h>
 #include <unistd.h>
 
 #include "net/socket.hpp"
@@ -29,19 +27,6 @@ extern char** environ;
 namespace qolsr::net {
 
 namespace {
-
-double monotonic_now() {
-  timespec ts;
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-/// poll() timeout for a wait of `seconds`, rounded up so a wait never
-/// wakes before its instant.
-int poll_timeout_ms(double seconds) {
-  return static_cast<int>(std::ceil(std::max(seconds, 0.0) * 1000.0));
-}
 
 /// Whether `pid` has begun to exit. The kernel sets PF_EXITING in the
 /// task's flags (field 9 of /proc/<pid>/stat) early in do_exit, before the

@@ -20,7 +20,6 @@ enum class ForwardingStatus {
   kDelivered,
   kNoRoute,    ///< some hop had no path to the destination
   kLoop,       ///< a node was visited twice
-  kHopLimit,   ///< safety cap exceeded
   kStaleLink,  ///< verify_links: the chosen next-hop link no longer exists
 };
 
@@ -36,16 +35,14 @@ struct ForwardingOptions {
   /// When true, each hop merges its full HELLO-derived 2-hop view into its
   /// knowledge graph. That looks more informed but is *inconsistent*:
   /// different hops see different graphs, and a downstream node can prefer
-  /// a "better" path leading straight back (observed on the paper's Fig. 1
-  /// under QOLSR: v2 sees a width-7 path back through v1 that v1 cannot
-  /// see, and the packet ping-pongs). The default routes every hop on
+  /// a "better" path leading straight back (pinned by
+  /// Forwarding.LoopingWalkEndsAsLoop: on QOLSR MPR-2's advertised union of
+  /// testing::random_geometric_graph(6, 7.0, 280.0), routed QoS-first, the
+  /// packet from 0 to 7 walks 0, 16, 8, 16). The default routes every hop on
   /// `advertised ∪ own incident links`, which is loop-free: the suffix of
   /// any chosen plan is advertised-only, hence visible to the next hop, so
   /// the lexicographic (value, hops) potential strictly improves per hop.
   bool use_local_views = false;
-  /// Hard cap; 0 means `4 * node_count` (generous — any real route is far
-  /// shorter, and loops are caught by the visited set anyway).
-  std::size_t max_hops = 0;
   /// Route with original OLSR's hop-count-primary discipline (fewest hops,
   /// QoS as tie-break) instead of QoS-first. The QOLSR baseline forwards
   /// this way — it "maintains shortest paths in terms of number of hops"
@@ -128,24 +125,16 @@ void patch_hop_knowledge(WS& ws, const Graph& full, NodeId current,
   ws.knowledge.finalize_hop();
 }
 
-}  // namespace forwarding_detail
-
-/// Hop-by-hop forwarding of one packet, the paper's routing model: every
-/// traversed node independently computes its QoS next hop toward the
-/// destination on *its* knowledge graph (TC-advertised topology + what it
-/// learned from HELLOs) and hands the packet over. The traversed path and
-/// its QoS value on the real graph are returned — `value` is the b (resp.
-/// d) compared against the centralized optimum b* (resp. d*) in Figs. 8/9.
-///
-/// Each hop's knowledge graph is `advertised` (the CSR advertised
-/// topology) patched in `ws.knowledge` with what that hop knows beyond it,
-/// so no graph is copied at any hop.
-template <Metric M>
-ForwardingResult forward_packet(const Graph& full,
-                                const CsrTopology& advertised, NodeId source,
-                                NodeId destination,
-                                const ForwardingOptions& options,
-                                ForwardingWorkspace& ws) {
+/// The hop-by-hop walk of both routing models. The caller has reset
+/// `ws.knowledge` to its base; at every hop `patch(current)` adds what
+/// that hop knows beyond the base, and the hop computes its next hop on
+/// that knowledge under the options' discipline and hands the packet
+/// over. A revisited node ends the walk as kLoop, so the walk holds at
+/// most n distinct nodes and needs no hop cap.
+template <Metric M, typename Patch>
+ForwardingResult walk(const Graph& full, NodeId source, NodeId destination,
+                      const ForwardingOptions& options,
+                      ForwardingWorkspace& ws, const Patch& patch) {
   ForwardingResult result;
   result.path.push_back(source);
   if (source == destination) {
@@ -154,16 +143,11 @@ ForwardingResult forward_packet(const Graph& full,
     return result;
   }
 
-  const std::size_t cap =
-      options.max_hops > 0 ? options.max_hops : 4 * full.node_count();
   ws.begin_visit(full.node_count());
   ws.mark_visited(source);
-  ws.knowledge.reset(advertised);
-
   NodeId current = source;
-  while (result.path.size() <= cap) {
-    forwarding_detail::patch_hop_knowledge(ws, full, current,
-                                           options.use_local_views);
+  for (;;) {
+    patch(current);
     const NodeId next =
         options.min_hop_routing
             ? compute_min_hop_next_hop<M, KnowledgeView>(
@@ -192,8 +176,32 @@ ForwardingResult forward_packet(const Graph& full,
     ws.mark_visited(next);
     current = next;
   }
-  result.status = ForwardingStatus::kHopLimit;
-  return result;
+}
+
+}  // namespace forwarding_detail
+
+/// Hop-by-hop forwarding of one packet, the paper's routing model: every
+/// traversed node independently computes its QoS next hop toward the
+/// destination on *its* knowledge graph (TC-advertised topology + what it
+/// learned from HELLOs) and hands the packet over. The traversed path and
+/// its QoS value on the real graph are returned — `value` is the b (resp.
+/// d) compared against the centralized optimum b* (resp. d*) in Figs. 8/9.
+///
+/// Each hop's knowledge graph is `advertised` (the CSR advertised
+/// topology) patched in `ws.knowledge` with what that hop knows beyond it,
+/// so no graph is copied at any hop.
+template <Metric M>
+ForwardingResult forward_packet(const Graph& full,
+                                const CsrTopology& advertised, NodeId source,
+                                NodeId destination,
+                                const ForwardingOptions& options,
+                                ForwardingWorkspace& ws) {
+  ws.knowledge.reset(advertised);
+  return forwarding_detail::walk<M>(
+      full, source, destination, options, ws, [&](NodeId current) {
+        forwarding_detail::patch_hop_knowledge(ws, full, current,
+                                               options.use_local_views);
+      });
 }
 
 /// Hop-by-hop forwarding in the **ANS-chain model** — the OLSR forwarding
@@ -225,65 +233,22 @@ ForwardingResult forward_via_ans(
     const Graph& full, const std::vector<std::vector<NodeId>>& ans_per_node,
     NodeId source, NodeId destination, const ForwardingOptions& options,
     ForwardingWorkspace& ws) {
-  ForwardingResult result;
-  result.path.push_back(source);
-  if (source == destination) {
-    result.status = ForwardingStatus::kDelivered;
-    result.value = M::identity();
-    return result;
-  }
-
   const Graph& planning = options.advertised_snapshot != nullptr
                               ? *options.advertised_snapshot
                               : full;
   ws.chain_builder.build_ans_chain(planning, ans_per_node, destination,
                                    ws.chain_base);
-
-  const std::size_t cap =
-      options.max_hops > 0 ? options.max_hops : 4 * full.node_count();
-  ws.begin_visit(full.node_count());
-  ws.mark_visited(source);
   ws.knowledge.reset(ws.chain_base);
-
-  NodeId current = source;
-  while (result.path.size() <= cap) {
-    // This hop's own links, usable as its immediate next hop (directed:
-    // the chain base stays the planning graph of every other node).
-    ws.knowledge.begin_hop();
-    for (const Edge& e : full.neighbors(current))
-      ws.knowledge.add_link(current, e.to, e.qos);
-    ws.knowledge.finalize_hop();
-
-    const NodeId next =
-        options.min_hop_routing
-            ? compute_min_hop_next_hop<M, KnowledgeView>(
-                  ws.knowledge, current, destination, ws.dijkstra)
-            : compute_next_hop<M, KnowledgeView>(ws.knowledge, current,
-                                                 destination, ws.dijkstra,
-                                                 ws.next_hop);
-    if (next == kInvalidNode) {
-      result.status = ForwardingStatus::kNoRoute;
-      return result;
-    }
-    if (options.verify_links && full.edge_qos(current, next) == nullptr) {
-      result.status = ForwardingStatus::kStaleLink;
-      return result;
-    }
-    result.path.push_back(next);
-    if (next == destination) {
-      result.status = ForwardingStatus::kDelivered;
-      result.value = evaluate_path<M>(full, result.path);
-      return result;
-    }
-    if (ws.visited(next)) {
-      result.status = ForwardingStatus::kLoop;
-      return result;
-    }
-    ws.mark_visited(next);
-    current = next;
-  }
-  result.status = ForwardingStatus::kHopLimit;
-  return result;
+  return forwarding_detail::walk<M>(
+      full, source, destination, options, ws, [&](NodeId current) {
+        // This hop's own links, usable as its immediate next hop
+        // (directed: the chain base stays the planning graph of every
+        // other node).
+        ws.knowledge.begin_hop();
+        for (const Edge& e : full.neighbors(current))
+          ws.knowledge.add_link(current, e.to, e.qos);
+        ws.knowledge.finalize_hop();
+      });
 }
 
 /// Source-route alternative: the whole path is fixed at the source from its

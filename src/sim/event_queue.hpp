@@ -29,6 +29,8 @@ class EventQueue {
   void run_until(SimTime horizon);
 
   bool empty() const { return events_.empty(); }
+  /// Time of the earliest pending event; the queue must not be empty.
+  SimTime next_time() const { return events_.front().time; }
   std::size_t pending() const { return events_.size(); }
   std::uint64_t processed() const { return processed_; }
 

@@ -95,11 +95,14 @@ void Simulator::reset(const Graph& graph,
 }
 
 ConvergenceReport Simulator::run_to_convergence() {
-  const double dwell = config_.derived_convergence_dwell();
+  // The dwell is ProtocolTiming::convergence_dwell(), the same window the
+  // wire harness uses to declare a wall-clock run quiescent, so both
+  // backends share one definition of "settled".
+  const double dwell = config_.node.convergence_dwell();
   // The cap is a *budget from now*, not an absolute clock value: a second
   // call — measuring re-convergence after an injected fault — gets the
   // same observation window as the first.
-  const double deadline = now() + config_.derived_max_sim_time();
+  const double deadline = now() + config_.node.max_horizon();
 
   // Anchor the clock at this call: a window that observes no further
   // mutation converged *when asked*, never at a change that predates it

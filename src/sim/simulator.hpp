@@ -25,24 +25,6 @@ struct SimConfig {
   /// One-hop propagation + processing latency of the ideal MAC.
   double propagation_delay = 0.001;
   std::uint64_t seed = 1;
-
-  // ---- convergence detection (run_to_convergence) -----------------------
-  /// How long the digest must stay unchanged to declare convergence. 0
-  /// derives ProtocolTiming::convergence_dwell() — the same window the
-  /// wire harness uses to declare a wall-clock run quiescent, so both
-  /// backends share one definition of "settled".
-  double convergence_dwell = 0.0;
-  /// Hard stop for a network that never settles. 0 derives
-  /// ProtocolTiming::max_horizon().
-  double max_sim_time = 0.0;
-
-  double derived_convergence_dwell() const {
-    return convergence_dwell > 0.0 ? convergence_dwell
-                                   : node.convergence_dwell();
-  }
-  double derived_max_sim_time() const {
-    return max_sim_time > 0.0 ? max_sim_time : node.max_horizon();
-  }
 };
 
 /// What run_to_convergence measured: when the protocol state last changed

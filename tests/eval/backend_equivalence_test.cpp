@@ -151,7 +151,7 @@ TEST(BackendEquivalence, PacketBackendMeasuresControlPlaneCost) {
     // The measured convergence time can never exceed the simulated span,
     // and every run of this small static scenario must actually converge.
     EXPECT_LE(p.control.convergence_time.max(),
-              SimConfig{}.derived_max_sim_time());
+              SimConfig{}.node.max_horizon());
     EXPECT_EQ(p.control.unconverged, 0u);
     EXPECT_EQ(p.delivered + p.failed, 3u);
   }

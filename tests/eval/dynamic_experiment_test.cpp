@@ -245,6 +245,30 @@ TEST(ParseExperimentSpec, MobilityFlagsMapOntoTheDynamicsBlock) {
   EXPECT_THROW(parse_experiment_spec({"--epochs=many"}), ExperimentError);
 }
 
+TEST(DynamicExperiment, DegenerateDeploymentSurfacesAClearError) {
+  // Expected node count ~0.008: the epoch loop's deployment sampler would
+  // resample forever without the cap. The spec's name holds neither word
+  // the message is checked for, so the message itself must carry them, on
+  // the serial and on the threaded path.
+  ExperimentSpec spec = parse_experiment_spec(
+      {"--mobility=churn", "--field=50x50", "--densities=0.1",
+       "--max-resamples=40", "--runs=1", "--threads=1"});
+  spec.name = "churn_tiny_field";
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE(threads);
+    spec.threads = threads;
+    spec.scenario.runs = threads * 2;
+    try {
+      run_experiment(spec);
+      FAIL() << "expected ExperimentError";
+    } catch (const ExperimentError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("degenerate"), std::string::npos) << message;
+      EXPECT_NE(message.find("40"), std::string::npos) << message;
+    }
+  }
+}
+
 TEST(DynamicExperiment, RejectsInvalidDynamicsSpecs) {
   // Speed axis without the waypoint model.
   ExperimentSpec no_model = small_dynamic_spec();

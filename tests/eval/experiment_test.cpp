@@ -188,7 +188,7 @@ TEST(RunExperiment, DegenerateDeploymentSurfacesAClearError) {
   // Expected node count ~0.008: sample_run would resample forever without
   // the cap. Both the serial and the threaded path must surface the error.
   ExperimentSpec spec = small_spec();
-  spec.name = "degenerate";
+  spec.name = "tiny_field";  // the message, not the name, must say it
   spec.scenario.field.width = 50.0;
   spec.scenario.field.height = 50.0;
   spec.scenario.densities = {0.1};

@@ -2,7 +2,8 @@
 // every JSON block and every per-run field (records with no route
 // included): oracle, dynamics, the packet layouts with and without the
 // fault, traffic and adversary engines, and the figure R, L and B axes.
-// Two more pin FNBP's loop-fix and tie-break ablations.
+// Two more pin FNBP's loop-fix and tie-break ablations, and one the
+// dynamics runner's ANS-chain model.
 // Each spec runs once on one thread and is rendered by the CSV, JSON and
 // pretty-table sinks; each document is pinned by its FNV-1a 64 digest and
 // byte length, the forwarding equivalence suite's convention. A mismatch
@@ -90,6 +91,18 @@ TEST(SinkGolden, ChurnDynamics) {
              {{0x152a7286347cbbf9ULL, 2216},
               {0x12428e857780b6a6ULL, 488},
               {0x375ef516ae55d207ULL, 2141}});
+}
+
+TEST(SinkGolden, ChurnChainDynamics) {
+  // The dynamics runner's ANS-chain model, whose relay base is planned on
+  // the refresh-time snapshot: with refreshes every third epoch, relays
+  // that died since the last refresh stay in every hop's plan.
+  check_spec({"--mobility=churn", "--routing=chain", "--densities=10",
+              "--runs=2", "--epochs=6", "--refresh=3", "--field=400x400",
+              "--selectors=olsr_mpr,qolsr_mpr2,fnbp"},
+             {{0xf08bfd2e082a7e72ULL, 1796},
+              {0xd5ac953b1994fb12ULL, 509},
+              {0x5f3659dfae507fd0ULL, 2159}});
 }
 
 TEST(SinkGolden, FigureM) {

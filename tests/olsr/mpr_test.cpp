@@ -54,6 +54,37 @@ TEST(Mpr, GreedyPrefersLargerCoverage) {
   EXPECT_EQ(mpr, (std::vector<NodeId>{1}));
 }
 
+TEST(Mpr, EqualGainTieBreaksDifferOnlyInThePreference) {
+  // RFC 3626 MPR and QOLSR MPR-1 run one greedy and differ only in how
+  // they break a phase-2 tie. Phase 1 forces 1 (the sole cover of 6);
+  // then 2 and 3 tie at gain 1 (both cover only 5). RFC prefers 3, whose
+  // 2-hop reach {4, 5} is larger; MPR-1 prefers the better origin link,
+  // then the smaller id.
+  auto build = [](double bandwidth_0_2) {
+    Graph g(7);
+    LinkQos q;
+    q.bandwidth = 5;
+    for (auto [a, b] : {std::pair{0, 1}, {0, 3}, {1, 6}, {1, 4}, {3, 4},
+                        {3, 5}, {2, 5}})
+      g.add_edge(static_cast<NodeId>(a), static_cast<NodeId>(b), q);
+    q.bandwidth = bandwidth_0_2;
+    g.add_edge(0, 2, q);
+    return g;
+  };
+  const QolsrSelector<BandwidthMetric> mpr1(QolsrVariant::kMpr1);
+  for (double bandwidth : {8.0, 2.0, 5.0}) {
+    SCOPED_TRACE(bandwidth);
+    EXPECT_EQ(Rfc3626Selector().select(LocalView(build(bandwidth), 0)),
+              (std::vector<NodeId>{1, 3}));
+  }
+  EXPECT_EQ(mpr1.select(LocalView(build(8.0), 0)),
+            (std::vector<NodeId>{1, 2}));  // better link
+  EXPECT_EQ(mpr1.select(LocalView(build(2.0), 0)),
+            (std::vector<NodeId>{1, 3}));  // worse link
+  EXPECT_EQ(mpr1.select(LocalView(build(5.0), 0)),
+            (std::vector<NodeId>{1, 2}));  // equal links: smaller id
+}
+
 TEST(Mpr, NoTwoHopNeighborsEmptySet) {
   Graph g(3);  // triangle: everyone is 1-hop
   g.add_edge(0, 1);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fnbp.hpp"
+#include "olsr/selector.hpp"
 #include "graph/connectivity.hpp"
 #include "support/paper_graphs.hpp"
 #include "support/random_graphs.hpp"
@@ -103,18 +104,24 @@ TEST(Forwarding, AdvertisedOnlyModeUsesOwnLinksForFirstHop) {
   EXPECT_EQ(r.path, (Path{0, 1, 2}));
 }
 
-TEST(Forwarding, HopCapTerminates) {
-  const Graph g = Fig1::build();
-  const CsrTopology adv = fnbp_advertised(g);
+TEST(Forwarding, LoopingWalkEndsAsLoop) {
+  // Hops that merge their own HELLO views route on different graphs, so a
+  // downstream hop can send the packet back. Here, on QOLSR MPR-2's
+  // advertised union with QoS-first routing, 16 hands the packet to 8 and
+  // 8 plans its route to 7 back through 16: the walk revisits 16 and ends
+  // as kLoop, with the revisit on the path.
+  const Graph g = testing::random_geometric_graph(6, 7.0, 280.0);
+  const QolsrSelector<BandwidthMetric> qolsr(QolsrVariant::kMpr2);
+  std::vector<std::vector<NodeId>> ans(g.node_count());
+  for (NodeId u = 0; u < g.node_count(); ++u)
+    ans[u] = qolsr.select(LocalView(g, u));
+  const CsrTopology adv = advertised_csr(g, ans);
   ForwardingWorkspace ws;
   ForwardingOptions opt;
-  opt.max_hops = 1;  // too small for the 4-hop widest route
-  const auto r =
-      forward_packet<BandwidthMetric>(g, adv, Fig1::v1, Fig1::v3, {}, ws);
-  EXPECT_TRUE(r.delivered());  // default cap is generous
-  const auto capped =
-      forward_packet<BandwidthMetric>(g, adv, Fig1::v1, Fig1::v3, opt, ws);
-  EXPECT_EQ(capped.status, ForwardingStatus::kHopLimit);
+  opt.use_local_views = true;
+  const auto r = forward_packet<BandwidthMetric>(g, adv, 0, 7, opt, ws);
+  EXPECT_EQ(r.status, ForwardingStatus::kLoop);
+  EXPECT_EQ(r.path, (Path{0, 16, 8, 16}));
 }
 
 class ForwardingPropertyTest

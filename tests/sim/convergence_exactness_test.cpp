@@ -30,7 +30,7 @@ TEST(ConvergenceExactness, ConvergedAtIsTheLastMutationTimestamp) {
   EXPECT_GT(sim.mutations().count(), 0u);
   // The report is the clock's exact record, not a rounded-up sample.
   EXPECT_EQ(report.converged_at, sim.mutations().last_at());
-  const double dwell = sim.config().derived_convergence_dwell();
+  const double dwell = sim.config().node.convergence_dwell();
   EXPECT_GE(report.end_time, report.converged_at + dwell);
 }
 
