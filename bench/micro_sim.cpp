@@ -101,7 +101,7 @@ void BM_BroadcastFanout(benchmark::State& state) {
   header.ttl = 1;  // receivers must not re-flood inside the measurement
   const SharedBytes bytes = make_shared_bytes(serialize(header, tc));
 
-  const double drain = 2.0 * sim.config().propagation_delay;
+  const double drain = 2.0 * kPropagationDelay;
   for (auto _ : state) {
     sim.broadcast(hub, bytes);
     sim.run_until(sim.now() + drain);
@@ -184,8 +184,7 @@ void BM_SteadyStateDataForwarding(benchmark::State& state) {
   const NodeId src = 0;
   const NodeId dst = n - 1;
   std::uint32_t payload = 1;
-  const double drain =
-      2.0 * static_cast<double>(n) * sim.config().propagation_delay;
+  const double drain = 2.0 * static_cast<double>(n) * kPropagationDelay;
   sim.node(src).send_data(dst, payload++);
   sim.run_until(sim.now() + drain);
 

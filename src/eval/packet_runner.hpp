@@ -164,10 +164,10 @@ void execute_packet_run(const Scenario& scenario, double axis_value,
 
     // Data probes between the shared pair, forwarded by the nodes
     // themselves on whatever their converged knowledge routes. The slack
-    // covers the TTL-capped worst case (data_ttl hops of propagation
-    // delay) with generous margin. Every failed probe is charged to a
-    // fate: no route at some hop (blackhole), TTL exhaustion (loop), or
-    // a frame the lossy medium ate in flight.
+    // covers the TTL-capped worst case, 64 hops (a data packet's starting
+    // TTL) of propagation delay, with generous margin. Every failed probe
+    // is charged to a fate: no route at some hop (blackhole), TTL
+    // exhaustion (loop), or a frame the lossy medium ate in flight.
     const std::size_t probes = std::max<std::size_t>(scenario.probe_packets, 1);
     const TraceStats& trace = ws.sim.trace();
     for (std::uint32_t pid = 1; pid <= probes; ++pid)

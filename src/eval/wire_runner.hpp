@@ -95,7 +95,7 @@ std::vector<DensityStats> run_wire_sweep(const ExperimentSpec& spec,
       return kInvalidNode;
     };
     SimConfig sim_config;
-    static_cast<ProtocolTiming&>(sim_config.node) = job.config.timing;
+    sim_config.node = job.config.timing;
     sim_config.seed = job.config.seed;
     Simulator sim(graph, *protocols.flooding[si], *protocols.ans[si],
                   no_routes, sim_config);

@@ -144,11 +144,6 @@ int run_node_daemon(const std::string& path, NodeId id) {
   const auto flooding_selector =
       registry.create_flooding(setup.protocol, metric);
 
-  NodeConfig config;
-  static_cast<ProtocolTiming&>(config) = setup.timing;
-  config.tc_ttl = setup.tc_ttl;
-  config.data_ttl = setup.data_ttl;
-
   WireMedium medium(sock, setup);
   TraceStats trace;
   MutationClock mutations;
@@ -161,7 +156,7 @@ int run_node_daemon(const std::string& path, NodeId id) {
   };
   SelectionScratch scratch;
   OlsrNode node(id, medium, trace, scratch, *flooding_selector,
-                *ans_selector, no_routes, config, setup.seed);
+                *ans_selector, no_routes, setup.timing, setup.seed);
   node.set_mutation_clock(&mutations);
 
   send_control(sock, id, kControllerId, encode_control(ControlOp::kReady));
@@ -203,8 +198,6 @@ int run_node_daemon(const std::string& path, NodeId id) {
           report.last_mutation = mutations.last_at();
           report.quiet_for = medium.now() - mutations.last_at();
           report.digest = node.converged_digest();
-          report.flooding_size =
-              static_cast<std::uint16_t>(node.flooding_mpr().size());
           report.ans_size = static_cast<std::uint16_t>(node.ans().size());
           send_control(sock, id, kControllerId, encode_status(report));
           break;

@@ -13,7 +13,7 @@ std::size_t SwitchCore::add_port() {
 void SwitchCore::remove_port(std::size_t port) {
   if (port >= ports_.size() || !ports_[port].live) return;
   if (ports_[port].id != kInvalidNode) port_by_id_.erase(ports_[port].id);
-  ports_[port] = Port{};  // live=false, id=kInvalidNode, impairment reset
+  ports_[port] = Port{};  // live=false, id=kInvalidNode
 }
 
 bool SwitchCore::port_live(std::size_t port) const {
@@ -31,14 +31,6 @@ void SwitchCore::set_link(NodeId a, NodeId b) {
   links_.insert({std::min(a, b), std::max(a, b)});
 }
 
-void SwitchCore::set_impairment(const Impairment& impairment) {
-  const std::size_t port = port_of(impairment.id);
-  if (port == SIZE_MAX) return;
-  ports_[port].loss = impairment.loss;
-  ports_[port].delay = impairment.delay;
-  ports_[port].loss_rng.reseed(impairment.seed);
-}
-
 std::size_t SwitchCore::port_of(NodeId id) const {
   const auto it = port_by_id_.find(id);
   return it == port_by_id_.end() ? SIZE_MAX : it->second;
@@ -48,23 +40,8 @@ NodeId SwitchCore::id_of(std::size_t port) const {
   return port < ports_.size() ? ports_[port].id : kInvalidNode;
 }
 
-bool SwitchCore::loses(std::size_t port) {
-  Port& p = ports_[port];
-  return p.loss > 0.0 && p.loss_rng.uniform01() < p.loss;
-}
-
-void SwitchCore::deliver_to(std::size_t src, std::size_t dst,
-                            std::vector<Delivery>& out) {
-  // The loss gate draws once per forwarded *copy* (FaultPlan's Bernoulli
-  // per-frame semantics applied at fan-out granularity), so a broadcast
-  // under loss can reach some neighbors and miss others — exactly what a
-  // lossy radio does.
-  if (loses(src)) return;
-  out.push_back({dst, ports_[src].delay});
-}
-
 bool SwitchCore::route(std::size_t port, const Frame& frame,
-                       std::vector<Delivery>& out) {
+                       std::vector<std::size_t>& out) {
   if (!port_live(port)) return true;
 
   if (frame.kind == kKindRegister) {
@@ -82,10 +59,6 @@ bool SwitchCore::route(std::size_t port, const Frame& frame,
         if (const auto link = decode_link(frame.payload))
           set_link(link->first, link->second);
         return true;
-      case ControlOp::kImpair:
-        if (const auto imp = decode_impair(frame.payload))
-          set_impairment(*imp);
-        return true;
       case ControlOp::kShutdown:
         return false;
       default:
@@ -102,7 +75,7 @@ bool SwitchCore::route(std::size_t port, const Frame& frame,
       const NodeId a = ports_[port].id, b = frame.dest;
       if (!links_.contains({std::min(a, b), std::max(a, b)})) return true;
     }
-    deliver_to(port, dst, out);
+    out.push_back(dst);
     return true;
   }
 
@@ -114,7 +87,7 @@ bool SwitchCore::route(std::size_t port, const Frame& frame,
   for (const auto& [id, dst] : port_by_id_) {  // ordered: deterministic
     if (dst == port) continue;
     if (!links_.contains({std::min(self, id), std::max(self, id)})) continue;
-    deliver_to(port, dst, out);
+    out.push_back(dst);
   }
   return true;
 }

@@ -7,7 +7,6 @@
 
 #include "graph/node_id.hpp"
 #include "net/wire_format.hpp"
-#include "util/rng.hpp"
 
 namespace qolsr::net {
 
@@ -26,26 +25,17 @@ namespace qolsr::net {
 /// frames are pure steering — the harness↔daemon RPC channel — and ignore
 /// adjacency.
 ///
-/// Optional per-port impairments reuse FaultPlan semantics: a seeded
-/// Bernoulli loss gate per forwarded copy plus a fixed extra delay,
-/// applied to frames *from* the impaired plug. The loss stream is drawn
-/// per source port in registration order, so a given (seed, traffic)
-/// sequence drops the same copies on every run — determinism the switch
-/// tests pin.
+/// The medium is loss-free and adds no delay: every routed copy goes out
+/// at once. Each daemon's converged digest is checked against a loss-free
+/// Simulator twin, which holds only if the wire drops nothing; loss,
+/// delay and crashes are the fault engine's, on the packet backend.
 class SwitchCore {
  public:
-  /// One routed output copy: deliver `frame` (re-encoded by the caller) to
-  /// `port` after `delay` seconds (0 for unimpaired sources).
-  struct Delivery {
-    std::size_t port = 0;
-    double delay = 0.0;
-  };
-
   /// Registers a new (not yet addressable) port; returns its index.
   std::size_t add_port();
 
-  /// Unplugs a port: its id mapping, adjacency role and impairment state
-  /// drop; the index is never reused.
+  /// Unplugs a port: its id mapping and adjacency role drop; the index is
+  /// never reused.
   void remove_port(std::size_t port);
 
   bool port_live(std::size_t port) const;
@@ -54,16 +44,14 @@ class SwitchCore {
   /// Adjacency upload (ControlOp::kLink): nodes a and b are in radio range.
   void set_link(NodeId a, NodeId b);
 
-  /// Impairment upload (ControlOp::kImpair) for frames from plug `id`.
-  void set_impairment(const Impairment& impairment);
-
-  /// Routes one inbound frame from `port`, appending zero or more
-  /// deliveries to `out` (not cleared — callers batch). Register frames
-  /// bind the port's id and produce no output. Frames addressed to
-  /// kSwitchDest are consumed here (adjacency/impairment/shutdown ops).
-  /// Returns false when the frame asked the switch itself to shut down.
+  /// Routes one inbound frame from `port`, appending the index of each
+  /// port it goes out on to `out` (not cleared — callers batch). Register
+  /// frames bind the port's id and produce no output. Frames addressed to
+  /// kSwitchDest are consumed here (adjacency and shutdown ops; any other
+  /// op is ignored). Returns false when the frame asked the switch itself
+  /// to shut down.
   bool route(std::size_t port, const Frame& frame,
-             std::vector<Delivery>& out);
+             std::vector<std::size_t>& out);
 
   /// The port a node id is plugged into (SIZE_MAX when unknown).
   std::size_t port_of(NodeId id) const;
@@ -74,15 +62,7 @@ class SwitchCore {
   struct Port {
     bool live = false;
     NodeId id = kInvalidNode;
-    // Impairment of frames *from* this plug (inert by default).
-    double loss = 0.0;
-    double delay = 0.0;
-    util::Rng loss_rng{1};
   };
-
-  bool loses(std::size_t port);  ///< draws the source port's loss gate
-  void deliver_to(std::size_t src, std::size_t dst,
-                  std::vector<Delivery>& out);
 
   std::vector<Port> ports_;
   std::map<NodeId, std::size_t> port_by_id_;

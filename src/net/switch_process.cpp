@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <deque>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include <poll.h>
@@ -29,14 +28,6 @@ struct PortState {
   std::deque<RawFrame> outq;  ///< copies waiting for POLLOUT
 };
 
-/// A copy still serving its impairment delay.
-struct Delayed {
-  double due = 0.0;
-  std::size_t port = 0;
-  RawFrame bytes;
-  bool operator>(const Delayed& other) const { return due > other.due; }
-};
-
 }  // namespace
 
 int run_switch(const std::string& path) {
@@ -50,19 +41,13 @@ int run_switch(const std::string& path) {
 
   SwitchCore core;
   std::vector<PortState> ports;  // index == SwitchCore port index
-  std::priority_queue<Delayed, std::vector<Delayed>, std::greater<>> delayed;
-  std::vector<SwitchCore::Delivery> deliveries;
+  std::vector<std::size_t> deliveries;
   bool running = true;
 
   const auto drop_port = [&](std::size_t port) {
     core.remove_port(port);
     ports[port].fd.reset();
     ports[port].outq.clear();
-  };
-
-  const auto enqueue = [&](std::size_t port, RawFrame bytes) {
-    if (!core.port_live(port)) return;
-    ports[port].outq.push_back(std::move(bytes));
   };
 
   const auto drain = [&](std::size_t port) {
@@ -85,13 +70,6 @@ int run_switch(const std::string& path) {
   RecvBuffer rx;
   std::vector<std::byte> datagram;
   while (running) {
-    // Release delayed copies that came due.
-    const double now = monotonic_now();
-    while (!delayed.empty() && delayed.top().due <= now) {
-      enqueue(delayed.top().port, delayed.top().bytes);
-      delayed.pop();
-    }
-
     std::vector<pollfd> pfds;
     std::vector<std::size_t> pfd_port;  // pfds[i>0] -> port index
     pfds.push_back({listener.get(), POLLIN, 0});
@@ -104,10 +82,7 @@ int run_switch(const std::string& path) {
       pfd_port.push_back(i);
     }
 
-    const int timeout_ms =
-        delayed.empty() ? -1
-                        : poll_timeout_ms(delayed.top().due - monotonic_now());
-    if (::poll(pfds.data(), pfds.size(), timeout_ms) < 0) {
+    if (::poll(pfds.data(), pfds.size(), -1) < 0) {
       if (errno == EINTR) continue;
       return 1;
     }
@@ -142,12 +117,8 @@ int run_switch(const std::string& path) {
         const auto raw = std::make_shared<const std::vector<std::byte>>(
             std::move(datagram));
         datagram = {};
-        for (const SwitchCore::Delivery& d : deliveries) {
-          if (d.delay > 0.0)
-            delayed.push({monotonic_now() + d.delay, d.port, raw});
-          else
-            enqueue(d.port, raw);
-        }
+        for (const std::size_t dst : deliveries)
+          if (core.port_live(dst)) ports[dst].outq.push_back(raw);
       }
     }
 

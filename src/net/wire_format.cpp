@@ -120,8 +120,6 @@ std::vector<std::byte> encode_configure(const NodeSetup& setup) {
   w.f64(setup.timing.jitter);
   w.f64(setup.timing.neighbor_hold);
   w.f64(setup.timing.topology_hold);
-  w.u8(setup.tc_ttl);
-  w.u8(setup.data_ttl);
   w.u8(setup.metric);
   write_string(w, setup.protocol);
   w.u16(static_cast<std::uint16_t>(setup.neighbors.size()));
@@ -142,8 +140,7 @@ std::optional<NodeSetup> decode_configure(const std::vector<std::byte>& p) {
       !r.u32(s.id) || !r.u32(s.node_count) || !r.u64(s.seed) ||
       !r.f64(s.timing.hello_interval) || !r.f64(s.timing.tc_interval) ||
       !r.f64(s.timing.jitter) || !r.f64(s.timing.neighbor_hold) ||
-      !r.f64(s.timing.topology_hold) || !r.u8(s.tc_ttl) ||
-      !r.u8(s.data_ttl) || !r.u8(s.metric) ||
+      !r.f64(s.timing.topology_hold) || !r.u8(s.metric) ||
       !read_string(r, s.protocol) || !r.u16(count))
     return std::nullopt;
   s.neighbors.resize(count);
@@ -161,7 +158,6 @@ std::vector<std::byte> encode_status(const StatusReport& report) {
   w.f64(report.last_mutation);
   w.f64(report.quiet_for);
   w.u64(report.digest);
-  w.u16(report.flooding_size);
   w.u16(report.ans_size);
   return out;
 }
@@ -172,8 +168,7 @@ std::optional<StatusReport> decode_status(const std::vector<std::byte>& p) {
   StatusReport s;
   if (!r.u8(op) || op != static_cast<std::uint8_t>(ControlOp::kStatus) ||
       !r.u32(s.round) || !r.f64(s.last_mutation) || !r.f64(s.quiet_for) ||
-      !r.u64(s.digest) || !r.u16(s.flooding_size) || !r.u16(s.ans_size) ||
-      !r.done())
+      !r.u64(s.digest) || !r.u16(s.ans_size) || !r.done())
     return std::nullopt;
   return s;
 }
@@ -196,28 +191,6 @@ std::optional<std::pair<NodeId, NodeId>> decode_link(
       !r.u32(a) || !r.u32(b) || !r.done())
     return std::nullopt;
   return std::make_pair(a, b);
-}
-
-std::vector<std::byte> encode_impair(const Impairment& impairment) {
-  std::vector<std::byte> out;
-  Writer w(out);
-  w.u8(static_cast<std::uint8_t>(ControlOp::kImpair));
-  w.u32(impairment.id);
-  w.f64(impairment.loss);
-  w.f64(impairment.delay);
-  w.u64(impairment.seed);
-  return out;
-}
-
-std::optional<Impairment> decode_impair(const std::vector<std::byte>& p) {
-  Reader r(p);
-  std::uint8_t op = 0;
-  Impairment i;
-  if (!r.u8(op) || op != static_cast<std::uint8_t>(ControlOp::kImpair) ||
-      !r.u32(i.id) || !r.f64(i.loss) || !r.f64(i.delay) || !r.u64(i.seed) ||
-      !r.done())
-    return std::nullopt;
-  return i;
 }
 
 }  // namespace qolsr::net

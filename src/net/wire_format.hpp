@@ -68,7 +68,6 @@ enum class ControlOp : std::uint8_t {
   kStatus = 5,     ///< daemon→harness: StatusReport
   kShutdown = 6,   ///< harness→daemon (or →switch): exit cleanly
   kLink = 7,       ///< harness→switch: adjacency edge (a,b) up
-  kImpair = 8,     ///< harness→switch: per-port loss/delay knobs
   kAnnounce = 9,   ///< daemon→harness: registered, send my Configure
 };
 
@@ -83,8 +82,6 @@ struct NodeSetup {
   std::uint32_t node_count = 0;
   std::uint64_t seed = 1;
   ProtocolTiming timing;
-  std::uint8_t tc_ttl = 64;
-  std::uint8_t data_ttl = 64;
   std::uint8_t metric = 0;  ///< MetricId the selectors are instantiated for
   /// Registry name of the protocol ("olsr_mpr", "fnbp", …). The daemon
   /// resolves the (flooding, ANS) selector pair through the same
@@ -105,28 +102,16 @@ struct NodeSetup {
 /// long its MutationClock has been quiet when it replies (the harness's
 /// quiescence test: the fleet stops at last mutation + dwell, see
 /// next_status_round), the exact last-change time, its converged digest,
-/// and the set sizes the eval backend reports.
+/// and the ANS size the eval backend reports (the digest already folds
+/// the flooding set, so no separate size travels for it).
 struct StatusReport {
   std::uint32_t round = 0;     ///< echo of the StatusReq's round id
   double last_mutation = 0.0;  ///< daemon wall clock, seconds since start
   double quiet_for = 0.0;      ///< seconds since last_mutation, at reply
   std::uint64_t digest = 0;
-  std::uint16_t flooding_size = 0;
   std::uint16_t ans_size = 0;
 
   friend bool operator==(const StatusReport&, const StatusReport&) = default;
-};
-
-/// Per-port impairment knobs (FaultPlan semantics: seeded Bernoulli frame
-/// loss plus a fixed extra forwarding delay), applied by the switch to
-/// frames *from* the named plug.
-struct Impairment {
-  NodeId id = 0;
-  double loss = 0.0;   ///< P(drop) per forwarded copy
-  double delay = 0.0;  ///< seconds of extra latency per surviving copy
-  std::uint64_t seed = 1;
-
-  friend bool operator==(const Impairment&, const Impairment&) = default;
 };
 
 ControlOp peek_control_op(const std::vector<std::byte>& payload);
@@ -136,13 +121,11 @@ std::vector<std::byte> encode_status_req(std::uint32_t round);
 std::vector<std::byte> encode_configure(const NodeSetup& setup);
 std::vector<std::byte> encode_status(const StatusReport& report);
 std::vector<std::byte> encode_link(NodeId a, NodeId b);
-std::vector<std::byte> encode_impair(const Impairment& impairment);
 
 std::optional<std::uint32_t> decode_status_req(const std::vector<std::byte>& p);
 std::optional<NodeSetup> decode_configure(const std::vector<std::byte>& p);
 std::optional<StatusReport> decode_status(const std::vector<std::byte>& p);
 std::optional<std::pair<NodeId, NodeId>> decode_link(
     const std::vector<std::byte>& p);
-std::optional<Impairment> decode_impair(const std::vector<std::byte>& p);
 
 }  // namespace qolsr::net

@@ -5,11 +5,11 @@ namespace qolsr {
 /// The protocol's timing constants — HELLO/TC emission intervals, the
 /// desync jitter, and the soft-state hold times — in one struct shared by
 /// every component that runs the control plane: the in-process Simulator
-/// (SimConfig embeds it via NodeConfig) and the wire daemon's wall-clock
-/// timer loop (src/net). A daemon therefore cannot drift from the sim by
-/// editing one copy of a constant; both sides also share the *derived*
-/// windows (quiescence dwell, hard horizon), which the wire harness uses
-/// to decide when a real-time run has settled.
+/// (SimConfig::node, which it hands to every OlsrNode) and the wire
+/// daemon's wall-clock timer loop (src/net). A daemon therefore cannot
+/// drift from the sim by editing one copy of a constant; both sides also
+/// share the *derived* windows (quiescence dwell, hard horizon), which the
+/// wire harness uses to decide when a real-time run has settled.
 ///
 /// Defaults follow RFC 3626: HELLO every 2 s, TC every 5 s, validity ≈ 3
 /// intervals, with a small deterministic jitter desyncing the nodes as the

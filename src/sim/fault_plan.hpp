@@ -29,12 +29,6 @@ struct FaultIncident {
   /// Seconds until the fault auto-heals (crash → restart, link/partition
   /// back up); <= 0 makes it permanent for the rest of the run.
   double duration = 10.0;
-
-  bool explicit_victim() const {
-    return kind == Kind::kNodeCrash ? node != kInvalidNode
-                                    : link_u != kInvalidNode &&
-                                          link_v != kInvalidNode;
-  }
 };
 
 /// Per-link Bernoulli loss override (undirected); takes precedence over

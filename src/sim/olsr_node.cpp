@@ -5,7 +5,6 @@
 
 #include "routing/advertised_topology.hpp"
 #include "util/digest.hpp"
-#include "util/log.hpp"
 
 namespace qolsr {
 
@@ -15,6 +14,11 @@ namespace {
 /// stream — all derive from the same run seed, and honest nodes never
 /// draw from this one.
 constexpr std::uint64_t kAdversaryNodeSalt = 0x3c6ef372fe94f82bULL;
+
+/// Hop budget every originated TC and data packet starts with; a data
+/// packet caught in a forwarding loop is dropped when it runs out (the
+/// kTtl fate).
+constexpr std::uint8_t kOriginTtl = 64;
 
 /// Nudge used when a topology purge event lands exactly on an entry's
 /// hold-time deadline: soft state is valid *through* its deadline (the
@@ -57,7 +61,7 @@ OlsrNode::OlsrNode(NodeId id, Medium& medium, TraceStats& trace,
                    SelectionScratch& scratch,
                    const AnsSelector& flooding_selector,
                    const AnsSelector& ans_selector, const RouteFn& route_fn,
-                   const NodeConfig& config, std::uint64_t seed)
+                   const ProtocolTiming& config, std::uint64_t seed)
     : id_(id),
       medium_(medium),
       trace_(trace),
@@ -72,7 +76,7 @@ OlsrNode::OlsrNode(NodeId id, Medium& medium, TraceStats& trace,
 
 void OlsrNode::reset(const AnsSelector& flooding_selector,
                      const AnsSelector& ans_selector, const RouteFn& route_fn,
-                     const NodeConfig& config, std::uint64_t seed) {
+                     const ProtocolTiming& config, std::uint64_t seed) {
   flooding_selector_ = &flooding_selector;
   ans_selector_ = &ans_selector;
   route_fn_ = &route_fn;
@@ -240,7 +244,7 @@ void OlsrNode::tc_tick() {
     header.type = MessageType::kTc;
     header.originator = id_;
     header.sequence = next_sequence_++;
-    header.ttl = config_.tc_ttl;
+    header.ttl = kOriginTtl;
     // Our own advertisement is part of the topology we route on.
     const TopologyBase::TcOutcome applied = topology_.apply_tc(tc, now);
     if (applied.links_changed) note_mutation();
@@ -296,7 +300,7 @@ void OlsrNode::replay_captured_tc() {
   // comparison is what must reject it (the stale_tc_rejections counter).
   header.sequence = static_cast<std::uint16_t>(
       captured_header_.sequence + 0x4000u + replay_count_++);
-  header.ttl = config_.tc_ttl;
+  header.ttl = kOriginTtl;
   header.hop_count = 0;
   const double now = medium_.now();
   duplicates_.check_and_insert(captured_tc_.originator, header.sequence, now);
@@ -327,10 +331,9 @@ void OlsrNode::on_frame(NodeId from, const ParsedPacket* packet,
   // propagation delay); a dead node hears nothing.
   if (!alive_) return;
   if (packet == nullptr) {
-    // Expected noise under an active corruption gate — counted, not
-    // warned about (a warn per mangled frame would drown real logs).
+    // Expected noise under an active corruption gate: the run's
+    // frames_malformed count is its whole record.
     trace_.frames_malformed += 1;
-    QOLSR_LOG(kDebug) << "node " << id_ << ": malformed packet from " << from;
     return;
   }
   switch (packet->header.type) {
@@ -409,7 +412,7 @@ void OlsrNode::send_data(NodeId destination, std::uint32_t payload_id) {
   header.type = MessageType::kData;
   header.originator = id_;
   header.sequence = next_sequence_++;
-  header.ttl = config_.data_ttl;
+  header.ttl = kOriginTtl;
   DataMessage data;
   data.source = id_;
   data.destination = destination;

@@ -24,14 +24,6 @@
 
 namespace qolsr {
 
-/// Per-node configuration: the shared ProtocolTiming constants (the one
-/// struct both the Simulator and the wire daemon consume — see
-/// proto/protocol_timing.hpp) plus the node-local TTL knobs.
-struct NodeConfig : ProtocolTiming {
-  std::uint8_t tc_ttl = 64;
-  std::uint8_t data_ttl = 64;
-};
-
 /// The storage a node borrows to recompute its selections: the view
 /// builder's input rows, the view it builds, the selectors' workspace and
 /// the two output sets. Nothing in it outlives one recompute, so a
@@ -70,11 +62,11 @@ class OlsrNode {
   OlsrNode(NodeId id, Medium& medium, TraceStats& trace,
            SelectionScratch& scratch, const AnsSelector& flooding_selector,
            const AnsSelector& ans_selector, const RouteFn& route_fn,
-           const NodeConfig& config, std::uint64_t seed);
+           const ProtocolTiming& config, std::uint64_t seed);
   OlsrNode(NodeId id, Medium& medium, TraceStats& trace,
            SelectionScratch& scratch, const AnsSelector& flooding_selector,
            const AnsSelector& ans_selector, RouteFn&& route_fn,
-           const NodeConfig& config, std::uint64_t seed) = delete;
+           const ProtocolTiming& config, std::uint64_t seed) = delete;
 
   /// Per-run reset of a reused node: forgets every table, rebinds the
   /// heuristics, and re-derives the RNG stream from `seed` exactly as
@@ -82,10 +74,10 @@ class OlsrNode {
   /// one. Does not reschedule ticks; call `start` afterwards.
   void reset(const AnsSelector& flooding_selector,
              const AnsSelector& ans_selector, const RouteFn& route_fn,
-             const NodeConfig& config, std::uint64_t seed);
+             const ProtocolTiming& config, std::uint64_t seed);
   void reset(const AnsSelector& flooding_selector,
              const AnsSelector& ans_selector, RouteFn&& route_fn,
-             const NodeConfig& config, std::uint64_t seed) = delete;
+             const ProtocolTiming& config, std::uint64_t seed) = delete;
 
   /// Schedules the first HELLO and TC (with per-node jitter).
   void start();
@@ -200,7 +192,7 @@ class OlsrNode {
   const AnsSelector* flooding_selector_;
   const AnsSelector* ans_selector_;
   const RouteFn* route_fn_;
-  NodeConfig config_;
+  ProtocolTiming config_;
   util::Rng rng_;
 
   NeighborTables tables_;

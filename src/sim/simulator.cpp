@@ -218,7 +218,7 @@ void Simulator::deliver(NodeId from, NodeId to, SharedBytes bytes) {
   // Ideal MAC: the receiver gets the same intact buffer after the
   // propagation delay — one immutable allocation shared across a whole
   // broadcast fan-out, never a per-neighbor copy.
-  double delay = config_.propagation_delay;
+  double delay = kPropagationDelay;
   if (contended_.active()) {
     const double queued = contended_.admit(from, to, *bytes, now());
     if (queued < 0.0) return;  // tail-dropped at the link queue
@@ -233,7 +233,7 @@ void Simulator::deliver_fanout(NodeId from,
                                const std::vector<NodeId>& receivers,
                                SharedBytes bytes) {
   if (receivers.empty()) return;
-  queue_.schedule_in(config_.propagation_delay,
+  queue_.schedule_in(kPropagationDelay,
                      [this, from, receivers, bytes = std::move(bytes)] {
                        // One decode for the whole fan-out: it is a pure
                        // function of the shared bytes and the deployment

@@ -19,11 +19,13 @@
 
 namespace qolsr {
 
-/// Simulation-wide configuration.
+/// One-hop propagation + processing latency of the ideal MAC, in seconds.
+inline constexpr double kPropagationDelay = 0.001;
+
+/// Simulation-wide configuration: every node's protocol timing and the run
+/// seed.
 struct SimConfig {
-  NodeConfig node{};
-  /// One-hop propagation + processing latency of the ideal MAC.
-  double propagation_delay = 0.001;
+  ProtocolTiming node{};
   std::uint64_t seed = 1;
 };
 

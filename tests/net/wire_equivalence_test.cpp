@@ -67,7 +67,7 @@ std::vector<std::uint64_t> simulator_digests(const Graph& graph,
     return kInvalidNode;
   };
   SimConfig config;
-  static_cast<ProtocolTiming&>(config.node) = timing;
+  config.node = timing;
   config.seed = seed;
   Simulator sim(graph, *flooding, *ans, no_routes, config);
   const ConvergenceReport report = sim.run_to_convergence();
@@ -182,8 +182,10 @@ TEST(WireHarness, FleetsOverlapWithinTheProcessBudget) {
 }
 
 TEST(WireEquivalence, SetSizesTravelWithTheDigests) {
-  // The eval backend reports flooding/ANS sizes straight from the status
-  // frames; pin them against the in-process run for one selector.
+  // The eval backend reports ANS sizes straight from the status frames;
+  // pin them against the in-process run for one selector. (The flooding
+  // set and its size travel inside each digest, which the tests above
+  // compare.)
   const Graph graph = test_graph();
   net::WireRunConfig config;
   config.protocol = "qolsr_mpr2";
@@ -199,16 +201,13 @@ TEST(WireEquivalence, SetSizesTravelWithTheDigests) {
     return kInvalidNode;
   };
   SimConfig sim_config;
-  static_cast<ProtocolTiming&>(sim_config.node) = config.timing;
+  sim_config.node = config.timing;
   sim_config.seed = 99;
   Simulator sim(graph, *flooding, *ans, no_routes, sim_config);
   ASSERT_TRUE(sim.run_to_convergence().converged);
 
   for (NodeId id = 0; id < graph.node_count(); ++id) {
     EXPECT_EQ(wire.reports[id].ans_size, sim.node(id).ans().size())
-        << "node " << id;
-    EXPECT_EQ(wire.reports[id].flooding_size,
-              sim.node(id).flooding_mpr().size())
         << "node " << id;
   }
 }

@@ -224,7 +224,7 @@ TEST(Allocation, FanoutCostDoesNotGrowWithReceivers) {
                 config);
   sim.run_until(2.0 * config.node.jitter + 1.0);
 
-  const double drain = 2.0 * sim.config().propagation_delay;
+  const double drain = 2.0 * kPropagationDelay;
   const auto broadcast_cost = [&](NodeId hub) {
     TcMessage tc;
     tc.originator = hub;

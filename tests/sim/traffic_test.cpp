@@ -225,7 +225,7 @@ TEST(ContendedMedium, BackloggedLinkDelaysDeliveryInFifoOrder) {
   ASSERT_TRUE(second.delivered);
   const double lat1 = first.delivered_at - first.sent_at;
   const double lat2 = second.delivered_at - second.sent_at;
-  EXPECT_GT(lat1, sim.config().propagation_delay);
+  EXPECT_GT(lat1, kPropagationDelay);
   EXPECT_GT(lat2, lat1);
 }
 

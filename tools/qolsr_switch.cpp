@@ -1,7 +1,7 @@
 // qolsr_switch — the vde2-style software switch: a single-threaded poll
 // loop serving Unix SOCK_SEQPACKET plugs at <socket-path>. Daemons
 // register their node id, the harness uploads the radio adjacency, and
-// packet frames fan out within it (per-port loss/delay knobs optional).
+// packet frames fan out within it, loss-free and at once.
 #include <cstdio>
 
 #include "net/switch_process.hpp"
