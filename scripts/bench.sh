@@ -4,6 +4,8 @@
 #   BENCH_micro.json — google-benchmark micro suites
 #   BENCH_sweep.json — wall-clock of end-to-end qolsr_eval sweeps, the
 #                      wire backend's process fleets included
+# A run replaces each file's numbers and keeps its `notes` list, the
+# hand-written before/after record of earlier changes.
 # Usage:
 #
 #   scripts/bench.sh [--quick]
@@ -65,9 +67,13 @@ import sys
 
 tmp_dir, out_path = sys.argv[1], sys.argv[2]
 
+notes = []  # each change's before/after record, carried over
+if os.path.exists(out_path):
+    with open(out_path) as f:
+        notes = json.load(f).get("notes", [])
 merged = {"context": None,
           "host": json.loads(os.environ["QOLSR_BENCH_HOST_JSON"]),
-          "benchmarks": []}
+          "commit": "", "notes": notes, "benchmarks": []}
 for name in ("micro_selection", "micro_path", "micro_sim",
              "micro_forwarding"):
     with open(f"{tmp_dir}/{name}.json") as f:
@@ -104,6 +110,10 @@ import time
 binary, out_path, runs, reps = (sys.argv[1], sys.argv[2], sys.argv[3],
                                 int(sys.argv[4]))
 host = json.loads(os.environ["QOLSR_BENCH_HOST_JSON"])
+notes = []  # each change's before/after record, carried over
+if os.path.exists(out_path):
+    with open(out_path) as f:
+        notes = json.load(f).get("notes", [])
 results = []
 for figure, threads in (("6", "1"), ("6", "0"), ("7", "1")):
     flags = [f"--figure={figure}", f"--runs={runs}", "--seed=42",
@@ -177,7 +187,7 @@ try:
 except OSError:
     commit = ""
 with open(out_path, "w") as f:
-    json.dump({"commit": commit, "host": host, "benchmarks": results},
-              f, indent=1)
+    json.dump({"commit": commit, "notes": notes, "host": host,
+               "benchmarks": results}, f, indent=1)
 print(f"wrote {out_path} ({len(results)} sweep timings)")
 PY

@@ -59,22 +59,6 @@ const LinkQos* LocalView::local_edge_qos(std::uint32_t a,
   return e != nullptr ? &e->qos : nullptr;
 }
 
-void LocalView::remove_local_edge(std::uint32_t a, std::uint32_t b) {
-  auto erase_from = [this](std::uint32_t from, std::uint32_t to) {
-    LocalEdge* const row = edges_.data() + row_begin_[from];
-    LocalEdge* const end = row + row_len_[from];
-    auto it = std::lower_bound(row, end, to,
-                               [](const LocalEdge& lhs, std::uint32_t id) {
-                                 return lhs.to < id;
-                               });
-    if (it == end || it->to != to) return;
-    std::move(it + 1, end, it);
-    --row_len_[from];
-  };
-  erase_from(a, b);
-  erase_from(b, a);
-}
-
 void LocalViewBuilder::begin_epoch(std::size_t max_global) {
   if (stamp_.size() < max_global) {
     stamp_.resize(max_global, 0);

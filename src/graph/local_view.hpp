@@ -89,11 +89,22 @@ class LocalView {
     return local >= first_two_hop_;
   }
 
-  /// Removes the undirected local edge (a, b). Used by topology filtering,
-  /// which prunes the view before selecting (the RNG reduction). The rows
-  /// keep their CSR slots (a removal shortens `row_len_`), so pruning never
+  /// Keeps, in each row `from`, exactly the edges `keep(from, edge)`
+  /// accepts, in their order. Used by topology filtering, which prunes the
+  /// view before selecting (the RNG reduction); `keep` must accept (a,b)
+  /// iff it accepts (b,a), so the view stays undirected. The rows keep
+  /// their CSR slots (a dropped edge shortens `row_len_`), so pruning never
   /// reallocates.
-  void remove_local_edge(std::uint32_t a, std::uint32_t b);
+  template <typename Keep>
+  void retain_edges(const Keep& keep) {
+    for (std::uint32_t from = 0; from < row_len_.size(); ++from) {
+      LocalEdge* const row = edges_.data() + row_begin_[from];
+      std::uint32_t kept = 0;
+      for (std::uint32_t i = 0; i < row_len_[from]; ++i)
+        if (keep(from, row[i])) row[kept++] = row[i];
+      row_len_[from] = kept;
+    }
+  }
 
  private:
   friend class LocalViewBuilder;

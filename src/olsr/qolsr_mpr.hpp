@@ -35,6 +35,18 @@ enum class QolsrVariant { kMpr1, kMpr2 };
 
 namespace qolsr_detail {
 
+/// Fills `ws.link_value` with each local node's origin link under M, read
+/// from the origin's row once per view; `M::unreachable()` marks a node
+/// with no origin link. Real link values are finite (the codec rejects
+/// anything else), so the mark never collides with a link.
+template <Metric M>
+void fill_origin_links(const LocalView& view, SelectionWorkspace& ws) {
+  ws.link_value.assign(view.size(), M::unreachable());
+  for (const LocalView::LocalEdge& e :
+       view.neighbors(LocalView::origin_index()))
+    ws.link_value[e.to] = M::link_value(e.qos);
+}
+
 /// MPR-1: the RFC 3626 greedy (`select_mpr_greedy`) with the better
 /// origin link under `M::better` breaking coverage ties, then the smaller
 /// id. Workspace form; all scratch comes from `ws`, the set lands in `out`
@@ -42,12 +54,7 @@ namespace qolsr_detail {
 template <Metric M>
 void select_mpr1(const LocalView& view, SelectionWorkspace& ws,
                  std::vector<NodeId>& out) {
-  ws.link_value.assign(view.size(), M::unreachable());
-  for (std::uint32_t w : view.one_hop())
-    if (const LinkQos* qos =
-            view.local_edge_qos(LocalView::origin_index(), w))
-      ws.link_value[w] = M::link_value(*qos);
-
+  fill_origin_links<M>(view, ws);
   const auto& link = ws.link_value;
   select_mpr_greedy(view, ws, out, [&](std::uint32_t w, std::uint32_t best) {
     if (M::better(link[w], link[best])) return true;
@@ -60,6 +67,7 @@ void select_mpr1(const LocalView& view, SelectionWorkspace& ws,
 template <Metric M>
 void select_mpr2(const LocalView& view, SelectionWorkspace& ws,
                  std::vector<NodeId>& out) {
+  fill_origin_links<M>(view, ws);
   ws.in_ans.assign(view.size(), 0);
   auto& selected = ws.in_ans;
   for (std::uint32_t v : view.two_hop()) {
@@ -69,9 +77,8 @@ void select_mpr2(const LocalView& view, SelectionWorkspace& ws,
     for (const LocalView::LocalEdge& e : view.neighbors(v)) {
       const std::uint32_t w = e.to;
       if (!view.is_one_hop(w)) continue;
-      const LinkQos* uw = view.local_edge_qos(LocalView::origin_index(), w);
-      if (uw == nullptr) continue;
-      const double link = M::link_value(*uw);
+      const double link = ws.link_value[w];
+      if (link == M::unreachable()) continue;  // no origin link
       const double path = M::combine(link, M::link_value(e.qos));
       bool take = false;
       if (best == kInvalidNode || M::better(path, best_path)) {

@@ -22,12 +22,12 @@ struct SelectionWorkspace {
   DijkstraWorkspace dijkstra;   ///< compute_first_hops' path-engine scratch
   FirstHopTable first_hops;     ///< reused fP table (fp lists keep capacity)
   LocalView reduced_view;       ///< topology filtering's RNG-reduced copy
-  RngWitnessScratch rng_witness;  ///< rng_reduce's stamped witness row
+  RngWitnessScratch rng_witness;  ///< rng_reduce's sorted edges + bit rows
   std::vector<std::uint8_t> in_ans;       ///< per-local selection flags
   std::vector<std::uint8_t> covered;      ///< MPR phase-2 coverage flags
   std::vector<std::uint32_t> ids;         ///< small local-id scratch list
   std::vector<std::uint32_t> cover_count; ///< MPR per-2-hop cover counts
-  std::vector<double> link_value;         ///< MPR per-neighbor link values
+  std::vector<double> link_value;         ///< QOLSR origin-link values
   std::vector<std::vector<std::uint32_t>> covers;  ///< MPR coverage lists
 
   /// Clears + resizes the MPR coverage lists without freeing row capacity.

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "graph/local_view.hpp"
@@ -34,17 +33,23 @@ class NeighborTables {
   explicit NeighborTables(NodeId self, double hold_time = 6.0)
       : self_(self), hold_time_(hold_time) {}
 
-  /// What a mutation (on_hello / expire) changed — the two facets derived
-  /// state cares about: `digest_changed` means the fold `digest` computes
-  /// is different (an entry appeared/vanished, a sym bit or MPR-selector
-  /// bit flipped), i.e. the convergence detector must see a state change;
-  /// `view_changed` means the node's own symmetric-link contribution to
-  /// its knowledge graph (symmetric neighbor set or a symmetric link's
-  /// QoS) is different, i.e. a cached routing view must be invalidated.
-  /// Timer refreshes that alter neither report {false, false}.
+  /// What a mutation (on_hello / expire) changed — the three facets
+  /// derived state cares about: `digest_changed` means the fold `digest`
+  /// computes is different (an entry appeared/vanished, a sym bit or
+  /// MPR-selector bit flipped), i.e. the convergence detector must see a
+  /// state change; `view_changed` means the node's own symmetric-link
+  /// contribution to its knowledge graph (symmetric neighbor set or a
+  /// symmetric link's QoS) is different, i.e. a cached routing view must
+  /// be invalidated; `local_view_changed` means what `build_local_view`
+  /// reads is different — `view_changed`, or a symmetric neighbor's usable
+  /// (neighbor, QoS) advert sequence moved — i.e. the selections computed
+  /// on the last view are stale. A neighbor flipping us between
+  /// kSymmetric and kMpr changes the digest but not the view. Timer
+  /// refreshes that alter nothing report all three false.
   struct Outcome {
     bool digest_changed = false;
     bool view_changed = false;
+    bool local_view_changed = false;
   };
 
   /// Processes a received HELLO. `qos` is the measured QoS of the link the
@@ -54,9 +59,6 @@ class NeighborTables {
 
   /// Drops expired links / neighbor tables / selector entries.
   Outcome expire(double now);
-
-  /// Forgets every neighbor — the per-run reset of a reused protocol stack.
-  void clear() { links_.clear(); }
 
   /// Folds the link-state that selection depends on — symmetric neighbor
   /// ids and who selected us as MPR — into a running state digest. Hold
@@ -82,8 +84,8 @@ class NeighborTables {
   /// used by the cached knowledge-graph rebuild.
   template <typename Fn>
   void for_each_symmetric(Fn&& fn) const {
-    for (const auto& [id, entry] : links_)
-      if (entry.sym_until >= 0.0) fn(id, entry.qos);
+    for (const LinkEntry& entry : links_)
+      if (entry.sym_until >= 0.0) fn(entry.id, entry.qos);
   }
 
   /// Every neighbor with a live (possibly still asymmetric) link entry,
@@ -113,6 +115,7 @@ class NeighborTables {
 
  private:
   struct LinkEntry {
+    NodeId id = kInvalidNode;  ///< the neighbor
     LinkQos qos;
     double sym_until = -1.0;   ///< symmetric while now < sym_until
     double asym_until = -1.0;  ///< heard-from while now < asym_until
@@ -120,9 +123,14 @@ class NeighborTables {
     std::vector<LinkAdvert> advertised;  ///< neighbor's own link table
   };
 
+  /// The entry of `neighbor`, or nullptr (binary search: links_ is sorted).
+  const LinkEntry* find(NodeId neighbor) const;
+
   NodeId self_;
   double hold_time_;
-  std::map<NodeId, LinkEntry> links_;  // ordered => deterministic iteration
+  /// One entry per heard neighbor, sorted by id — a flat table searched by
+  /// bisection, so every walk (digests, views, HELLO lists) is ascending.
+  std::vector<LinkEntry> links_;
 };
 
 }  // namespace qolsr

@@ -35,32 +35,30 @@ bool same_view(const std::vector<LinkAdvert>& a,
 TopologyBase::TcOutcome TopologyBase::apply_tc(const TcMessage& tc,
                                                double now) {
   TcOutcome out;
-  auto it = entries_.find(tc.originator);
-  if (it != entries_.end() && it->second.expires >= now &&
-      !newer(tc.ansn, it->second.ansn) && tc.ansn != it->second.ansn) {
+  if (tc.originator >= entries_.size()) entries_.resize(tc.originator + 1);
+  Entry& entry = entries_[tc.originator];
+  if (entry.held && entry.expires >= now && !newer(tc.ansn, entry.ansn) &&
+      tc.ansn != entry.ansn) {
     return out;  // stale — every flag false
   }
   out.fresh = true;
-  if (it == entries_.end()) {
+  if (!entry.held) {
     // New originator: digest folds the originator id, so even an empty
     // advertisement is a visible change.
     out.links_changed = true;
     out.view_changed = !tc.advertised.empty();
-    Entry& entry = entries_[tc.originator];
-    entry.ansn = tc.ansn;
-    entry.expires = now + hold_time_;
-    entry.advertised = tc.advertised;
-    return out;
+    entry.held = true;
+    ++held_;
+  } else {
+    // The digest ignores expiry, so `links_changed` compares against the
+    // held advertisement regardless of validity; the routing view is
+    // validity-aware, so a held-but-expired entry contributed nothing and
+    // any non-empty refresh revives it.
+    out.links_changed = !same_links(entry.advertised, tc.advertised);
+    out.view_changed = entry.expires < now
+                           ? !tc.advertised.empty()
+                           : !same_view(entry.advertised, tc.advertised);
   }
-  Entry& entry = it->second;
-  // The digest ignores expiry, so `links_changed` compares against the
-  // held advertisement regardless of validity; the routing view is
-  // validity-aware, so a held-but-expired entry contributed nothing and
-  // any non-empty refresh revives it.
-  out.links_changed = !same_links(entry.advertised, tc.advertised);
-  out.view_changed = entry.expires < now
-                         ? !tc.advertised.empty()
-                         : !same_view(entry.advertised, tc.advertised);
   entry.ansn = tc.ansn;
   entry.expires = now + hold_time_;
   entry.advertised = tc.advertised;
@@ -69,12 +67,11 @@ TopologyBase::TcOutcome TopologyBase::apply_tc(const TcMessage& tc,
 
 bool TopologyBase::expire(double now) {
   bool removed = false;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.expires < now) {
-      it = entries_.erase(it);
+  for (Entry& entry : entries_) {
+    if (entry.held && entry.expires < now) {
+      entry.held = false;  // the slot keeps its advert capacity
+      --held_;
       removed = true;
-    } else {
-      ++it;
     }
   }
   return removed;
@@ -82,8 +79,8 @@ bool TopologyBase::expire(double now) {
 
 double TopologyBase::next_expiry() const {
   double next = std::numeric_limits<double>::infinity();
-  for (const auto& [originator, entry] : entries_)
-    next = std::min(next, entry.expires);
+  for (const Entry& entry : entries_)
+    if (entry.held) next = std::min(next, entry.expires);
   return next;
 }
 
@@ -101,8 +98,10 @@ double TopologyBase::to_graph_into(Graph& out, std::size_t node_count,
                                    double now) const {
   out.reset_nodes(node_count);
   double fresh_until = std::numeric_limits<double>::infinity();
-  for (const auto& [originator, entry] : entries_) {
-    if (originator >= node_count) continue;
+  const std::size_t originators = std::min(entries_.size(), node_count);
+  for (NodeId originator = 0; originator < originators; ++originator) {
+    const Entry& entry = entries_[originator];
+    if (!entry.held) continue;
     if (entry.expires < now) continue;  // held but already invalid
     fresh_until = std::min(fresh_until, entry.expires);
     for (const LinkAdvert& a : entry.advertised) {
@@ -115,7 +114,9 @@ double TopologyBase::to_graph_into(Graph& out, std::size_t node_count,
 }
 
 std::uint64_t TopologyBase::digest(std::uint64_t h) const {
-  for (const auto& [originator, entry] : entries_) {  // ordered map: stable
+  for (NodeId originator = 0; originator < entries_.size(); ++originator) {
+    const Entry& entry = entries_[originator];
+    if (!entry.held) continue;
     h = util::digest_mix(h, originator);
     for (const LinkAdvert& a : entry.advertised)
       h = util::digest_mix(h, a.neighbor);
@@ -124,7 +125,9 @@ std::uint64_t TopologyBase::digest(std::uint64_t h) const {
 }
 
 std::uint64_t TopologyBase::converged_digest(std::uint64_t h) const {
-  for (const auto& [originator, entry] : entries_) {  // ordered map: stable
+  for (NodeId originator = 0; originator < entries_.size(); ++originator) {
+    const Entry& entry = entries_[originator];
+    if (!entry.held) continue;
     h = util::digest_mix(h, originator);
     h = util::digest_mix(h, entry.advertised.size());
     for (const LinkAdvert& a : entry.advertised) {
@@ -137,17 +140,16 @@ std::uint64_t TopologyBase::converged_digest(std::uint64_t h) const {
 }
 
 std::optional<std::uint16_t> TopologyBase::ansn_of(NodeId originator) const {
-  auto it = entries_.find(originator);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second.ansn;
+  const Entry* entry = find(originator);
+  if (entry == nullptr) return std::nullopt;
+  return entry->ansn;
 }
 
 std::vector<NodeId> TopologyBase::advertised_of(NodeId originator) const {
   std::vector<NodeId> result;
-  auto it = entries_.find(originator);
-  if (it == entries_.end()) return result;
-  for (const LinkAdvert& a : it->second.advertised)
-    result.push_back(a.neighbor);
+  const Entry* entry = find(originator);
+  if (entry == nullptr) return result;
+  for (const LinkAdvert& a : entry->advertised) result.push_back(a.neighbor);
   return result;
 }
 

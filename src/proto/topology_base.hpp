@@ -1,7 +1,7 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -22,6 +22,12 @@ inline bool ansn_newer(std::uint16_t a, std::uint16_t b) {
 /// RFC 3626 topology information base: what a node has learned from TC
 /// floods. Keyed by originator; a newer ANSN replaces the stale advert,
 /// and entries expire when not refreshed.
+///
+/// Storage is flat: one slot per originator id, indexed directly, with a
+/// held flag. Every originator that reaches a node has passed the
+/// deployment range check (ids are dense 0..n-1), so the slots never
+/// outgrow the deployment, and walking them in index order visits the
+/// originators ascending.
 class TopologyBase {
  public:
   explicit TopologyBase(double hold_time = 15.0) : hold_time_(hold_time) {}
@@ -59,9 +65,6 @@ class TopologyBase {
   /// base is empty) — when the next expiry-driven purge event is due.
   double next_expiry() const;
 
-  /// Drops every entry — the per-run reset of a reused protocol stack.
-  void clear() { entries_.clear(); }
-
   /// All live advertised links, as an undirected QoS graph over
   /// `node_count` nodes — the knowledge a routing-table computation merges
   /// with the local view.
@@ -89,16 +92,18 @@ class TopologyBase {
   /// value a fresher TC must beat under ansn_newer.
   std::optional<std::uint16_t> ansn_of(NodeId originator) const;
 
-  /// Visits every held advert as (originator, advert), in deterministic
-  /// (ordered-map) order — the invariant monitor's audit walks this to
-  /// compare a converged base against the ground-truth graph.
+  /// Visits every held advert as (originator, advert), originators
+  /// ascending — the invariant monitor's audit walks this to compare a
+  /// converged base against the ground-truth graph.
   template <typename Fn>
   void for_each_advert(Fn&& fn) const {
-    for (const auto& [originator, entry] : entries_)
-      for (const LinkAdvert& a : entry.advertised) fn(originator, a);
+    for (NodeId originator = 0; originator < entries_.size(); ++originator)
+      if (entries_[originator].held)
+        for (const LinkAdvert& a : entries_[originator].advertised)
+          fn(originator, a);
   }
 
-  std::size_t originator_count() const { return entries_.size(); }
+  std::size_t originator_count() const { return held_; }
 
   /// Folds the advertised topology — (originator, advertised neighbor)
   /// pairs, deterministic order — into a running state digest. Expiry
@@ -117,10 +122,18 @@ class TopologyBase {
 
  private:
   struct Entry {
+    bool held = false;  ///< the originator has an entry
     std::uint16_t ansn = 0;
     double expires = 0.0;
     std::vector<LinkAdvert> advertised;
   };
+
+  /// The held entry of `originator`, or nullptr.
+  const Entry* find(NodeId originator) const {
+    return originator < entries_.size() && entries_[originator].held
+               ? &entries_[originator]
+               : nullptr;
+  }
 
   /// ANSN comparison with wrap-around (RFC 3626 §9.2 semantics).
   static bool newer(std::uint16_t a, std::uint16_t b) {
@@ -128,7 +141,8 @@ class TopologyBase {
   }
 
   double hold_time_;
-  std::map<NodeId, Entry> entries_;
+  std::vector<Entry> entries_;  ///< indexed by originator id
+  std::size_t held_ = 0;        ///< entries with `held` set
 };
 
 }  // namespace qolsr

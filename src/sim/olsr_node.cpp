@@ -92,6 +92,7 @@ void OlsrNode::reset(const AnsSelector& flooding_selector,
   next_sequence_ = 0;
   alive_ = true;
   knowledge_valid_ = false;
+  selection_valid_ = false;
   // Pending purge events died with the previous run's event queue (the
   // Simulator clears it before resetting nodes).
   purge_pending_ = false;
@@ -120,17 +121,25 @@ void OlsrNode::crash() {
   ans_.clear();
   last_advertised_.clear();
   knowledge_valid_ = false;
+  selection_valid_ = false;
   note_mutation();  // the alive bit (and the wiped tables) are state
 }
 
 void OlsrNode::restart() {
   alive_ = true;
   knowledge_valid_ = false;
+  selection_valid_ = false;
   note_mutation();  // the alive bit is state
 }
 
 void OlsrNode::note_mutation() {
   if (mutations_ != nullptr) mutations_->note(medium_.now());
+}
+
+void OlsrNode::note_table_change(const NeighborTables::Outcome& changed) {
+  if (changed.digest_changed) note_mutation();
+  if (changed.view_changed) knowledge_valid_ = false;
+  if (changed.local_view_changed) selection_valid_ = false;
 }
 
 void OlsrNode::start() {
@@ -163,6 +172,11 @@ std::vector<LinkAdvert> OlsrNode::build_hello_links() const {
 }
 
 void OlsrNode::recompute_selection() {
+  // Selection is a pure function of the local view, and after a recompute
+  // ans_ == last_advertised_: on an unmoved view a rerun would note no
+  // mutation and bump no ANSN.
+  if (selection_valid_) return;
+  selection_valid_ = true;
   // Everything below runs in the borrowed scratch; the results are copied
   // into this node's own sets, which keep their capacity.
   SelectionScratch& s = *scratch_;
@@ -188,9 +202,7 @@ void OlsrNode::hello_tick() {
   // its jitter draw happen regardless), but the protocol body is skipped.
   if (alive_) {
     const double now = medium_.now();
-    const NeighborTables::Outcome lapsed = tables_.expire(now);
-    if (lapsed.digest_changed) note_mutation();
-    if (lapsed.view_changed) knowledge_valid_ = false;
+    note_table_change(tables_.expire(now));
     recompute_selection();
 
     HelloMessage hello;
@@ -220,9 +232,7 @@ void OlsrNode::tc_tick() {
     return;
   }
   const double now = medium_.now();
-  const NeighborTables::Outcome lapsed = tables_.expire(now);
-  if (lapsed.digest_changed) note_mutation();
-  if (lapsed.view_changed) knowledge_valid_ = false;
+  note_table_change(tables_.expire(now));
   // Topology-base expiry is event-driven (topology_purge_tick), not tied
   // to this tick anymore; the duplicate set keeps its opportunistic sweep
   // here (its entries are not digest-visible state).
@@ -352,10 +362,7 @@ void OlsrNode::on_frame(NodeId from, const ParsedPacket* packet,
 void OlsrNode::handle_hello(const HelloMessage& hello, NodeId from) {
   const LinkQos* qos = medium_.measured_qos(id_, from);
   if (qos == nullptr) return;  // spurious reception
-  const NeighborTables::Outcome changed =
-      tables_.on_hello(hello, *qos, medium_.now());
-  if (changed.digest_changed) note_mutation();
-  if (changed.view_changed) knowledge_valid_ = false;
+  note_table_change(tables_.on_hello(hello, *qos, medium_.now()));
 }
 
 void OlsrNode::handle_tc(const PacketHeader& header, const TcMessage& tc,

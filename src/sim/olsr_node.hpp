@@ -174,6 +174,11 @@ class OlsrNode {
   void schedule_topology_purge();
   /// Reports one digest-visible state change to the network clock.
   void note_mutation();
+  /// Applies what a neighbor-table mutation changed to the derived state:
+  /// the mutation clock, the knowledge cache and the selections.
+  void note_table_change(const NeighborTables::Outcome& changed);
+  /// Recomputes the flooding MPRs and the ANS from the local view, unless
+  /// the view has not moved since the last recompute.
   void recompute_selection();
   void lie_in_tc(TcMessage& tc);
   void replay_captured_tc();
@@ -204,6 +209,10 @@ class OlsrNode {
   std::vector<NodeId> last_advertised_;
   std::uint16_t next_sequence_ = 0;
   bool alive_ = true;  ///< false between crash() and restart()
+  /// flooding_mpr_ and ans_ are the selections of the current local view:
+  /// cleared by every neighbor-table change that moves the view, and by
+  /// crash, restart and reset.
+  bool selection_valid_ = false;
   MutationClock* mutations_ = nullptr;  ///< network clock; may be null
 
   // ---- cached knowledge view (see knowledge_graph) ----------------------

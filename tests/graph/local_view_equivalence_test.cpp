@@ -233,7 +233,7 @@ TEST(LocalViewEquivalence, HelloTableKeepsFirstDuplicateReport) {
   EXPECT_EQ(qos->bandwidth, 7.0);
 }
 
-TEST(LocalViewEquivalence, RemoveLocalEdgeMatchesReference) {
+TEST(LocalViewEquivalence, RetainEdgesMatchesReference) {
   const Graph g = testing::random_geometric_graph(21, 8.0);
   LocalViewBuilder builder;
   LocalView view;
@@ -253,8 +253,15 @@ TEST(LocalViewEquivalence, RemoveLocalEdgeMatchesReference) {
         }
       }
     }
+    const auto removed = [&](std::uint32_t x, std::uint32_t y) {
+      for (auto [a, b] : removals)
+        if ((a == x && b == y) || (a == y && b == x)) return true;
+      return false;
+    };
+    view.retain_edges([&](std::uint32_t from, const LocalView::LocalEdge& e) {
+      return !removed(from, e.to);
+    });
     for (auto [a, b] : removals) {
-      view.remove_local_edge(a, b);
       auto erase_ref = [&](std::uint32_t x, std::uint32_t y) {
         auto& row = ref.adjacency[x];
         row.erase(std::remove_if(row.begin(), row.end(),

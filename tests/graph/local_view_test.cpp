@@ -75,15 +75,29 @@ TEST(LocalView, OneTwoHopPredicates) {
   EXPECT_TRUE(view.is_two_hop(view.local_id(Fig2::v9)));
 }
 
-TEST(LocalView, RemoveLocalEdge) {
+TEST(LocalView, RetainEdgesDropsRejectedEdge) {
   const Graph g = Fig2::build();
   LocalView view(g, Fig2::u);
+  const LocalView original(g, Fig2::u);
   const std::uint32_t a = view.local_id(Fig2::v1);
   const std::uint32_t b = view.local_id(Fig2::v3);
   ASSERT_TRUE(view.has_local_edge(a, b));
-  view.remove_local_edge(a, b);
+  view.retain_edges([&](std::uint32_t from, const LocalView::LocalEdge& e) {
+    return !((from == a && e.to == b) || (from == b && e.to == a));
+  });
   EXPECT_FALSE(view.has_local_edge(a, b));
   EXPECT_FALSE(view.has_local_edge(b, a));
+  // Every other edge stays, in its row order.
+  for (std::uint32_t x = 0; x < original.size(); ++x) {
+    std::vector<std::uint32_t> expected;
+    for (const LocalView::LocalEdge& e : original.neighbors(x))
+      if (!((x == a && e.to == b) || (x == b && e.to == a)))
+        expected.push_back(e.to);
+    std::vector<std::uint32_t> kept;
+    for (const LocalView::LocalEdge& e : view.neighbors(x))
+      kept.push_back(e.to);
+    EXPECT_EQ(kept, expected) << "row " << x;
+  }
 }
 
 TEST(LocalView, IsolatedNode) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "graph/deployment.hpp"
 #include "path/first_hops.hpp"
 #include "support/engines.hpp"
 #include "support/random_graphs.hpp"
@@ -112,6 +115,72 @@ TEST_P(RngReducePropertyTest, ReductionIsSubgraph) {
     }
     EXPECT_LE(after, before);
   }
+}
+
+/// The witness rule by brute force over every third node: (x,y) is
+/// dropped iff some z has both links in the view and both strictly
+/// `M::better` than (x,y).
+template <Metric M>
+void expect_brute_force_reduction(const LocalView& view,
+                                  const std::string& context) {
+  const LocalView reduced = testing::rng_reduced<M>(view);
+  std::size_t kept = 0;
+  for (std::uint32_t x = 0; x < view.size(); ++x) {
+    for (const LocalView::LocalEdge& e : view.neighbors(x)) {
+      const double direct = M::link_value(e.qos);
+      bool witnessed = false;
+      for (std::uint32_t z = 0; z < view.size() && !witnessed; ++z) {
+        const LinkQos* xz = view.local_edge_qos(x, z);
+        const LinkQos* zy = view.local_edge_qos(z, e.to);
+        witnessed = xz != nullptr && zy != nullptr &&
+                    M::better(M::link_value(*xz), direct) &&
+                    M::better(M::link_value(*zy), direct);
+      }
+      if (!witnessed) ++kept;
+      EXPECT_EQ(reduced.has_local_edge(x, e.to), !witnessed)
+          << context << " " << M::name() << " edge (" << view.global_id(x)
+          << "," << view.global_id(e.to) << ")";
+    }
+  }
+  std::size_t reduced_entries = 0;
+  for (std::uint32_t x = 0; x < reduced.size(); ++x)
+    reduced_entries += reduced.neighbors(x).size();
+  EXPECT_EQ(reduced_entries, kept) << context << " " << M::name();
+}
+
+TEST_P(RngReducePropertyTest, MatchesBruteForceWitnessReference) {
+  Graph g = testing::random_geometric_graph(GetParam(), 12.0, 250.0);
+  util::Rng rng(GetParam() * 7 + 1);
+  const auto check_all_views = [&](const std::string& draw) {
+    for (NodeId u = 0; u < g.node_count(); ++u) {
+      const LocalView view(g, u);
+      const std::string context = draw + " node " + std::to_string(u);
+      expect_brute_force_reduction<BandwidthMetric>(view, context);
+      expect_brute_force_reduction<DelayMetric>(view, context);
+    }
+  };
+  QosIntervals intervals;
+  intervals.integral = true;  // the evaluation's draws: exact ties
+  assign_uniform_qos(g, intervals, rng);
+  check_all_views("integral");
+  intervals.integral = false;
+  assign_uniform_qos(g, intervals, rng);
+  check_all_views("continuous");
+
+  // Near-ties: every value is v, v·(1+5e-10) (inside the 1e-9 tolerance
+  // band, so no better than v) or v·(1+2e-9) (outside it).
+  const double bases[] = {2.0, 5.0, 9.0};
+  const double scales[] = {1.0, 1.0 + 5e-10, 1.0 + 2e-9};
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    for (const Edge& e : g.neighbors(u)) {
+      if (e.to < u) continue;
+      LinkQos qos;
+      qos.bandwidth = bases[rng.uniform_int(3)] * scales[rng.uniform_int(3)];
+      qos.delay = bases[rng.uniform_int(3)] * scales[rng.uniform_int(3)];
+      g.set_edge_qos(u, e.to, qos);
+    }
+  }
+  check_all_views("near-tie");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RngReducePropertyTest,

@@ -104,5 +104,68 @@ TEST(NeighborTables, AsymmetricAdvertsIgnoredInTwoHop) {
   EXPECT_TRUE(view.two_hop().empty());
 }
 
+void expect_outcome(const NeighborTables::Outcome& got, bool digest,
+                    bool view, bool local_view, const char* context) {
+  EXPECT_EQ(got.digest_changed, digest) << context;
+  EXPECT_EQ(got.view_changed, view) << context;
+  EXPECT_EQ(got.local_view_changed, local_view) << context;
+}
+
+TEST(NeighborTables, OutcomeReportsWhatEachHelloMoved) {
+  NeighborTables tables(0, /*hold=*/6.0);
+  // Node 1 heard, not yet symmetric.
+  expect_outcome(tables.on_hello(hello_from(1), qos_bw(4), 0.0), true, false,
+                 false, "first HELLO (asymmetric)");
+  const std::vector<LinkAdvert> links = {
+      {0, LinkStatus::kSymmetric, qos_bw(4)},
+      {5, LinkStatus::kSymmetric, qos_bw(7)},
+      {6, LinkStatus::kAsymmetric, qos_bw(3)}};
+  expect_outcome(tables.on_hello(hello_from(1, links), qos_bw(4), 1.0), true,
+                 true, true, "asymmetric -> symmetric");
+  expect_outcome(tables.on_hello(hello_from(1, links), qos_bw(4), 2.0), false,
+                 false, false, "identical HELLO");
+
+  // The QoS of one advertised symmetric link moves: only the 2-hop view.
+  std::vector<LinkAdvert> requalified = links;
+  requalified[1].qos = qos_bw(8);
+  expect_outcome(tables.on_hello(hello_from(1, requalified), qos_bw(4), 3.0),
+                 false, false, true, "advertised QoS changed");
+  // A link still asymmetric at the sender is not in the view.
+  std::vector<LinkAdvert> unusable = requalified;
+  unusable[2].qos = qos_bw(9);
+  expect_outcome(tables.on_hello(hello_from(1, unusable), qos_bw(4), 3.5),
+                 false, false, false, "asymmetric advert changed");
+
+  // The sender picks us as its MPR: digest-visible, view unchanged.
+  std::vector<LinkAdvert> selected = unusable;
+  selected[0].status = LinkStatus::kMpr;
+  expect_outcome(tables.on_hello(hello_from(1, selected), qos_bw(4), 4.0),
+                 true, false, false, "flipped to kMpr");
+
+  // Expiry of the symmetric entry moves everything.
+  expect_outcome(tables.expire(4.5), false, false, false, "nothing lapsed");
+  expect_outcome(tables.expire(10.5), true, true, true,
+                 "symmetric entry expired");
+  EXPECT_TRUE(tables.heard_neighbors().empty());
+}
+
+TEST(NeighborTables, FlatTableKeepsAscendingOrder) {
+  NeighborTables tables(0, /*hold=*/6.0);
+  for (NodeId id : {7u, 2u, 9u, 5u})
+    tables.on_hello(hello_from(id, {{0, LinkStatus::kSymmetric, qos_bw(1)}}),
+                    qos_bw(id), static_cast<double>(id));
+  EXPECT_EQ(tables.heard_neighbors(), (std::vector<NodeId>{2, 5, 7, 9}));
+  // Entries heard at 2 and 5 lapse; 7 and 9 stay, in order.
+  tables.expire(11.5);
+  EXPECT_EQ(tables.symmetric_neighbors(), (std::vector<NodeId>{7, 9}));
+  ASSERT_NE(tables.link_qos(9), nullptr);
+  EXPECT_EQ(tables.link_qos(9)->bandwidth, 9.0);
+  EXPECT_EQ(tables.link_qos(5), nullptr);
+  tables.on_hello(hello_from(3, {{0, LinkStatus::kMpr, qos_bw(1)}}), qos_bw(3),
+                  12.0);
+  EXPECT_EQ(tables.heard_neighbors(), (std::vector<NodeId>{3, 7, 9}));
+  EXPECT_EQ(tables.mpr_selectors(), (std::vector<NodeId>{3}));
+}
+
 }  // namespace
 }  // namespace qolsr

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string_view>
+#include <vector>
 
 #include "core/fnbp.hpp"
 #include "routing/advertised_topology.hpp"
@@ -161,6 +163,66 @@ TEST(Simulator, QolsrModeUsesSameSetForFloodingAndRouting) {
   for (NodeId u = 0; u < g.node_count(); ++u) {
     EXPECT_EQ(sim.node(u).ans(), sim.node(u).flooding_mpr());
     EXPECT_EQ(sim.node(u).ans(), qolsr.select(LocalView(g, u)));
+  }
+}
+
+/// Forwards to a real selector and counts its select_into calls.
+class CountingSelector final : public AnsSelector {
+ public:
+  explicit CountingSelector(const AnsSelector& inner) : inner_(inner) {}
+  std::string_view name() const override { return inner_.name(); }
+  void select_into(const LocalView& view, SelectionWorkspace& ws,
+                   std::vector<NodeId>& out) const override {
+    ++calls;
+    inner_.select_into(view, ws, out);
+  }
+  bool qos_first_routing() const override {
+    return inner_.qos_first_routing();
+  }
+
+  mutable std::size_t calls = 0;
+
+ private:
+  const AnsSelector& inner_;
+};
+
+TEST(Simulator, SelectsOnlyWhenTheLocalViewMoves) {
+  const Graph g = testing::random_geometric_graph(17, 8.0, 300.0);
+  const Rfc3626Selector rfc;
+  const FnbpSelector<BandwidthMetric> fnbp;
+  const CountingSelector flooding(rfc);
+  const CountingSelector ans(fnbp);
+  Simulator sim(g, flooding, ans, next_hop_routes());
+  ASSERT_TRUE(sim.run_to_convergence().converged);
+  ASSERT_GT(ans.calls, 0u);
+
+  // A loss-free network at its fixpoint: every HELLO repeats what the
+  // tables hold, so no tick's recompute finds a moved view.
+  const std::size_t flooding_calls = flooding.calls;
+  const std::size_t ans_calls = ans.calls;
+  const ProtocolTiming& timing = sim.config().node;
+  sim.run_until(sim.now() +
+                3.0 * std::max(timing.hello_interval, timing.tc_interval));
+  EXPECT_EQ(flooding.calls, flooding_calls);
+  EXPECT_EQ(ans.calls, ans_calls);
+
+  // A crash moves views around the victim; once the network has settled
+  // again, every node's sets are the selections of its current tables.
+  FaultIncident crash;
+  crash.kind = FaultIncident::Kind::kNodeCrash;
+  crash.node = 0;
+  crash.duration = 6.0;
+  sim.inject(crash);
+  ASSERT_TRUE(sim.run_to_convergence().converged);
+  EXPECT_GT(ans.calls, ans_calls);
+  SelectionWorkspace ws;
+  std::vector<NodeId> expected;
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    const LocalView view = sim.node(u).tables().build_local_view();
+    rfc.select_into(view, ws, expected);
+    EXPECT_EQ(sim.node(u).flooding_mpr(), expected) << "node " << u;
+    fnbp.select_into(view, ws, expected);
+    EXPECT_EQ(sim.node(u).ans(), expected) << "node " << u;
   }
 }
 
