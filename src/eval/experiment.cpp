@@ -1,7 +1,10 @@
 #include "eval/experiment.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <memory>
+#include <optional>
+#include <utility>
 
 #include "eval/backend.hpp"
 #include "eval/dynamic_runner.hpp"
@@ -9,27 +12,6 @@
 #include "eval/wire_runner.hpp"
 
 namespace qolsr {
-
-std::string_view backend_name(BackendId id) {
-  for (const BackendInfo& info : kBackends)
-    if (info.id == id) return info.name;
-  return "oracle";
-}
-
-std::optional<BackendId> parse_backend_id(std::string_view name) {
-  for (const BackendInfo& info : kBackends)
-    if (name == info.name) return info.id;
-  return std::nullopt;
-}
-
-std::string backend_names() {
-  std::string out;
-  for (const BackendInfo& info : kBackends) {
-    if (!out.empty()) out += "|";
-    out += info.name;
-  }
-  return out;
-}
 
 namespace {
 
@@ -65,6 +47,23 @@ std::uint64_t parse_uint(std::string_view flag, std::string_view text) {
   return value;
 }
 
+/// An enum flag's value, looked up in its name table; the error lists the
+/// table's names.
+template <typename E, std::size_t N>
+E parse_choice(std::string_view flag, std::string_view value,
+               const util::Named<E> (&table)[N]) {
+  if (const std::optional<E> parsed = util::value_of(table, value))
+    return *parsed;
+  throw ExperimentError("flag " + std::string(flag) + ": expected " +
+                        util::names_of(table) + ", got '" +
+                        std::string(value) + "'");
+}
+
+/// Every failure of a spec names the experiment it came from.
+[[noreturn]] void reject(const ExperimentSpec& spec, const std::string& why) {
+  throw ExperimentError("experiment '" + spec.name + "': " + why);
+}
+
 }  // namespace
 
 ResolvedProtocols resolve_protocols(const ExperimentSpec& spec,
@@ -88,175 +87,155 @@ ResolvedProtocols resolve_protocols(const ExperimentSpec& spec,
       }
     }
   } catch (const std::invalid_argument& e) {
-    throw ExperimentError("experiment '" + spec.name + "': " + e.what());
+    reject(spec, e.what());
   }
   return protocols;
 }
 
 ExperimentResult run_experiment(const ExperimentSpec& spec,
                                 const SelectorRegistry& registry) {
-  if (spec.selectors.empty())
-    throw ExperimentError("experiment '" + spec.name +
-                          "': no selectors named");
-  if (spec.scenario.densities.empty())
-    throw ExperimentError("experiment '" + spec.name +
-                          "': no densities to sweep");
-  if (spec.scenario.runs == 0)
-    throw ExperimentError("experiment '" + spec.name + "': runs must be > 0");
+  if (spec.selectors.empty()) reject(spec, "no selectors named");
+  if (spec.scenario.densities.empty()) reject(spec, "no densities to sweep");
+  if (spec.scenario.runs == 0) reject(spec, "runs must be > 0");
+  // The deployment sampler trusts its geometry: a field or radius that is
+  // not finite and positive overflows its cell grid or asks for an
+  // unbounded node count, and a NaN intensity never ends a Poisson draw.
+  const DeploymentConfig& geometry = spec.scenario.field;
+  const auto positive = [](double x) { return std::isfinite(x) && x > 0.0; };
+  if (!positive(geometry.width) || !positive(geometry.height) ||
+      !positive(geometry.radius))
+    reject(spec, "--field and --radius must be finite and > 0");
+  if (!std::isfinite(geometry.degree)) reject(spec, "--degree must be finite");
+  for (const double value : spec.scenario.densities)
+    if (!std::isfinite(value)) reject(spec, "sweep values must be finite");
+  // Link weights are drawn uniformly from each interval: a negative bound
+  // yields negative QoS, lo > hi an empty range, a non-finite bound an
+  // undefined integer cast.
+  const QosIntervals& qos = spec.scenario.qos;
+  for (const auto& [lo, hi] : {std::pair{qos.bandwidth_lo, qos.bandwidth_hi},
+                               std::pair{qos.delay_lo, qos.delay_hi},
+                               std::pair{qos.jitter_lo, qos.jitter_hi},
+                               std::pair{qos.loss_lo, qos.loss_hi},
+                               std::pair{qos.energy_lo, qos.energy_hi},
+                               std::pair{qos.buffers_lo, qos.buffers_hi}})
+    if (!std::isfinite(lo) || !std::isfinite(hi) || lo < 0.0 || hi < lo)
+      reject(spec,
+             "QoS intervals need finite bounds with 0 <= lo <= hi (--qos-hi)");
   const auto is_probability = [](double p) { return p >= 0.0 && p <= 1.0; };
   const FaultPlan& faults = spec.scenario.faults;
   if (!is_probability(faults.loss_rate))
-    throw ExperimentError("experiment '" + spec.name +
-                          "': --loss is a frame-loss probability in [0, 1]");
+    reject(spec, "--loss is a frame-loss probability in [0, 1]");
   for (const LinkLossSpec& link : faults.link_loss)
     if (!is_probability(link.rate))
-      throw ExperimentError("experiment '" + spec.name +
-                            "': per-link loss rates live in [0, 1]");
+      reject(spec, "per-link loss rates live in [0, 1]");
   for (const FaultIncident& incident : faults.incidents)
-    if (incident.count == 0)
-      throw ExperimentError("experiment '" + spec.name +
-                            "': fault incidents need count >= 1");
-  if (spec.scenario.probe_packets == 0)
-    throw ExperimentError("experiment '" + spec.name +
-                          "': --probes must be >= 1");
+    if (incident.count == 0) reject(spec, "fault incidents need count >= 1");
+  if (spec.scenario.probe_packets == 0) reject(spec, "--probes must be >= 1");
   if (spec.scenario.sweep_axis == Scenario::SweepAxis::kLoss) {
     if (spec.backend != BackendId::kPacket)
-      throw ExperimentError("experiment '" + spec.name +
-                            "': the loss axis needs --backend=packet (the "
-                            "oracle has no frames to lose)");
+      reject(spec,
+             "the loss axis needs --backend=packet (the oracle has no frames "
+             "to lose)");
     for (const double rate : spec.scenario.densities)
       if (!is_probability(rate))
-        throw ExperimentError("experiment '" + spec.name +
-                              "': loss sweep values are probabilities in "
-                              "[0, 1]");
+        reject(spec, "loss sweep values are probabilities in [0, 1]");
   } else if (faults.active() && spec.backend != BackendId::kPacket) {
-    throw ExperimentError("experiment '" + spec.name +
-                          "': fault injection (--loss/--crash/--flap/"
-                          "--partition) needs --backend=packet");
+    reject(spec,
+           "fault injection (--loss/--crash/--flap/--partition) needs "
+           "--backend=packet");
   }
   if (spec.scenario.probe_packets != 1 && spec.backend != BackendId::kPacket)
-    throw ExperimentError("experiment '" + spec.name +
-                          "': --probes is a packet-backend knob");
+    reject(spec, "--probes is a packet-backend knob");
   if (spec.wire_scale != 0.02 && spec.backend != BackendId::kWire)
-    throw ExperimentError("experiment '" + spec.name +
-                          "': --wire-scale is a wire-backend knob");
+    reject(spec, "--wire-scale is a wire-backend knob");
   if (spec.backend == BackendId::kWire &&
       (spec.wire_scale <= 0.0 || spec.wire_scale > 1.0))
-    throw ExperimentError("experiment '" + spec.name +
-                          "': --wire-scale is a timing compression factor "
-                          "in (0, 1]");
+    reject(spec, "--wire-scale is a timing compression factor in (0, 1]");
   const TrafficSpec& traffic = spec.scenario.traffic;
   if (traffic.arrival != TrafficSpec::Arrival::kNone &&
       spec.backend != BackendId::kPacket)
-    throw ExperimentError("experiment '" + spec.name +
-                          "': traffic workloads (--traffic/--flows/--load/"
-                          "--pattern) need --backend=packet (the oracle has "
-                          "no medium to load)");
+    reject(spec,
+           "traffic workloads (--traffic/--flows/--load/--pattern) need "
+           "--backend=packet (the oracle has no medium to load)");
   if (traffic.arrival != TrafficSpec::Arrival::kNone) {
     if (traffic.load < 0.0)
-      throw ExperimentError("experiment '" + spec.name +
-                            "': --load must be >= 0 (0 = no traffic)");
+      reject(spec, "--load must be >= 0 (0 = no traffic)");
     if (traffic.packet_rate <= 0.0)
-      throw ExperimentError("experiment '" + spec.name +
-                            "': --traffic-rate must be > 0 packets/s");
+      reject(spec, "--traffic-rate must be > 0 packets/s");
     if (traffic.duration <= 0.0)
-      throw ExperimentError("experiment '" + spec.name +
-                            "': --traffic-duration must be > 0 seconds");
+      reject(spec, "--traffic-duration must be > 0 seconds");
     if (traffic.link_capacity <= 0.0)
-      throw ExperimentError("experiment '" + spec.name +
-                            "': --capacity must be > 0 bytes/s");
-    if (traffic.queue_bytes == 0)
-      throw ExperimentError("experiment '" + spec.name +
-                            "': --queue-bytes must be > 0");
+      reject(spec, "--capacity must be > 0 bytes/s");
+    if (traffic.queue_bytes == 0) reject(spec, "--queue-bytes must be > 0");
     if (traffic.arrival == TrafficSpec::Arrival::kPareto &&
         traffic.pareto_shape <= 1.0)
-      throw ExperimentError("experiment '" + spec.name +
-                            "': --pareto-shape must be > 1 (the mean "
-                            "inter-arrival must exist)");
+      reject(spec,
+             "--pareto-shape must be > 1 (the mean inter-arrival must exist)");
     if (traffic.pattern == TrafficSpec::Pattern::kHotspot &&
         traffic.hotspots == 0)
-      throw ExperimentError("experiment '" + spec.name +
-                            "': --hotspots must be >= 1");
+      reject(spec, "--hotspots must be >= 1");
   }
   if (spec.scenario.sweep_axis == Scenario::SweepAxis::kLoad) {
     if (spec.backend != BackendId::kPacket)
-      throw ExperimentError("experiment '" + spec.name +
-                            "': the load axis needs --backend=packet");
+      reject(spec, "the load axis needs --backend=packet");
     if (traffic.arrival == TrafficSpec::Arrival::kNone)
-      throw ExperimentError("experiment '" + spec.name +
-                            "': the load axis needs a traffic process "
-                            "(--traffic=poisson|cbr|pareto)");
+      reject(spec,
+             "the load axis needs a traffic process "
+             "(--traffic=poisson|cbr|pareto)");
     for (const double load : spec.scenario.densities)
-      if (load < 0.0)
-        throw ExperimentError("experiment '" + spec.name +
-                              "': load sweep values must be >= 0");
+      if (load < 0.0) reject(spec, "load sweep values must be >= 0");
   }
   const AdversarySpec& adversaries = spec.scenario.adversaries;
   if (!is_probability(adversaries.corrupt_rate))
-    throw ExperimentError("experiment '" + spec.name +
-                          "': --corrupt is a per-frame corruption "
-                          "probability in [0, 1]");
+    reject(spec, "--corrupt is a per-frame corruption probability in [0, 1]");
   if (adversaries.count > 0 && adversaries.kinds.empty())
-    throw ExperimentError("experiment '" + spec.name +
-                          "': --adversaries=K@kind[,kind...] needs at least "
-                          "one kind when K > 0 (known: " +
-                          std::string(kAdversaryKindNames) + ")");
+    reject(spec,
+           "--adversaries=K@kind[,kind...] needs at least one kind when K > 0 "
+           "(known: " + util::names_of(kAdversaryKinds) + ")");
   if (spec.scenario.sweep_axis == Scenario::SweepAxis::kAdversary) {
     if (spec.backend != BackendId::kPacket)
-      throw ExperimentError("experiment '" + spec.name +
-                            "': the adversary axis needs --backend=packet "
-                            "(the oracle has no nodes to subvert)");
+      reject(spec,
+             "the adversary axis needs --backend=packet (the oracle has no "
+             "nodes to subvert)");
     if (adversaries.kinds.empty())
-      throw ExperimentError("experiment '" + spec.name +
-                            "': the adversary axis needs roster kinds "
-                            "(--adversaries=K@kind[,kind...])");
+      reject(spec,
+             "the adversary axis needs roster kinds "
+             "(--adversaries=K@kind[,kind...])");
     for (const double fraction : spec.scenario.densities)
       if (!is_probability(fraction))
-        throw ExperimentError("experiment '" + spec.name +
-                              "': adversary sweep values are roster "
-                              "fractions in [0, 1]");
+        reject(spec, "adversary sweep values are roster fractions in [0, 1]");
   } else if (adversaries.active() && spec.backend != BackendId::kPacket) {
-    throw ExperimentError("experiment '" + spec.name +
-                          "': the adversary engine (--adversaries/--corrupt)"
-                          " needs --backend=packet");
+    reject(spec,
+           "the adversary engine (--adversaries/--corrupt) needs "
+           "--backend=packet");
   }
   const DynamicsSpec& dynamics = spec.scenario.dynamics;
   if (spec.scenario.sweep_axis == Scenario::SweepAxis::kSpeed) {
     if (dynamics.model != DynamicsSpec::Model::kWaypoint)
-      throw ExperimentError("experiment '" + spec.name +
-                            "': the speed axis needs --mobility=waypoint");
+      reject(spec, "the speed axis needs --mobility=waypoint");
     // Sweep values become the per-point waypoint speed, bypassing the
     // speed_min/speed_max checks below — a negative speed would walk
     // nodes out of the field to negative coordinates.
     for (const double speed : spec.scenario.densities)
-      if (speed < 0.0)
-        throw ExperimentError("experiment '" + spec.name +
-                              "': speed sweep values must be >= 0 m/s");
+      if (speed < 0.0) reject(spec, "speed sweep values must be >= 0 m/s");
   }
   if (dynamics.enabled()) {
     if (dynamics.epochs == 0)
-      throw ExperimentError("experiment '" + spec.name +
-                            "': epochs must be > 0 under a mobility model");
+      reject(spec, "epochs must be > 0 under a mobility model");
     if (dynamics.refresh_interval == 0)
-      throw ExperimentError("experiment '" + spec.name +
-                            "': refresh interval must be > 0 (1 = refresh "
-                            "every epoch)");
+      reject(spec, "refresh interval must be > 0 (1 = refresh every epoch)");
     if (dynamics.epoch_duration <= 0.0)
-      throw ExperimentError("experiment '" + spec.name +
-                            "': epoch duration must be > 0");
+      reject(spec, "epoch duration must be > 0");
     if (dynamics.speed_min < 0.0 || dynamics.speed_max < dynamics.speed_min)
-      throw ExperimentError(
-          "experiment '" + spec.name +
-          "': waypoint speeds must satisfy 0 <= min <= max (--speed=LO:HI)");
+      reject(spec,
+             "waypoint speeds must satisfy 0 <= min <= max (--speed=LO:HI)");
     if (!is_probability(dynamics.link_down_rate) ||
         !is_probability(dynamics.link_up_rate))
-      throw ExperimentError("experiment '" + spec.name +
-                            "': churn rates are per-epoch probabilities in "
-                            "[0, 1]");
+      reject(spec, "churn rates are per-epoch probabilities in [0, 1]");
     if (spec.per_run || spec.scenario.record_runs)
-      throw ExperimentError("experiment '" + spec.name +
-                            "': per-run records are a static-sweep feature "
-                            "(drop --per-run or --mobility)");
+      reject(spec,
+             "per-run records are a static-sweep feature (drop --per-run or "
+             "--mobility)");
   }
 
   // Selectors are resolved from the registry exactly once and shared by
@@ -265,32 +244,26 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
 
   if (spec.backend == BackendId::kPacket) {
     if (dynamics.enabled())
-      throw ExperimentError(
-          "experiment '" + spec.name +
-          "': the packet backend does not run mobility epochs yet "
-          "(ROADMAP open item) - drop --mobility or use --backend=oracle");
+      reject(spec,
+             "the packet backend does not run mobility epochs yet (ROADMAP "
+             "open item) - drop --mobility or use --backend=oracle");
     if (spec.scenario.routing_model == Scenario::RoutingModel::kAnsChain)
-      throw ExperimentError(
-          "experiment '" + spec.name +
-          "': the packet backend's nodes route hop-by-hop on their own "
-          "knowledge (the advertised-union model); --routing=chain is an "
-          "oracle-only discipline");
+      reject(spec,
+             "the packet backend's nodes route hop-by-hop on their own "
+             "knowledge (the advertised-union model); --routing=chain is an "
+             "oracle-only discipline");
   }
   if (spec.backend == BackendId::kWire) {
     if (dynamics.enabled())
-      throw ExperimentError(
-          "experiment '" + spec.name +
-          "': the wire backend runs static deployments only - drop "
-          "--mobility or use --backend=oracle");
+      reject(spec,
+             "the wire backend runs static deployments only - drop "
+             "--mobility or use --backend=oracle");
     if (spec.scenario.sweep_axis != Scenario::SweepAxis::kDensity)
-      throw ExperimentError(
-          "experiment '" + spec.name +
-          "': the wire backend sweeps density only (loss/load/adversary "
-          "axes live on --backend=packet)");
+      reject(spec,
+             "the wire backend sweeps density only (loss/load/adversary axes "
+             "live on --backend=packet)");
     if (spec.per_run || spec.scenario.record_runs)
-      throw ExperimentError(
-          "experiment '" + spec.name +
-          "': the wire backend reports aggregates only (drop --per-run)");
+      reject(spec, "the wire backend reports aggregates only (drop --per-run)");
     // Every node of every run is a real OS process, and the fleets in
     // flight share net::kWireProcessBudget. Refuse deployments whose
     // expected size alone exceeds it: their fleets would each run alone
@@ -300,13 +273,14 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
       field.degree = density;
       if (field.expected_nodes() >
           static_cast<double>(net::kWireProcessBudget))
-        throw ExperimentError(
-            "experiment '" + spec.name + "': density " +
-            std::to_string(density) + " expects ~" +
-            std::to_string(static_cast<long>(field.expected_nodes())) +
-            " nodes per deployment - every node is a real process; shrink "
-            "--field (e.g. 250x250) to keep each wire fleet within the " +
-            std::to_string(net::kWireProcessBudget) + "-process budget");
+        reject(spec,
+               "density " + std::to_string(density) + " expects ~" +
+                   std::to_string(static_cast<long>(field.expected_nodes())) +
+                   " nodes per deployment - every node is a real process; "
+                   "shrink --field (e.g. 250x250) to keep each wire fleet "
+                   "within the " +
+                   std::to_string(net::kWireProcessBudget) +
+                   "-process budget");
     }
   }
 
@@ -335,7 +309,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   } catch (const ExperimentError&) {
     throw;
   } catch (const std::exception& e) {
-    throw ExperimentError("experiment '" + spec.name + "': " + e.what());
+    reject(spec, e.what());
   }
   return result;
 }
@@ -361,12 +335,7 @@ ExperimentSpec parse_experiment_spec(const std::vector<std::string>& args,
     if (flag == "--name") {
       spec.name = value;
     } else if (flag == "--backend") {
-      const auto id = parse_backend_id(value);
-      if (!id)
-        throw ExperimentError("flag --backend: unknown backend '" +
-                              std::string(value) +
-                              "' (known: " + backend_names() + ")");
-      spec.backend = *id;
+      spec.backend = parse_choice(flag, value, kBackends);
     } else if (flag == "--metric") {
       const auto id = parse_metric_id(value);
       if (!id) {
@@ -416,40 +385,16 @@ ExperimentSpec parse_experiment_spec(const std::vector<std::string>& args,
       require_no_value();
       spec.scenario.qos.integral = false;
     } else if (flag == "--routing") {
-      if (value == "union") {
-        spec.scenario.routing_model = Scenario::RoutingModel::kAdvertisedUnion;
-      } else if (value == "chain") {
-        spec.scenario.routing_model = Scenario::RoutingModel::kAnsChain;
-      } else {
-        throw ExperimentError("flag --routing: expected union|chain, got '" +
-                              std::string(value) + "'");
-      }
+      spec.scenario.routing_model = parse_choice(flag, value, kRoutingModels);
     } else if (flag == "--hop-by-hop") {
       require_no_value();
       spec.scenario.hop_by_hop = true;
     } else if (flag == "--pairs") {
-      if (value == "two_hop") {
-        spec.scenario.pair_mode = Scenario::PairMode::kTwoHop;
-      } else if (value == "any") {
-        spec.scenario.pair_mode = Scenario::PairMode::kAnyConnected;
-      } else {
-        throw ExperimentError("flag --pairs: expected two_hop|any, got '" +
-                              std::string(value) + "'");
-      }
+      spec.scenario.pair_mode = parse_choice(flag, value, kPairModes);
     } else if (flag == "--max-resamples") {
       spec.scenario.max_topology_resamples = parse_uint(flag, value);
     } else if (flag == "--mobility") {
-      if (value == "none") {
-        spec.scenario.dynamics.model = DynamicsSpec::Model::kNone;
-      } else if (value == "waypoint") {
-        spec.scenario.dynamics.model = DynamicsSpec::Model::kWaypoint;
-      } else if (value == "churn") {
-        spec.scenario.dynamics.model = DynamicsSpec::Model::kChurn;
-      } else {
-        throw ExperimentError(
-            "flag --mobility: expected none|waypoint|churn, got '" +
-            std::string(value) + "'");
-      }
+      spec.scenario.dynamics.model = parse_choice(flag, value, kMobilityModels);
     } else if (flag == "--epochs") {
       spec.scenario.dynamics.epochs = parse_uint(flag, value);
     } else if (flag == "--epoch-duration") {
@@ -476,11 +421,7 @@ ExperimentSpec parse_experiment_spec(const std::vector<std::string>& args,
     } else if (flag == "--refresh") {
       spec.scenario.dynamics.refresh_interval = parse_uint(flag, value);
     } else if (flag == "--axis") {
-      // One shared table (kSweepAxes) drives parsing, the error text and
-      // the emitted column label — adding an axis is one row there.
-      if (!parse_sweep_axis(std::string(value), spec.scenario.sweep_axis))
-        throw ExperimentError("flag --axis: expected " + sweep_axis_names() +
-                              ", got '" + std::string(value) + "'");
+      spec.scenario.sweep_axis = parse_choice(flag, value, kSweepAxes);
     } else if (flag == "--loss") {
       spec.scenario.faults.loss_rate = parse_double(flag, value);
     } else if (flag == "--probes") {
@@ -508,46 +449,17 @@ ExperimentSpec parse_experiment_spec(const std::vector<std::string>& args,
       const std::size_t at = value.find('@');
       adv.count = parse_uint(flag, value.substr(0, at));
       adv.kinds.clear();
-      if (at != std::string_view::npos) {
-        for (const std::string& kind : split_list(value.substr(at + 1))) {
-          const auto parsed = parse_adversary_kind(kind);
-          if (!parsed)
-            throw ExperimentError(
-                "flag --adversaries: unknown kind '" + kind +
-                "' (known: " + std::string(kAdversaryKindNames) + ")");
-          adv.kinds.push_back(*parsed);
-        }
-      }
+      if (at != std::string_view::npos)
+        for (const std::string& kind : split_list(value.substr(at + 1)))
+          adv.kinds.push_back(parse_choice(flag, kind, kAdversaryKinds));
     } else if (flag == "--corrupt") {
       spec.scenario.adversaries.corrupt_rate = parse_double(flag, value);
     } else if (flag == "--traffic") {
-      TrafficSpec& traffic = spec.scenario.traffic;
-      if (value == "none") {
-        traffic.arrival = TrafficSpec::Arrival::kNone;
-      } else if (value == "poisson") {
-        traffic.arrival = TrafficSpec::Arrival::kPoisson;
-      } else if (value == "cbr") {
-        traffic.arrival = TrafficSpec::Arrival::kCbr;
-      } else if (value == "pareto") {
-        traffic.arrival = TrafficSpec::Arrival::kPareto;
-      } else {
-        throw ExperimentError(
-            "flag --traffic: expected none|poisson|cbr|pareto, got '" +
-            std::string(value) + "'");
-      }
+      spec.scenario.traffic.arrival =
+          parse_choice(flag, value, kTrafficArrivals);
     } else if (flag == "--pattern") {
-      TrafficSpec& traffic = spec.scenario.traffic;
-      if (value == "uniform") {
-        traffic.pattern = TrafficSpec::Pattern::kUniform;
-      } else if (value == "hotspot") {
-        traffic.pattern = TrafficSpec::Pattern::kHotspot;
-      } else if (value == "gateway") {
-        traffic.pattern = TrafficSpec::Pattern::kGateway;
-      } else {
-        throw ExperimentError(
-            "flag --pattern: expected uniform|hotspot|gateway, got '" +
-            std::string(value) + "'");
-      }
+      spec.scenario.traffic.pattern =
+          parse_choice(flag, value, kTrafficPatterns);
     } else if (flag == "--flows") {
       spec.scenario.traffic.flows = parse_uint(flag, value);
     } else if (flag == "--load") {

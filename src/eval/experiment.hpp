@@ -1,15 +1,14 @@
 #pragma once
 
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "eval/runner.hpp"
 #include "eval/scenario.hpp"
 #include "metrics/metric_id.hpp"
 #include "olsr/selector_registry.hpp"
+#include "util/names.hpp"
 
 namespace qolsr {
 
@@ -36,29 +35,14 @@ namespace qolsr {
 ///    convergence taken from the daemons' status reports.
 enum class BackendId { kOracle, kPacket, kWire };
 
-/// The one table every backend consumer shares (the kSweepAxes idiom):
-/// CLI parsing, the unknown-backend error text and emitted names all
-/// derive from it, so adding a backend is one row here plus its case in
-/// run_experiment's dispatch (eval/experiment.cpp).
-struct BackendInfo {
-  BackendId id;
-  const char* name;
-};
-inline constexpr BackendInfo kBackends[] = {
+/// The backend names (--backend, the JSON "backend" field). Adding a
+/// backend is one row here plus its case in run_experiment's dispatch
+/// (eval/experiment.cpp).
+inline constexpr util::Named<BackendId> kBackends[] = {
     {BackendId::kOracle, "oracle"},
     {BackendId::kPacket, "packet"},
     {BackendId::kWire, "wire"},
 };
-
-/// Canonical CLI/JSON name ("oracle", "packet", "wire"), from kBackends.
-std::string_view backend_name(BackendId id);
-
-/// Inverse of backend_name; nullopt for unknown names.
-std::optional<BackendId> parse_backend_id(std::string_view name);
-
-/// Pipe-separated list of the valid backend names (for error messages and
-/// help text), generated from kBackends.
-std::string backend_names();
 
 /// Any failure of the experiment engine — unknown metric or selector name,
 /// malformed CLI flag, degenerate deployment — surfaces as this one type
@@ -70,9 +54,10 @@ class ExperimentError : public std::runtime_error {
 
 /// A declarative description of one evaluation sweep: everything the four
 /// hard-coded figureN_* harnesses froze at compile time, as data. A spec
-/// can be built in code, parsed from CLI flags (parse_experiment_spec), or
-/// produced canned by figure_spec(); run_experiment executes it through the
-/// same templated, allocation-free run_sweep<M> hot path.
+/// can be built in code or parsed from CLI flags (parse_experiment_spec,
+/// which is also how figure_by_name builds the canned figures);
+/// run_experiment executes it through the same templated, allocation-free
+/// run_sweep<M> hot path.
 struct ExperimentSpec {
   std::string name = "sweep";
   /// Execution engine (--backend=oracle|packet). The oracle default keeps
@@ -84,7 +69,7 @@ struct ExperimentSpec {
   std::vector<std::string> selectors = {"qolsr_mpr2", "topology_filtering",
                                         "fnbp"};
   /// Deployment, densities, runs, seed, routing model, pair mode, … (the
-  /// scenario's densities default to empty — set them or use figure_spec).
+  /// scenario's densities default to empty — set them or use a figure).
   Scenario scenario;
   /// Worker threads for run_sweep; 0 = hardware_concurrency. Benches and
   /// CI set 1 for deterministic timing. The wire backend ignores it: one
@@ -124,43 +109,9 @@ ExperimentResult run_experiment(
     const SelectorRegistry& registry = SelectorRegistry::builtin());
 
 /// Parses `--flag=value` strings (CLI argv after the program name) into a
-/// spec, starting from `base` so canned specs (figure_spec) can be
-/// customized; later flags override earlier ones. Throws ExperimentError
-/// on unknown flags or unparsable values. Flags:
-///
-///   --name=S              experiment name (labels the output)
-///   --backend=B           oracle|packet|wire execution engine (BackendId)
-///   --wire-scale=F        wire backend timing compression (default 0.02)
-///   --metric=NAME         bandwidth|delay|jitter|loss|energy|buffers
-///   --selectors=A,B,...   SelectorRegistry names, column order
-///   --densities=D1,D2,... mean-degree sweep points
-///   --runs=N --seed=S --threads=T (T=0: hardware concurrency)
-///   --field=WxH --radius=R deployment geometry
-///   --qos-hi=V            upper bound of the magnitude-style QoS intervals
-///                         (bandwidth/delay/energy/buffers; the jitter and
-///                         loss probability intervals are unaffected)
-///   --continuous-qos      real-valued link weights (default: integers)
-///   --routing=union|chain --hop-by-hop --pairs=two_hop|any
-///   --max-resamples=N     sample_run degenerate-deployment cap
-///   --mobility=MODEL      none|waypoint|churn epoch-loop evaluation
-///   --epochs=N --epoch-duration=S --speed=V|LO:HI --pause=N
-///   --churn-down=P --churn-up=P --refresh=N (TC refresh lag, epochs)
-///   --axis=density|speed|loss|load|adversary sweep-value meaning
-///                         (--degree fixes the density for non-density
-///                         sweeps)
-///   --loss=P              ambient frame-loss probability (packet backend)
-///   --probes=N            data probes per (run, protocol) (default 1)
-///   --crash=K[@D] --flap=K[@D] --partition=D
-///                         scheduled fault incidents injected after the
-///                         measurement phase; re-convergence is timed
-///   --adversaries=K@kind[,kind...] subvert K nodes per run (blackhole|
-///                         liar|replayer|selfish, round-robin roles)
-///   --corrupt=P           per-frame wire bit-flip probability
-///   --traffic=PROC        none|poisson|cbr|pareto flow arrival process
-///   --pattern=P --flows=N --load=X --traffic-rate=R --traffic-duration=S
-///   --pareto-shape=A --packet-bytes=N --capacity=C --queue-bytes=N
-///   --hotspots=N          traffic-workload knobs (packet backend)
-///   --format=F --output=PATH --per-run
+/// spec, starting from `base` so a canned figure can be customized; later
+/// flags override earlier ones. Throws ExperimentError on unknown flags or
+/// unparsable values. experiment_flags_help() lists every flag.
 ExperimentSpec parse_experiment_spec(const std::vector<std::string>& args,
                                      ExperimentSpec base = {});
 

@@ -79,7 +79,7 @@ std::string json_stats(const util::RunningStats& s) {
 /// dropped handing off over a vanished advertised link (kStaleLink) —
 /// the losses chargeable specifically to advertisement age.
 void write_dynamic_csv(const ExperimentResult& result, std::ostream& os) {
-  os << "metric," << sweep_axis_name(result.spec.scenario.sweep_axis)
+  os << "metric," << util::name_of(kSweepAxes, result.spec.scenario.sweep_axis)
      << ",runs,epochs,avg_nodes,protocol,set_size_mean,set_size_stddev,"
         "packets,delivered,failed,stale_losses,delivery_ratio,overhead_mean,"
         "stretch_mean,path_hops_mean,readvertised_mean\n";
@@ -154,7 +154,8 @@ std::string json_distribution(const util::DistributionAccumulator& dist) {
 /// meaning; for the default density axis this is byte-identical to the
 /// pre-loss-axis header.
 std::string static_csv_header(const ExperimentSpec& spec) {
-  return std::string("metric,") + sweep_axis_name(spec.scenario.sweep_axis) +
+  return "metric," +
+         std::string(util::name_of(kSweepAxes, spec.scenario.sweep_axis)) +
          ",runs,avg_nodes,protocol,set_size_mean,"
          "set_size_stddev,delivered,failed,overhead_mean,overhead_stddev,"
          "path_hops_mean";
@@ -185,7 +186,7 @@ void write_run_records_csv(const ExperimentResult& result, std::ostream& os) {
   const bool packet = result.spec.backend == BackendId::kPacket;
   const bool traffic = traffic_mode(result.spec);
   const bool adversary = adversary_mode(result.spec);
-  os << '\n' << sweep_axis_name(result.spec.scenario.sweep_axis)
+  os << '\n' << util::name_of(kSweepAxes, result.spec.scenario.sweep_axis)
      << ",run,nodes,protocol,set_size,delivered,value,overhead,path_hops";
   if (packet)
     os << ",convergence_time,converged,control_bytes,probes_delivered,"
@@ -464,7 +465,7 @@ const TableSection kTableSections[] = {
 std::string render_section(const TableSection& section,
                            const ExperimentResult& result) {
   std::vector<std::string> header{
-      sweep_axis_name(result.spec.scenario.sweep_axis)};
+      std::string(util::name_of(kSweepAxes, result.spec.scenario.sweep_axis))};
   if (section.avg_nodes) header.push_back("avg_nodes");
   if (!result.sweep.empty())
     for (const ProtocolStats& p : result.sweep.front().protocols)
@@ -504,8 +505,8 @@ void PrettyTableSink::write(const ExperimentResult& result,
   }
   if (traffic_mode(spec)) {
     const TrafficSpec& t = spec.scenario.traffic;
-    os << "# traffic: arrival=" << traffic_arrival_name(t.arrival)
-       << " pattern=" << traffic_pattern_name(t.pattern)
+    os << "# traffic: arrival=" << util::name_of(kTrafficArrivals, t.arrival)
+       << " pattern=" << util::name_of(kTrafficPatterns, t.pattern)
        << " flows=" << t.flows << " load="
        << (spec.scenario.sweep_axis == Scenario::SweepAxis::kLoad
                ? "<sweep axis>"
@@ -517,7 +518,7 @@ void PrettyTableSink::write(const ExperimentResult& result,
     std::string kinds;
     for (const AdversaryKind kind : adv.kinds) {
       if (!kinds.empty()) kinds += ",";
-      kinds += adversary_kind_name(kind);
+      kinds += util::name_of(kAdversaryKinds, kind);
     }
     os << "# adversaries: roster="
        << (spec.scenario.sweep_axis == Scenario::SweepAxis::kAdversary
@@ -529,7 +530,7 @@ void PrettyTableSink::write(const ExperimentResult& result,
   if (spec.scenario.dynamics.enabled()) {
     const DynamicsSpec& dyn = spec.scenario.dynamics;
     os << "# mobility="
-       << (dyn.model == DynamicsSpec::Model::kWaypoint ? "waypoint" : "churn")
+       << util::name_of(kMobilityModels, dyn.model)
        << " epochs/run=" << dyn.epochs << " refresh=" << dyn.refresh_interval
        << "\n";
   }
@@ -590,7 +591,8 @@ void JsonSink::write(const ExperimentResult& result, std::ostream& os) const {
   // Only the non-default backend is echoed: pre-existing oracle documents
   // stay byte-identical.
   if (spec.backend != BackendId::kOracle)
-    os << "  \"backend\": \"" << backend_name(spec.backend) << "\",\n";
+    os << "  \"backend\": \"" << util::name_of(kBackends, spec.backend)
+       << "\",\n";
   os << "  \"metric\": \"" << metric_name(spec.metric) << "\",\n";
   os << "  \"metric_kind\": \""
      << (metric_kind(spec.metric) == MetricKind::kConcave ? "concave"
@@ -607,13 +609,15 @@ void JsonSink::write(const ExperimentResult& result, std::ostream& os) const {
   const bool faults = fault_mode(spec);
   const bool traffic = traffic_mode(spec);
   const bool adversary = adversary_mode(spec);
+  const std::string_view axis =
+      util::name_of(kSweepAxes, spec.scenario.sweep_axis);
   if (traffic) {
     const TrafficSpec& t = spec.scenario.traffic;
     if (!faults)
-      os << "  \"axis\": \"" << sweep_axis_name(spec.scenario.sweep_axis)
-         << "\",\n";
-    os << "  \"traffic\": {\"arrival\": \"" << traffic_arrival_name(t.arrival)
-       << "\", \"pattern\": \"" << traffic_pattern_name(t.pattern)
+      os << "  \"axis\": \"" << axis << "\",\n";
+    os << "  \"traffic\": {\"arrival\": \""
+       << util::name_of(kTrafficArrivals, t.arrival) << "\", \"pattern\": \""
+       << util::name_of(kTrafficPatterns, t.pattern)
        << "\", \"flows\": " << t.flows
        << ", \"load\": " << fmt(t.load)
        << ", \"packet_rate\": " << fmt(t.packet_rate)
@@ -632,8 +636,7 @@ void JsonSink::write(const ExperimentResult& result, std::ostream& os) const {
         case FaultIncident::Kind::kPartition: ++partitions; break;
       }
     }
-    os << "  \"axis\": \"" << sweep_axis_name(spec.scenario.sweep_axis)
-       << "\",\n";
+    os << "  \"axis\": \"" << axis << "\",\n";
     os << "  \"faults\": {\"loss_rate\": " << fmt(plan.loss_rate)
        << ", \"link_loss_overrides\": " << plan.link_loss.size()
        << ", \"crash_incidents\": " << crashes
@@ -644,21 +647,19 @@ void JsonSink::write(const ExperimentResult& result, std::ostream& os) const {
   if (adversary) {
     const AdversarySpec& adv = spec.scenario.adversaries;
     if (!faults && !traffic)
-      os << "  \"axis\": \"" << sweep_axis_name(spec.scenario.sweep_axis)
-         << "\",\n";
+      os << "  \"axis\": \"" << axis << "\",\n";
     os << "  \"adversaries\": {\"count\": " << adv.count
        << ", \"fraction\": " << fmt(adv.fraction) << ", \"kinds\": [";
     for (std::size_t i = 0; i < adv.kinds.size(); ++i)
-      os << (i ? ", " : "") << '"' << adversary_kind_name(adv.kinds[i])
-         << '"';
+      os << (i ? ", " : "") << '"'
+         << util::name_of(kAdversaryKinds, adv.kinds[i]) << '"';
     os << "], \"corrupt_rate\": " << fmt(adv.corrupt_rate) << "},\n";
   }
   if (dynamic) {
     const DynamicsSpec& dyn = spec.scenario.dynamics;
-    os << "  \"axis\": \"" << sweep_axis_name(spec.scenario.sweep_axis)
-       << "\",\n";
+    os << "  \"axis\": \"" << axis << "\",\n";
     os << "  \"dynamics\": {\"model\": \""
-       << (dyn.model == DynamicsSpec::Model::kWaypoint ? "waypoint" : "churn")
+       << util::name_of(kMobilityModels, dyn.model)
        << "\", \"epochs\": " << dyn.epochs
        << ", \"epoch_duration\": " << fmt(dyn.epoch_duration)
        << ", \"refresh_interval\": " << dyn.refresh_interval

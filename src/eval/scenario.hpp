@@ -2,13 +2,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "graph/deployment.hpp"
 #include "sim/adversary.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/traffic.hpp"
+#include "util/names.hpp"
 
 namespace qolsr {
 
@@ -157,56 +157,28 @@ struct Scenario {
   SweepAxis sweep_axis = SweepAxis::kDensity;
 };
 
-/// The one table every axis consumer shares: CLI parsing, validation
-/// error text and emitted column labels all derive from it, so adding an
-/// axis is one row here (plus its semantics at the point of use).
-struct SweepAxisInfo {
-  Scenario::SweepAxis axis;
-  const char* name;
-};
-inline constexpr SweepAxisInfo kSweepAxes[] = {
+/// The name tables of the scenario's enums: CLI parsing, validation error
+/// text and emitted labels all read them, so adding a value is one row
+/// here (plus its semantics at the point of use).
+inline constexpr util::Named<Scenario::SweepAxis> kSweepAxes[] = {
     {Scenario::SweepAxis::kDensity, "density"},
     {Scenario::SweepAxis::kSpeed, "speed"},
     {Scenario::SweepAxis::kLoss, "loss"},
     {Scenario::SweepAxis::kLoad, "load"},
     {Scenario::SweepAxis::kAdversary, "adversary"},
 };
-
-/// Column label of the sweep axis in emitted results.
-inline const char* sweep_axis_name(Scenario::SweepAxis axis) {
-  for (const SweepAxisInfo& info : kSweepAxes)
-    if (info.axis == axis) return info.name;
-  return "density";
-}
-
-/// Parses an axis name from the table. Returns false on an unknown name.
-inline bool parse_sweep_axis(const std::string& name,
-                             Scenario::SweepAxis& out) {
-  for (const SweepAxisInfo& info : kSweepAxes) {
-    if (name == info.name) {
-      out = info.axis;
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Comma-separated list of the valid axis names (for error messages).
-inline std::string sweep_axis_names() {
-  std::string out;
-  for (const SweepAxisInfo& info : kSweepAxes) {
-    if (!out.empty()) out += "|";
-    out += info.name;
-  }
-  return out;
-}
-
-/// Densities used by the bandwidth figures (6 and 8).
-inline std::vector<double> bandwidth_densities() {
-  return {10, 15, 20, 25, 30, 35};
-}
-
-/// Densities used by the delay figures (7 and 9).
-inline std::vector<double> delay_densities() { return {5, 10, 15, 20, 25, 30}; }
+inline constexpr util::Named<DynamicsSpec::Model> kMobilityModels[] = {
+    {DynamicsSpec::Model::kNone, "none"},
+    {DynamicsSpec::Model::kWaypoint, "waypoint"},
+    {DynamicsSpec::Model::kChurn, "churn"},
+};
+inline constexpr util::Named<Scenario::RoutingModel> kRoutingModels[] = {
+    {Scenario::RoutingModel::kAdvertisedUnion, "union"},
+    {Scenario::RoutingModel::kAnsChain, "chain"},
+};
+inline constexpr util::Named<Scenario::PairMode> kPairModes[] = {
+    {Scenario::PairMode::kTwoHop, "two_hop"},
+    {Scenario::PairMode::kAnyConnected, "any"},
+};
 
 }  // namespace qolsr

@@ -79,7 +79,6 @@ class WireMedium final : public Medium {
     f.kind = kKindPacket;
     f.sender = from;
     f.dest = dest;
-    f.timestamp = now();
     f.payload = payload;
     send_datagram(sock_, encode_frame(f));
   }

@@ -51,7 +51,6 @@ std::vector<std::byte> encode_frame(const Frame& frame) {
   w.u8(frame.kind);
   w.u32(frame.sender);
   w.u32(frame.dest);
-  w.f64(frame.timestamp);
   w.u16(static_cast<std::uint16_t>(frame.payload.size()));
   out.insert(out.end(), frame.payload.begin(), frame.payload.end());
   return out;
@@ -63,7 +62,7 @@ std::optional<Frame> decode_frame(const std::byte* data, std::size_t size) {
   Frame f;
   std::uint16_t payload_len = 0;
   if (!r.u8(magic) || !r.u8(version) || !r.u8(f.kind) || !r.u32(f.sender) ||
-      !r.u32(f.dest) || !r.f64(f.timestamp) || !r.u16(payload_len))
+      !r.u32(f.dest) || !r.u16(payload_len))
     return std::nullopt;
   if (magic != kFrameMagic || version != kFrameVersion) return std::nullopt;
   if (f.kind < kKindRegister || f.kind > kKindControl) return std::nullopt;

@@ -21,20 +21,19 @@ namespace qolsr::net {
 /// with.
 ///
 ///   magic u8 ('Q') | version u8 | kind u8 | sender u32 | dest u32 |
-///   timestamp f64  | payload_len u16 | payload bytes
+///   payload_len u16 | payload bytes
 struct Frame {
   std::uint8_t kind = 0;
   NodeId sender = kInvalidNode;
   NodeId dest = kInvalidNode;
-  double timestamp = 0.0;  ///< sender's clock at emission (diagnostic)
   std::vector<std::byte> payload;
 
   friend bool operator==(const Frame&, const Frame&) = default;
 };
 
 inline constexpr std::uint8_t kFrameMagic = 0x51;  // 'Q'
-inline constexpr std::uint8_t kFrameVersion = 1;
-inline constexpr std::size_t kFrameHeaderBytes = 1 + 1 + 1 + 4 + 4 + 8 + 2;
+inline constexpr std::uint8_t kFrameVersion = 2;
+inline constexpr std::size_t kFrameHeaderBytes = 1 + 1 + 1 + 4 + 4 + 2;
 
 /// Frame kinds.
 inline constexpr std::uint8_t kKindRegister = 1;  ///< plug announces its id

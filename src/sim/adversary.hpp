@@ -3,11 +3,10 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "graph/node_id.hpp"
+#include "util/names.hpp"
 
 namespace qolsr {
 
@@ -30,32 +29,14 @@ enum class AdversaryKind : std::uint8_t {
   kSelfish,
 };
 
-/// The CLI/JSON name of a misbehavior kind.
-constexpr std::string_view adversary_kind_name(AdversaryKind kind) {
-  switch (kind) {
-    case AdversaryKind::kBlackhole: return "blackhole";
-    case AdversaryKind::kLiar: return "liar";
-    case AdversaryKind::kReplayer: return "replayer";
-    case AdversaryKind::kSelfish: return "selfish";
-    case AdversaryKind::kHonest: break;
-  }
-  return "honest";
-}
-
-/// Parses a misbehavior name (`--adversaries=K@kind`); kHonest is not a
-/// roster kind and does not parse.
-inline std::optional<AdversaryKind> parse_adversary_kind(
-    std::string_view name) {
-  for (AdversaryKind kind :
-       {AdversaryKind::kBlackhole, AdversaryKind::kLiar,
-        AdversaryKind::kReplayer, AdversaryKind::kSelfish})
-    if (name == adversary_kind_name(kind)) return kind;
-  return std::nullopt;
-}
-
-/// The valid `--adversaries` kind names, for error messages.
-constexpr std::string_view kAdversaryKindNames =
-    "blackhole|liar|replayer|selfish";
+/// The `--adversaries` kind names. kHonest is not a roster kind and has no
+/// row, so it neither parses nor prints.
+inline constexpr util::Named<AdversaryKind> kAdversaryKinds[] = {
+    {AdversaryKind::kBlackhole, "blackhole"},
+    {AdversaryKind::kLiar, "liar"},
+    {AdversaryKind::kReplayer, "replayer"},
+    {AdversaryKind::kSelfish, "selfish"},
+};
 
 /// Declarative, seeded roster of misbehaving nodes plus a wire-corruption
 /// rate for one packet-backend run. Like FaultPlan and TrafficSpec, an

@@ -9,6 +9,7 @@
 #include "graph/node_id.hpp"
 #include "sim/medium.hpp"
 #include "sim/trace.hpp"
+#include "util/names.hpp"
 
 namespace qolsr {
 
@@ -72,35 +73,20 @@ struct TrafficSpec {
   }
 };
 
-/// Canonical CLI/JSON name of an arrival process ("none" | "poisson" |
-/// "cbr" | "pareto") — the vocabulary --traffic= parses.
-constexpr const char* traffic_arrival_name(TrafficSpec::Arrival a) {
-  switch (a) {
-    case TrafficSpec::Arrival::kPoisson:
-      return "poisson";
-    case TrafficSpec::Arrival::kCbr:
-      return "cbr";
-    case TrafficSpec::Arrival::kPareto:
-      return "pareto";
-    case TrafficSpec::Arrival::kNone:
-      break;
-  }
-  return "none";
-}
+/// The `--traffic` arrival process names.
+inline constexpr util::Named<TrafficSpec::Arrival> kTrafficArrivals[] = {
+    {TrafficSpec::Arrival::kNone, "none"},
+    {TrafficSpec::Arrival::kPoisson, "poisson"},
+    {TrafficSpec::Arrival::kCbr, "cbr"},
+    {TrafficSpec::Arrival::kPareto, "pareto"},
+};
 
-/// Canonical CLI/JSON name of an endpoint pattern ("uniform" | "hotspot" |
-/// "gateway") — the vocabulary --pattern= parses.
-constexpr const char* traffic_pattern_name(TrafficSpec::Pattern p) {
-  switch (p) {
-    case TrafficSpec::Pattern::kHotspot:
-      return "hotspot";
-    case TrafficSpec::Pattern::kGateway:
-      return "gateway";
-    case TrafficSpec::Pattern::kUniform:
-      break;
-  }
-  return "uniform";
-}
+/// The `--pattern` endpoint pattern names.
+inline constexpr util::Named<TrafficSpec::Pattern> kTrafficPatterns[] = {
+    {TrafficSpec::Pattern::kUniform, "uniform"},
+    {TrafficSpec::Pattern::kHotspot, "hotspot"},
+    {TrafficSpec::Pattern::kGateway, "gateway"},
+};
 
 /// The materialized workload of one run: flow endpoints plus every data
 /// packet's send offset, generated up front from a dedicated seeded RNG

@@ -184,7 +184,7 @@ TEST(AdversaryExperiment, AdversaryAxisZeroPointEqualsHonestRun) {
 }
 
 TEST(AdversaryExperiment, FigureBSpecIsACannedAdversarySweep) {
-  const ExperimentSpec spec = figure_b_spec();
+  const ExperimentSpec spec = figure_by_name("B");
   EXPECT_EQ(spec.backend, BackendId::kPacket);
   EXPECT_EQ(spec.scenario.sweep_axis, Scenario::SweepAxis::kAdversary);
   EXPECT_EQ(spec.scenario.densities.front(), 0.0);  // the honest pin point
@@ -196,9 +196,9 @@ TEST(AdversaryExperiment, FigureBSpecIsACannedAdversarySweep) {
 }
 
 TEST(AdversaryExperiment, FigureLookupIsCaseInsensitiveAndNamesTheValidSet) {
-  EXPECT_EQ(figure_by_name("B").name, figure_b_spec().name);
-  EXPECT_EQ(figure_by_name("b").name, figure_b_spec().name);
-  EXPECT_EQ(figure_by_name("6").name, figure_spec(6).name);
+  EXPECT_EQ(figure_by_name("B").name, "figB_delivery_vs_adversaries");
+  EXPECT_EQ(figure_by_name("b").name, "figB_delivery_vs_adversaries");
+  EXPECT_EQ(figure_by_name("6").name, "fig6_ans_size_bandwidth");
   EXPECT_EQ(figure_names(), "6|7|8|9|M|R|L|B");
   try {
     figure_by_name("Z");

@@ -193,7 +193,7 @@ TEST(DynamicExperiment, AllRoutingModelsRun) {
 
 TEST(FigureMSpec, CannedMobilityFigure) {
   const FigureConfig config{25, 9, 3};
-  const ExperimentSpec spec = figure_m_spec(config);
+  const ExperimentSpec spec = figure_by_name("M", config);
   EXPECT_EQ(spec.name, "figM_delivery_vs_speed");
   EXPECT_EQ(spec.metric, MetricId::kBandwidth);
   EXPECT_EQ(spec.selectors,

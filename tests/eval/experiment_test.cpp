@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "core/fnbp.hpp"
 #include "eval/figures.hpp"
@@ -61,7 +64,7 @@ TEST(RunExperiment, MatchesDirectlyTemplatedRunSweepExactly) {
   // The engine is a dispatch shim, not a reimplementation: same spec, same
   // thread count => bitwise-identical aggregates vs. calling the template
   // with hand-constructed selectors (the pre-engine figureN_* code path).
-  ExperimentSpec spec = figure_spec(6, FigureConfig{6, 11, 2});
+  ExperimentSpec spec = figure_by_name("6", FigureConfig{6, 11, 2});
   spec.scenario.densities = {10.0, 14.0};
   spec.scenario.field.width = 450.0;
   spec.scenario.field.height = 450.0;
@@ -92,27 +95,144 @@ TEST(RunExperiment, MatchesDirectlyTemplatedRunSweepExactly) {
   }
 }
 
-TEST(FigureSpec, CannedSpecsMatchThePaperSettings) {
-  const FigureConfig config{25, 9, 3};
-  const ExperimentSpec f6 = figure_spec(6, config);
-  EXPECT_EQ(f6.metric, MetricId::kBandwidth);
-  EXPECT_EQ(f6.scenario.densities, bandwidth_densities());
-  const ExperimentSpec f7 = figure_spec(7, config);
-  EXPECT_EQ(f7.metric, MetricId::kDelay);
-  EXPECT_EQ(f7.scenario.densities, delay_densities());
-  EXPECT_EQ(figure_spec(8, config).metric, MetricId::kBandwidth);
-  EXPECT_EQ(figure_spec(9, config).metric, MetricId::kDelay);
-  for (int figure : {6, 7, 8, 9}) {
-    const ExperimentSpec spec = figure_spec(figure, config);
-    const std::vector<std::string> legend = {"qolsr_mpr2", "topology_filtering",
-                                             "fnbp"};
-    EXPECT_EQ(spec.selectors, legend);
-    EXPECT_EQ(spec.scenario.runs, config.runs);
-    EXPECT_EQ(spec.scenario.seed, config.seed);
-    EXPECT_EQ(spec.threads, config.threads);
+/// Every field of a spec on one line, doubles at full precision, so two
+/// descriptions are equal only if every field is.
+std::string describe(const ExperimentSpec& spec) {
+  std::ostringstream os;
+  os.precision(17);
+  const Scenario& s = spec.scenario;
+  os << "name=" << spec.name << " backend=" << static_cast<int>(spec.backend)
+     << " metric=" << metric_name(spec.metric) << " selectors=";
+  for (const std::string& name : spec.selectors) os << name << ',';
+  os << " threads=" << spec.threads << " wire_scale=" << spec.wire_scale
+     << " format=" << spec.format << " output=" << spec.output_path
+     << " per_run=" << spec.per_run << " field=" << s.field.width << 'x'
+     << s.field.height << " radius=" << s.field.radius
+     << " degree=" << s.field.degree << " densities=";
+  for (const double d : s.densities) os << d << ',';
+  const QosIntervals& q = s.qos;
+  os << " runs=" << s.runs << " seed=" << s.seed << " qos=" << q.bandwidth_lo
+     << ':' << q.bandwidth_hi << ',' << q.delay_lo << ':' << q.delay_hi << ','
+     << q.jitter_lo << ':' << q.jitter_hi << ',' << q.loss_lo << ':'
+     << q.loss_hi << ',' << q.energy_lo << ':' << q.energy_hi << ','
+     << q.buffers_lo << ':' << q.buffers_hi << ',' << q.integral
+     << " routing=" << static_cast<int>(s.routing_model)
+     << " hop_by_hop=" << s.hop_by_hop
+     << " local_views=" << s.use_local_views
+     << " pairs=" << static_cast<int>(s.pair_mode)
+     << " resamples=" << s.max_topology_resamples
+     << " record_runs=" << s.record_runs;
+  const DynamicsSpec& d = s.dynamics;
+  os << " dynamics=" << static_cast<int>(d.model) << ',' << d.epochs << ','
+     << d.epoch_duration << ',' << d.speed_min << ':' << d.speed_max << ','
+     << d.pause_epochs << ',' << d.link_down_rate << ',' << d.link_up_rate
+     << ',' << d.refresh_interval << " loss=" << s.faults.loss_rate
+     << " link_loss=";
+  for (const LinkLossSpec& l : s.faults.link_loss)
+    os << l.u << '-' << l.v << '@' << l.rate << ',';
+  os << " incidents=";
+  for (const FaultIncident& i : s.faults.incidents)
+    os << static_cast<int>(i.kind) << ':' << i.count << ':' << i.node << ':'
+       << i.link_u << '-' << i.link_v << '@' << i.duration << ',';
+  const TrafficSpec& t = s.traffic;
+  os << " traffic=" << static_cast<int>(t.arrival) << ','
+     << static_cast<int>(t.pattern) << ',' << t.flows << ',' << t.load << ','
+     << t.packet_rate << ',' << t.duration << ',' << t.pareto_shape << ','
+     << t.packet_bytes << ',' << t.link_capacity << ',' << t.queue_bytes
+     << ',' << t.hotspots << " adversaries=";
+  const AdversarySpec& a = s.adversaries;
+  for (const AdversaryKind kind : a.kinds) os << static_cast<int>(kind) << ',';
+  os << a.count << ',' << a.fraction << ',' << a.corrupt_rate << ",nodes=";
+  for (const NodeId node : a.nodes) os << node << ',';
+  os << " probes=" << s.probe_packets
+     << " axis=" << static_cast<int>(s.sweep_axis);
+  return os.str();
+}
+
+TEST(FigureByName, PinsEveryFieldOfEveryCannedSpec) {
+  // Each canned figure as literals, field by field: what qolsr_eval
+  // --figure=X runs must not move when the figures change representation.
+  const std::vector<std::string> all_five = {
+      "olsr_mpr", "qolsr_mpr1", "qolsr_mpr2", "topology_filtering", "fnbp"};
+  for (const FigureConfig& config : {FigureConfig{}, FigureConfig{25, 9, 3}}) {
+    ExperimentSpec base;
+    base.backend = BackendId::kOracle;
+    base.metric = MetricId::kBandwidth;
+    base.selectors = {"qolsr_mpr2", "topology_filtering", "fnbp"};
+    base.scenario.runs = config.runs;
+    base.scenario.seed = config.seed;
+    base.threads = config.threads;
+
+    ExperimentSpec f6 = base;
+    f6.name = "fig6_ans_size_bandwidth";
+    f6.scenario.densities = {10.0, 15.0, 20.0, 25.0, 30.0, 35.0};
+    ExperimentSpec f8 = f6;
+    f8.name = "fig8_bandwidth_overhead";
+    ExperimentSpec f7 = base;
+    f7.name = "fig7_ans_size_delay";
+    f7.metric = MetricId::kDelay;
+    f7.scenario.densities = {5.0, 10.0, 15.0, 20.0, 25.0, 30.0};
+    ExperimentSpec f9 = f7;
+    f9.name = "fig9_delay_overhead";
+
+    ExperimentSpec m = base;
+    m.name = "figM_delivery_vs_speed";
+    m.selectors = all_five;
+    m.scenario.sweep_axis = Scenario::SweepAxis::kSpeed;
+    m.scenario.densities = {1.0, 5.0, 10.0, 15.0, 20.0};
+    m.scenario.field.degree = 20.0;
+    m.scenario.pair_mode = Scenario::PairMode::kAnyConnected;
+    m.scenario.dynamics.model = DynamicsSpec::Model::kWaypoint;
+    m.scenario.dynamics.epochs = 50;
+    m.scenario.dynamics.epoch_duration = 1.0;
+    m.scenario.dynamics.refresh_interval = 5;
+
+    // R, L and B share the packet backend, all five selectors and any-pair
+    // flows at a fixed density of 10.
+    ExperimentSpec packet = base;
+    packet.backend = BackendId::kPacket;
+    packet.selectors = all_five;
+    packet.scenario.field.degree = 10.0;
+    packet.scenario.pair_mode = Scenario::PairMode::kAnyConnected;
+
+    ExperimentSpec r = packet;
+    r.name = "figR_delivery_vs_loss";
+    r.scenario.sweep_axis = Scenario::SweepAxis::kLoss;
+    r.scenario.densities = {0.0, 0.1, 0.2, 0.3, 0.4};
+    r.scenario.probe_packets = 8;
+    FaultIncident crash;
+    crash.kind = FaultIncident::Kind::kNodeCrash;
+    crash.count = 1;
+    crash.duration = 10.0;
+    r.scenario.faults.incidents = {crash};
+
+    ExperimentSpec l = packet;
+    l.name = "figL_qos_under_load";
+    l.scenario.sweep_axis = Scenario::SweepAxis::kLoad;
+    l.scenario.densities = {0.25, 0.5, 1.0, 2.0, 4.0};
+    l.scenario.traffic.arrival = TrafficSpec::Arrival::kPoisson;
+    l.scenario.traffic.pattern = TrafficSpec::Pattern::kUniform;
+    l.scenario.traffic.flows = 16;
+    l.scenario.traffic.packet_rate = 20.0;
+    l.scenario.traffic.duration = 10.0;
+
+    ExperimentSpec b = packet;
+    b.name = "figB_delivery_vs_adversaries";
+    b.scenario.sweep_axis = Scenario::SweepAxis::kAdversary;
+    b.scenario.densities = {0.0, 0.05, 0.1, 0.2, 0.3};
+    b.scenario.probe_packets = 8;
+    b.scenario.adversaries.kinds = {AdversaryKind::kBlackhole,
+                                    AdversaryKind::kLiar};
+
+    const std::pair<std::string_view, const ExperimentSpec*> pins[] = {
+        {"6", &f6}, {"7", &f7}, {"8", &f8}, {"9", &f9},
+        {"M", &m},  {"R", &r},  {"L", &l},  {"B", &b}};
+    for (const auto& [figure, want] : pins)
+      EXPECT_EQ(describe(figure_by_name(figure, config)), describe(*want))
+          << "figure " << figure << ", runs " << config.runs;
   }
-  EXPECT_THROW(figure_spec(5), ExperimentError);
-  EXPECT_THROW(figure_spec(10), ExperimentError);
+  EXPECT_THROW(figure_by_name("5"), ExperimentError);
+  EXPECT_THROW(figure_by_name("10"), ExperimentError);
 }
 
 TEST(RunExperiment, ThreadCountInvariance) {
@@ -243,6 +363,36 @@ TEST(RunExperiment, RejectsBadSpecs) {
   EXPECT_THROW(run_experiment(packet_chain), ExperimentError);
 }
 
+TEST(RunExperiment, RejectsGeometryAndQosTheSamplerCannotTake) {
+  // Before these checks a negative radius overflowed the deployment's
+  // cell grid, a NaN Poisson mean never ended its draw, an infinite or
+  // zero-radius field failed inside vector::reserve, and a bad --qos-hi
+  // ran on constant, negative or undefined link weights.
+  const std::vector<std::string> bad_inputs[] = {
+      {"--radius=-5"},      {"--radius=0"},
+      {"--radius=nan"},     {"--radius=inf"},
+      {"--densities=nan"},  {"--densities=inf"},
+      {"--field=infx100"},  {"--field=100x-1"},
+      {"--degree=nan"},     {"--qos-hi=-1"},
+      {"--qos-hi=0"},       {"--qos-hi=inf"},
+      {"--qos-hi=nan"},     {"--qos-hi=-1", "--continuous-qos"},
+      {"--qos-hi=0.5", "--continuous-qos"}};
+  for (const std::vector<std::string>& bad : bad_inputs) {
+    std::vector<std::string> flags = {"--densities=10"};
+    flags.insert(flags.end(), bad.begin(), bad.end());
+    try {
+      run_experiment(
+          parse_experiment_spec(flags, figure_by_name("6", {1, 42, 1})));
+      ADD_FAILURE() << bad.front() << " accepted";
+    } catch (const ExperimentError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(
+                    "experiment 'fig6_ans_size_bandwidth': ", 0),
+                0u)
+          << e.what();
+    }
+  }
+}
+
 TEST(ParseExperimentSpec, FlagsMapOntoTheSpec) {
   const ExperimentSpec spec = parse_experiment_spec({
       "--name=custom",
@@ -288,10 +438,11 @@ TEST(ParseExperimentSpec, FlagsMapOntoTheSpec) {
 
 TEST(ParseExperimentSpec, LaterFlagsOverrideTheCannedBase) {
   const ExperimentSpec spec = parse_experiment_spec(
-      {"--runs=5", "--metric=delay", "--threads=1"}, figure_spec(6));
+      {"--runs=5", "--metric=delay", "--threads=1"}, figure_by_name("6"));
   EXPECT_EQ(spec.name, "fig6_ans_size_bandwidth");
   EXPECT_EQ(spec.metric, MetricId::kDelay);
-  EXPECT_EQ(spec.scenario.densities, bandwidth_densities());
+  EXPECT_EQ(spec.scenario.densities,
+            (std::vector<double>{10, 15, 20, 25, 30, 35}));
   EXPECT_EQ(spec.scenario.runs, 5u);
   EXPECT_EQ(spec.threads, 1u);
 }
@@ -306,11 +457,11 @@ TEST(ParseExperimentSpec, BackendFlagSelectsTheEngine) {
   EXPECT_EQ(parse_experiment_spec({"--backend=packet", "--backend=oracle"})
                 .backend,
             BackendId::kOracle);
-  EXPECT_EQ(backend_name(BackendId::kOracle), "oracle");
-  EXPECT_EQ(backend_name(BackendId::kPacket), "packet");
-  EXPECT_EQ(backend_name(BackendId::kWire), "wire");
+  EXPECT_EQ(util::name_of(kBackends, BackendId::kOracle), "oracle");
+  EXPECT_EQ(util::name_of(kBackends, BackendId::kPacket), "packet");
+  EXPECT_EQ(util::name_of(kBackends, BackendId::kWire), "wire");
   // One table drives names, parsing and the error text alike.
-  EXPECT_EQ(backend_names(), "oracle|packet|wire");
+  EXPECT_EQ(util::names_of(kBackends), "oracle|packet|wire");
 }
 
 TEST(ParseExperimentSpec, UnknownBackendErrorNamesTheValidSet) {
@@ -332,9 +483,32 @@ TEST(ParseExperimentSpec, RejectsUnknownFlagsAndBadValues) {
   EXPECT_THROW(parse_experiment_spec({"--runs=many"}), ExperimentError);
   EXPECT_THROW(parse_experiment_spec({"--densities=10,x"}), ExperimentError);
   EXPECT_THROW(parse_experiment_spec({"--field=100"}), ExperimentError);
-  EXPECT_THROW(parse_experiment_spec({"--routing=flood"}), ExperimentError);
-  EXPECT_THROW(parse_experiment_spec({"--pairs=nearest"}), ExperimentError);
-  EXPECT_THROW(parse_experiment_spec({"--backend=ns3"}), ExperimentError);
+  // Every enum flag reads one name table, and its error lists the table.
+  const std::pair<const char*, const char*> choices[] = {
+      {"--backend=ns3", "flag --backend: expected oracle|packet|wire, got "
+                        "'ns3'"},
+      {"--routing=flood", "flag --routing: expected union|chain, got 'flood'"},
+      {"--pairs=nearest", "flag --pairs: expected two_hop|any, got 'nearest'"},
+      {"--mobility=teleport", "flag --mobility: expected none|waypoint|churn, "
+                              "got 'teleport'"},
+      {"--axis=time", "flag --axis: expected density|speed|loss|load|adversary"
+                      ", got 'time'"},
+      {"--adversaries=1@blackhole,gremlin",
+       "flag --adversaries: expected blackhole|liar|replayer|selfish, got "
+       "'gremlin'"},
+      {"--traffic=bursty", "flag --traffic: expected none|poisson|cbr|pareto, "
+                           "got 'bursty'"},
+      {"--pattern=ring", "flag --pattern: expected uniform|hotspot|gateway, "
+                         "got 'ring'"},
+  };
+  for (const auto& [flag, message] : choices) {
+    try {
+      parse_experiment_spec({flag});
+      ADD_FAILURE() << flag << " accepted";
+    } catch (const ExperimentError& e) {
+      EXPECT_STREQ(e.what(), message);
+    }
+  }
   // Valueless switches must reject an attached value — silently dropping
   // it would turn "--per-run=false" into an enable.
   EXPECT_THROW(parse_experiment_spec({"--per-run=false"}), ExperimentError);

@@ -28,7 +28,7 @@ std::string run_figure_csv(int figure, std::vector<double> densities) {
   config.runs = 2;
   config.seed = 7;
   config.threads = 1;
-  ExperimentSpec spec = figure_spec(figure, config);
+  ExperimentSpec spec = figure_by_name(std::to_string(figure), config);
   spec.scenario.densities = std::move(densities);
   const ExperimentResult result = run_experiment(spec);
   std::ostringstream os;

@@ -248,7 +248,7 @@ TEST(Robustness, PerRunRecordsCarryConvergenceOutcome) {
 }
 
 TEST(Robustness, FigureRSpecIsACannedLossSweep) {
-  const ExperimentSpec spec = figure_r_spec();
+  const ExperimentSpec spec = figure_by_name("R");
   EXPECT_EQ(spec.backend, BackendId::kPacket);
   EXPECT_EQ(spec.scenario.sweep_axis, Scenario::SweepAxis::kLoss);
   EXPECT_EQ(spec.scenario.densities.front(), 0.0);

@@ -99,8 +99,8 @@ TEST(RunSweep, DeterministicForFixedSeed) {
 TEST(Figures, TablesHaveExpectedShape) {
   FigureConfig config;
   config.runs = 2;  // smoke test of the full harness path
-  const ExperimentResult result = run_experiment(figure_spec(6, config));
-  ASSERT_EQ(result.sweep.size(), bandwidth_densities().size());
+  const ExperimentResult result = run_experiment(figure_by_name("6", config));
+  ASSERT_EQ(result.sweep.size(), 6u);
   std::ostringstream os;
   PrettyTableSink{}.write(result, os);
   // Per "## " section: its table lines (header, rule, one row per point).

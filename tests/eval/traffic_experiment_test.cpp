@@ -177,7 +177,7 @@ TEST(TrafficExperiment, PerRunRecordsCarryTheTrafficOutcome) {
 }
 
 TEST(TrafficExperiment, FigureLSpecIsACannedLoadSweep) {
-  const ExperimentSpec spec = figure_l_spec();
+  const ExperimentSpec spec = figure_by_name("L");
   EXPECT_EQ(spec.backend, BackendId::kPacket);
   EXPECT_EQ(spec.scenario.sweep_axis, Scenario::SweepAxis::kLoad);
   EXPECT_EQ(spec.scenario.traffic.arrival, TrafficSpec::Arrival::kPoisson);

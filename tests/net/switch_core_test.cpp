@@ -211,7 +211,6 @@ TEST(SocketLoopback, SeqpacketRoundTripsAnOlsrPacket) {
   f.kind = kKindPacket;
   f.sender = 5;
   f.dest = kBroadcastDest;
-  f.timestamp = 0.5;
   f.payload = packet_bytes;
   ASSERT_TRUE(send_datagram(left, encode_frame(f)));
 

@@ -3,17 +3,25 @@
 // and the golden layout of the frame header.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <vector>
+
 #include "net/wire_format.hpp"
 
 namespace qolsr::net {
 namespace {
+
+std::vector<std::byte> bytes_of(std::initializer_list<unsigned> values) {
+  std::vector<std::byte> out;
+  for (const unsigned v : values) out.push_back(static_cast<std::byte>(v));
+  return out;
+}
 
 Frame sample_frame() {
   Frame f;
   f.kind = kKindPacket;
   f.sender = 7;
   f.dest = kBroadcastDest;
-  f.timestamp = 1.25;
   f.payload = {std::byte{0xAA}, std::byte{0xBB}, std::byte{0xCC}};
   return f;
 }
@@ -32,17 +40,14 @@ TEST(WireFrame, HeaderLayoutIsPinned) {
   f.kind = kKindControl;
   f.sender = 0x01020304;
   f.dest = 0x0A0B0C0D;
-  f.timestamp = 0.0;
+  f.payload = {std::byte{0xEE}};
   const auto bytes = encode_frame(f);
-  ASSERT_EQ(bytes.size(), kFrameHeaderBytes);
-  EXPECT_EQ(static_cast<unsigned>(bytes[0]), 0x51u);  // magic 'Q'
-  EXPECT_EQ(static_cast<unsigned>(bytes[1]), 1u);     // version
-  EXPECT_EQ(static_cast<unsigned>(bytes[2]), kKindControl);
-  EXPECT_EQ(static_cast<unsigned>(bytes[3]), 0x04u);  // sender, LE
-  EXPECT_EQ(static_cast<unsigned>(bytes[6]), 0x01u);
-  EXPECT_EQ(static_cast<unsigned>(bytes[7]), 0x0Du);  // dest, LE
-  EXPECT_EQ(static_cast<unsigned>(bytes[kFrameHeaderBytes - 2]), 0u);  // len
-  EXPECT_EQ(static_cast<unsigned>(bytes[kFrameHeaderBytes - 1]), 0u);
+  EXPECT_EQ(kFrameHeaderBytes, 13u);
+  EXPECT_EQ(bytes, bytes_of({0x51, 0x02, kKindControl,  // magic 'Q', version
+                             0x04, 0x03, 0x02, 0x01,    // sender, LE
+                             0x0D, 0x0C, 0x0B, 0x0A,    // dest, LE
+                             0x01, 0x00,                // payload_len, LE
+                             0xEE}));                   // payload
 }
 
 TEST(WireFrame, DecodeRejectsCorruption) {
@@ -54,8 +59,16 @@ TEST(WireFrame, DecodeRejectsCorruption) {
   EXPECT_FALSE(decode_frame(bad_magic).has_value());
 
   auto bad_version = good;
-  bad_version[1] = std::byte{0x02};
+  bad_version[1] = std::byte{0x03};
   EXPECT_FALSE(decode_frame(bad_version).has_value());
+
+  // A version-1 frame (an f64 sender timestamp between dest and the
+  // length prefix) is refused, not misread.
+  const std::vector<std::byte> version_1 =
+      bytes_of({0x51, 0x01, kKindPacket, 0x07, 0x00, 0x00, 0x00, 0xFF, 0xFF,
+                0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF4, 0x3F,
+                0x00, 0x00});
+  EXPECT_FALSE(decode_frame(version_1).has_value());
 
   auto bad_kind = good;
   bad_kind[2] = std::byte{0x7F};
