@@ -1,5 +1,6 @@
 #include "eval/experiment.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <memory>
@@ -59,6 +60,12 @@ E parse_choice(std::string_view flag, std::string_view value,
                         std::string(value) + "'");
 }
 
+/// Half of a 32-bit id space: the most nodes a deployment may expect
+/// (NodeId reserves its top values for kInvalidNode and kRouteNotCached)
+/// and the most data packets a run may expect (payload ids count up from
+/// TrafficMatrix::kFirstPayloadId and must not wrap).
+constexpr double kHalfIdSpace = 2147483648.0;
+
 /// Every failure of a spec names the experiment it came from.
 [[noreturn]] void reject(const ExperimentSpec& spec, const std::string& why) {
   throw ExperimentError("experiment '" + spec.name + "': " + why);
@@ -106,8 +113,18 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
       !positive(geometry.radius))
     reject(spec, "--field and --radius must be finite and > 0");
   if (!std::isfinite(geometry.degree)) reject(spec, "--degree must be finite");
-  for (const double value : spec.scenario.densities)
-    if (!std::isfinite(value)) reject(spec, "sweep values must be finite");
+  // The deployment expecting the most nodes: --degree's, or on the density
+  // axis the largest sweep value's.
+  DeploymentConfig largest = geometry;
+  for (const double value : spec.scenario.densities) {
+    if (!std::isfinite(value)) reject(spec, "--densities must be finite");
+    if (spec.scenario.sweep_axis == Scenario::SweepAxis::kDensity)
+      largest.degree = std::max(largest.degree, value);
+  }
+  if (largest.expected_nodes() > kHalfIdSpace)
+    reject(spec, std::string(largest.degree > geometry.degree ? "--densities"
+                                                              : "--degree") +
+                     " expects more than 2^31 nodes per deployment");
   // Link weights are drawn uniformly from each interval: a negative bound
   // yields negative QoS, lo > hi an empty range, a non-finite bound an
   // undefined integer cast.
@@ -130,7 +147,10 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
       reject(spec, "per-link loss rates live in [0, 1]");
   for (const FaultIncident& incident : faults.incidents)
     if (incident.count == 0) reject(spec, "fault incidents need count >= 1");
-  if (spec.scenario.probe_packets == 0) reject(spec, "--probes must be >= 1");
+  // Probe ids count up from 1 and must stay below the traffic phase's.
+  if (spec.scenario.probe_packets == 0 ||
+      spec.scenario.probe_packets >= TrafficMatrix::kFirstPayloadId)
+    reject(spec, "--probes must be >= 1 and < 2^24");
   if (spec.scenario.sweep_axis == Scenario::SweepAxis::kLoss) {
     if (spec.backend != BackendId::kPacket)
       reject(spec,
@@ -158,22 +178,35 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
            "traffic workloads (--traffic/--flows/--load/--pattern) need "
            "--backend=packet (the oracle has no medium to load)");
   if (traffic.arrival != TrafficSpec::Arrival::kNone) {
-    if (traffic.load < 0.0)
-      reject(spec, "--load must be >= 0 (0 = no traffic)");
-    if (traffic.packet_rate <= 0.0)
-      reject(spec, "--traffic-rate must be > 0 packets/s");
-    if (traffic.duration <= 0.0)
-      reject(spec, "--traffic-duration must be > 0 seconds");
-    if (traffic.link_capacity <= 0.0)
-      reject(spec, "--capacity must be > 0 bytes/s");
+    if (!std::isfinite(traffic.load) || traffic.load < 0.0)
+      reject(spec, "--load must be finite and >= 0 (0 = no traffic)");
+    if (!positive(traffic.packet_rate))
+      reject(spec, "--traffic-rate must be finite and > 0 packets/s");
+    if (!positive(traffic.duration))
+      reject(spec, "--traffic-duration must be finite and > 0 seconds");
+    if (!positive(traffic.link_capacity))
+      reject(spec, "--capacity must be finite and > 0 bytes/s");
     if (traffic.queue_bytes == 0) reject(spec, "--queue-bytes must be > 0");
     if (traffic.arrival == TrafficSpec::Arrival::kPareto &&
-        traffic.pareto_shape <= 1.0)
+        !(std::isfinite(traffic.pareto_shape) && traffic.pareto_shape > 1.0))
       reject(spec,
-             "--pareto-shape must be > 1 (the mean inter-arrival must exist)");
+             "--pareto-shape must be finite and > 1 (the mean inter-arrival "
+             "must exist)");
     if (traffic.pattern == TrafficSpec::Pattern::kHotspot &&
         traffic.hotspots == 0)
       reject(spec, "--hotspots must be >= 1");
+    // The generator materializes every packet of a run up front.
+    const double load =
+        spec.scenario.sweep_axis == Scenario::SweepAxis::kLoad
+            ? *std::max_element(spec.scenario.densities.begin(),
+                                spec.scenario.densities.end())
+            : traffic.load;
+    if (static_cast<double>(traffic.flows) * traffic.packet_rate * load *
+            traffic.duration >
+        kHalfIdSpace)
+      reject(spec,
+             "--flows x --traffic-rate x --load x --traffic-duration expects "
+             "more than 2^31 packets per run");
   }
   if (spec.scenario.sweep_axis == Scenario::SweepAxis::kLoad) {
     if (spec.backend != BackendId::kPacket)

@@ -8,20 +8,6 @@ namespace {
 using wire::Reader;
 using wire::Writer;
 
-void write_qos(Writer& w, const LinkQos& q) {
-  w.f64(q.bandwidth);
-  w.f64(q.delay);
-  w.f64(q.jitter);
-  w.f64(q.loss_cost);
-  w.f64(q.energy);
-  w.f64(q.buffers);
-}
-
-bool read_qos(Reader& r, LinkQos& q) {
-  return r.f64(q.bandwidth) && r.f64(q.delay) && r.f64(q.jitter) &&
-         r.f64(q.loss_cost) && r.f64(q.energy) && r.f64(q.buffers);
-}
-
 void write_string(Writer& w, const std::string& s) {
   w.u8(static_cast<std::uint8_t>(s.size()));
   for (char c : s) w.u8(static_cast<std::uint8_t>(c));
@@ -124,7 +110,7 @@ std::vector<std::byte> encode_configure(const NodeSetup& setup) {
   w.u16(static_cast<std::uint16_t>(setup.neighbors.size()));
   for (const NodeSetup::Neighbor& n : setup.neighbors) {
     w.u32(n.id);
-    write_qos(w, n.qos);
+    w.qos(n.qos);
   }
   return out;
 }
@@ -144,7 +130,7 @@ std::optional<NodeSetup> decode_configure(const std::vector<std::byte>& p) {
     return std::nullopt;
   s.neighbors.resize(count);
   for (NodeSetup::Neighbor& n : s.neighbors)
-    if (!r.u32(n.id) || !read_qos(r, n.qos)) return std::nullopt;
+    if (!r.u32(n.id) || !r.qos(n.qos)) return std::nullopt;
   if (!r.done()) return std::nullopt;
   return s;
 }

@@ -44,12 +44,7 @@ bool read_header(Reader& r, PacketHeader& h) {
 void write_advert(Writer& w, const LinkAdvert& a) {
   w.u32(a.neighbor);
   w.u8(static_cast<std::uint8_t>(a.status));
-  w.f64(a.qos.bandwidth);
-  w.f64(a.qos.delay);
-  w.f64(a.qos.jitter);
-  w.f64(a.qos.loss_cost);
-  w.f64(a.qos.energy);
-  w.f64(a.qos.buffers);
+  w.qos(a.qos);
 }
 
 /// Every QoS quantity on the wire is a nonnegative finite measurement; a
@@ -59,11 +54,7 @@ bool valid_qos(double v) { return std::isfinite(v) && v >= 0.0; }
 
 bool read_advert(Reader& r, LinkAdvert& a) {
   std::uint8_t status = 0;
-  if (!r.u32(a.neighbor) || !r.u8(status) || !r.f64(a.qos.bandwidth) ||
-      !r.f64(a.qos.delay) || !r.f64(a.qos.jitter) ||
-      !r.f64(a.qos.loss_cost) || !r.f64(a.qos.energy) ||
-      !r.f64(a.qos.buffers))
-    return false;
+  if (!r.u32(a.neighbor) || !r.u8(status) || !r.qos(a.qos)) return false;
   if (status < static_cast<std::uint8_t>(LinkStatus::kAsymmetric) ||
       status > static_cast<std::uint8_t>(LinkStatus::kMpr))
     return false;
@@ -77,6 +68,19 @@ bool read_advert(Reader& r, LinkAdvert& a) {
 
 constexpr std::size_t kHeaderBytes = 1 + 4 + 2 + 1 + 1;
 constexpr std::size_t kAdvertBytes = 4 + 1 + 6 * 8;
+
+/// Reads the `count` adverts that must make up the rest of the frame.
+bool read_adverts(Reader& r, std::uint16_t count,
+                  std::vector<LinkAdvert>& out) {
+  // Length check before allocation: a hostile count field must not size a
+  // vector the payload cannot back (and trailing garbage is rejected here
+  // instead of after count adverts of work).
+  if (r.remaining() != count * kAdvertBytes) return false;
+  out.resize(count);
+  for (LinkAdvert& a : out)
+    if (!read_advert(r, a)) return false;
+  return r.done();
+}
 
 }  // namespace
 
@@ -138,29 +142,17 @@ std::optional<ParsedPacket> parse_packet(const std::vector<std::byte>& bytes) {
       HelloMessage hello;
       std::uint16_t count = 0;
       if (!r.u32(hello.originator) || !r.u8(hello.willingness) ||
-          !r.u16(count))
+          !r.u16(count) || !read_adverts(r, count, hello.links))
         return std::nullopt;
-      // Length check before allocation: a hostile count field must not
-      // size a vector the payload cannot back (and trailing garbage is
-      // rejected here instead of after count adverts of work).
-      if (r.remaining() != count * kAdvertBytes) return std::nullopt;
-      hello.links.resize(count);
-      for (LinkAdvert& a : hello.links)
-        if (!read_advert(r, a)) return std::nullopt;
-      if (!r.done()) return std::nullopt;
       packet.hello = std::move(hello);
       return packet;
     }
     case MessageType::kTc: {
       TcMessage tc;
       std::uint16_t count = 0;
-      if (!r.u32(tc.originator) || !r.u16(tc.ansn) || !r.u16(count))
+      if (!r.u32(tc.originator) || !r.u16(tc.ansn) || !r.u16(count) ||
+          !read_adverts(r, count, tc.advertised))
         return std::nullopt;
-      if (r.remaining() != count * kAdvertBytes) return std::nullopt;
-      tc.advertised.resize(count);
-      for (LinkAdvert& a : tc.advertised)
-        if (!read_advert(r, a)) return std::nullopt;
-      if (!r.done()) return std::nullopt;
       packet.tc = std::move(tc);
       return packet;
     }

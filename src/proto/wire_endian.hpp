@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "metrics/link_qos.hpp"
+
 namespace qolsr::wire {
 
 /// The codec's byte order, pinned explicitly: every multi-byte quantity in
@@ -39,6 +41,15 @@ class Writer {
     u32(static_cast<std::uint32_t>(v >> 32));
   }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  /// One link's QoS record: its six fields, in declaration order.
+  void qos(const LinkQos& q) {
+    f64(q.bandwidth);
+    f64(q.delay);
+    f64(q.jitter);
+    f64(q.loss_cost);
+    f64(q.energy);
+    f64(q.buffers);
+  }
 
  private:
   std::vector<std::byte>& out_;
@@ -84,6 +95,11 @@ class Reader {
     if (!u64(bits)) return false;
     v = std::bit_cast<double>(bits);
     return true;
+  }
+  /// Reads what Writer::qos wrote; the values are not range-checked.
+  bool qos(LinkQos& q) {
+    return f64(q.bandwidth) && f64(q.delay) && f64(q.jitter) &&
+           f64(q.loss_cost) && f64(q.energy) && f64(q.buffers);
   }
   bool done() const { return pos_ == size_; }
   std::size_t remaining() const { return size_ - pos_; }

@@ -1,7 +1,6 @@
 #include "sim/lossy_medium.hpp"
 
 #include "proto/messages.hpp"
-#include "sim/simulator.hpp"
 
 namespace qolsr {
 
@@ -15,12 +14,13 @@ constexpr std::uint64_t kCorruptStreamSalt = 0x6a09e667f3bcc909ULL;
 }  // namespace
 
 void LossyMedium::reset(const FaultPlan* plan, std::uint64_t seed,
-                        double corrupt_rate) {
+                        double corrupt_rate, std::size_t node_count) {
   plan_ = plan;
   rng_ = util::Rng(seed ^ kLossStreamSalt);
   corrupt_rng_ = util::Rng(seed ^ kCorruptStreamSalt);
   corrupt_rate_ = corrupt_rate;
-  node_down_.assign(node_count(), 0);
+  partition_half_ = static_cast<NodeId>(node_count / 2);
+  node_down_.assign(node_count, 0);
   down_nodes_ = 0;
   down_links_.clear();
   link_loss_.clear();
@@ -53,11 +53,8 @@ void LossyMedium::set_node_down(NodeId id, bool down) {
 bool LossyMedium::blocked(NodeId from, NodeId to) const {
   if (node_down(from) || node_down(to)) return true;
   if (!down_links_.empty() && link_down(from, to)) return true;
-  if (partitions_ > 0) {
-    const NodeId half = static_cast<NodeId>(node_count() / 2);
-    if ((from < half) != (to < half)) return true;
-  }
-  return false;
+  return partitions_ > 0 &&
+         (from < partition_half_) != (to < partition_half_);
 }
 
 bool LossyMedium::lost(NodeId from, NodeId to) {
@@ -71,8 +68,22 @@ bool LossyMedium::lost(NodeId from, NodeId to) {
   return rate >= 1.0 || rng_.uniform01() < rate;
 }
 
+bool LossyMedium::passes(NodeId from, NodeId to) {
+  if (!impaired()) return true;
+  if (blocked(from, to)) {
+    trace_->frames_blocked += 1;
+    return false;
+  }
+  if (lost(from, to)) {
+    trace_->frames_lost += 1;
+    return false;
+  }
+  return true;
+}
+
 SharedBytes LossyMedium::maybe_corrupt(const SharedBytes& bytes) {
-  if (bytes->empty() || corrupt_rng_.uniform01() >= corrupt_rate_)
+  if (corrupt_rate_ <= 0.0 || bytes->empty() ||
+      corrupt_rng_.uniform01() >= corrupt_rate_)
     return bytes;
   // The shared buffer may still be in flight to other receivers — corrupt
   // a private copy, never the original.
@@ -93,90 +104,6 @@ SharedBytes LossyMedium::maybe_corrupt(const SharedBytes& bytes) {
       it->second.drop = TraceStats::Journey::Drop::kMalformed;
   }
   return make_shared_bytes(std::move(flipped));
-}
-
-SimTime LossyMedium::now() const { return sim_->queue().now(); }
-
-void LossyMedium::schedule_in(SimTime delay, std::function<void()> callback) {
-  sim_->queue().schedule_in(delay, std::move(callback));
-}
-
-const LinkQos* LossyMedium::measured_qos(NodeId a, NodeId b) const {
-  // Link-quality *measurement* is outside the paper's scope (the ideal-MAC
-  // assumption): nodes read the true value even on a lossy link. Loss
-  // degrades what they learn by dropping the frames that carry it.
-  return sim_->network().edge_qos(a, b);
-}
-
-std::size_t LossyMedium::node_count() const {
-  return sim_->network().node_count();
-}
-
-void LossyMedium::broadcast(NodeId from, SharedBytes bytes) {
-  // The fan-out iterates ground-truth neighbors in sorted order whether or
-  // not faults are active, so the gate draws (and the event sequence) are
-  // deterministic — and with no fault source active the loop is exactly
-  // the ideal medium's.
-  const bool clean = !impaired();
-  scratch_receivers_.clear();
-  for (const Edge& e : sim_->network().neighbors(from)) {
-    if (!clean) {
-      if (blocked(from, e.to)) {
-        trace_->frames_blocked += 1;
-        continue;
-      }
-      if (lost(from, e.to)) {
-        trace_->frames_lost += 1;
-        continue;
-      }
-    }
-    scratch_receivers_.push_back(e.to);
-  }
-  if (corrupt_rate_ > 0.0) {
-    // Each leg draws its own corruption gate, and a corrupted leg carries
-    // its own flipped copy — those must be delivered individually. The
-    // untouched majority still shares the batched fan-out (same delivery
-    // timestamp), so a small corrupt rate keeps near-fast-path event cost
-    // instead of reverting every broadcast to one event per neighbor.
-    scratch_clean_.clear();
-    for (const NodeId to : scratch_receivers_) {
-      SharedBytes leg = maybe_corrupt(bytes);
-      if (leg == bytes && !sim_->contention_active()) {
-        scratch_clean_.push_back(to);
-      } else {
-        sim_->deliver(from, to, std::move(leg));
-      }
-    }
-    if (!scratch_clean_.empty())
-      sim_->deliver_fanout(from, scratch_clean_, std::move(bytes));
-    return;
-  }
-  if (sim_->contention_active()) {
-    // Per-leg delivery: each leg pays its own queueing delay (or drop).
-    for (const NodeId to : scratch_receivers_) sim_->deliver(from, to, bytes);
-  } else {
-    // All surviving legs share one delivery time, so the whole fan-out is
-    // batched into a single event — equivalent ordering (the per-leg
-    // events would hold contiguous sequence numbers at the same time) at
-    // a fraction of the scheduling cost.
-    sim_->deliver_fanout(from, scratch_receivers_, std::move(bytes));
-  }
-}
-
-void LossyMedium::unicast(NodeId from, NodeId to, SharedBytes bytes) {
-  if (!sim_->network().has_edge(from, to)) return;  // out of range: lost
-  if (impaired()) {
-    if (blocked(from, to)) {
-      trace_->frames_blocked += 1;
-      return;
-    }
-    if (lost(from, to)) {
-      trace_->frames_lost += 1;
-      return;
-    }
-  }
-  if (corrupt_rate_ > 0.0) bytes = maybe_corrupt(bytes);
-  sim_->deliver(from, to, std::move(bytes));
 }
 
 }  // namespace qolsr

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "graph/deployment.hpp"
@@ -21,8 +20,6 @@ namespace qolsr {
 class MobilityModel {
  public:
   virtual ~MobilityModel() = default;
-
-  virtual std::string_view name() const = 0;
 
   /// Advances one epoch. Events are appended (callers clear between
   /// epochs); every event reflects an applied graph mutation, so replaying
@@ -58,7 +55,6 @@ class RandomWaypointModel final : public MobilityModel {
   RandomWaypointModel(const WaypointConfig& config, const Graph& graph,
                       util::Rng& rng);
 
-  std::string_view name() const override { return "waypoint"; }
   void step(Graph& graph, util::Rng& rng,
             std::vector<LinkEvent>& events) override;
 
@@ -88,7 +84,6 @@ class LinkChurnModel final : public MobilityModel {
  public:
   explicit LinkChurnModel(const ChurnConfig& config) : config_(config) {}
 
-  std::string_view name() const override { return "churn"; }
   void step(Graph& graph, util::Rng& rng,
             std::vector<LinkEvent>& events) override;
 

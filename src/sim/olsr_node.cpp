@@ -66,13 +66,10 @@ OlsrNode::OlsrNode(NodeId id, Medium& medium, TraceStats& trace,
       medium_(medium),
       trace_(trace),
       scratch_(&scratch),
-      flooding_selector_(&flooding_selector),
-      ans_selector_(&ans_selector),
-      route_fn_(&route_fn),
-      config_(config),
-      rng_(seed ^ (0x517cc1b727220a95ULL * (id + 1))),
       tables_(id, config.neighbor_hold),
-      topology_(config.topology_hold) {}
+      topology_(config.topology_hold) {
+  reset(flooding_selector, ans_selector, route_fn, config, seed);
+}
 
 void OlsrNode::reset(const AnsSelector& flooding_selector,
                      const AnsSelector& ans_selector, const RouteFn& route_fn,
@@ -82,17 +79,10 @@ void OlsrNode::reset(const AnsSelector& flooding_selector,
   route_fn_ = &route_fn;
   config_ = config;
   rng_ = util::Rng(seed ^ (0x517cc1b727220a95ULL * (id_ + 1)));
-  tables_ = NeighborTables(id_, config.neighbor_hold);
-  topology_ = TopologyBase(config.topology_hold);
-  duplicates_.clear();
-  flooding_mpr_.clear();
-  ans_.clear();
+  wipe_soft_state();
   ansn_ = 0;
-  last_advertised_.clear();
   next_sequence_ = 0;
   alive_ = true;
-  knowledge_valid_ = false;
-  selection_valid_ = false;
   // Pending purge events died with the previous run's event queue (the
   // Simulator clears it before resetting nodes).
   purge_pending_ = false;
@@ -110,10 +100,7 @@ void OlsrNode::set_role(AdversaryKind role, std::uint64_t seed) {
   adv_rng_ = util::Rng(seed ^ (kAdversaryNodeSalt * (id_ + 1)));
 }
 
-void OlsrNode::crash() {
-  alive_ = false;
-  // All soft state is gone; ansn_ and next_sequence_ deliberately survive
-  // (see the header — the RFC's stable-storage assumption).
+void OlsrNode::wipe_soft_state() {
   tables_ = NeighborTables(id_, config_.neighbor_hold);
   topology_ = TopologyBase(config_.topology_hold);
   duplicates_.clear();
@@ -122,6 +109,13 @@ void OlsrNode::crash() {
   last_advertised_.clear();
   knowledge_valid_ = false;
   selection_valid_ = false;
+}
+
+void OlsrNode::crash() {
+  alive_ = false;
+  // ansn_ and next_sequence_ deliberately survive the wipe (see the
+  // header — the RFC's stable-storage assumption).
+  wipe_soft_state();
   note_mutation();  // the alive bit (and the wiped tables) are state
 }
 
@@ -140,6 +134,12 @@ void OlsrNode::note_table_change(const NeighborTables::Outcome& changed) {
   if (changed.digest_changed) note_mutation();
   if (changed.view_changed) knowledge_valid_ = false;
   if (changed.local_view_changed) selection_valid_ = false;
+}
+
+void OlsrNode::note_tc_applied(const TopologyBase::TcOutcome& applied) {
+  if (applied.links_changed) note_mutation();
+  if (applied.view_changed) knowledge_valid_ = false;
+  if (applied.fresh) schedule_topology_purge();
 }
 
 void OlsrNode::start() {
@@ -225,51 +225,45 @@ void OlsrNode::hello_tick() {
 }
 
 void OlsrNode::tc_tick() {
-  if (!alive_) {
-    medium_.schedule_in(config_.tc_interval +
-                            rng_.uniform(0.0, config_.jitter),
-                        [this] { tc_tick(); });
-    return;
-  }
-  const double now = medium_.now();
-  note_table_change(tables_.expire(now));
-  // Topology-base expiry is event-driven (topology_purge_tick), not tied
-  // to this tick anymore; the duplicate set keeps its opportunistic sweep
-  // here (its entries are not digest-visible state).
-  duplicates_.expire(now);
-  recompute_selection();
+  // Like hello_tick: the timer keeps spinning while the node is down.
+  if (alive_) {
+    const double now = medium_.now();
+    note_table_change(tables_.expire(now));
+    // Topology-base expiry is event-driven (topology_purge_tick), not tied
+    // to this tick anymore; the duplicate set keeps its opportunistic sweep
+    // here (its entries are not digest-visible state).
+    duplicates_.expire(now);
+    recompute_selection();
 
-  // A liar always has something to advertise — its fabrications.
-  if (!ans_.empty() || role_ == AdversaryKind::kLiar) {
-    TcMessage tc;
-    tc.originator = id_;
-    tc.ansn = ansn_;
-    for (NodeId neighbor : ans_) {
-      const LinkQos* qos = tables_.link_qos(neighbor);
-      if (qos == nullptr) continue;
-      tc.advertised.push_back({neighbor, LinkStatus::kSymmetric, *qos});
+    // A liar always has something to advertise — its fabrications.
+    if (!ans_.empty() || role_ == AdversaryKind::kLiar) {
+      TcMessage tc;
+      tc.originator = id_;
+      tc.ansn = ansn_;
+      for (NodeId neighbor : ans_) {
+        const LinkQos* qos = tables_.link_qos(neighbor);
+        if (qos == nullptr) continue;
+        tc.advertised.push_back({neighbor, LinkStatus::kSymmetric, *qos});
+      }
+      if (role_ == AdversaryKind::kLiar) lie_in_tc(tc);
+      PacketHeader header;
+      header.type = MessageType::kTc;
+      header.originator = id_;
+      header.sequence = next_sequence_++;
+      header.ttl = kOriginTtl;
+      // Our own advertisement is part of the topology we route on.
+      note_tc_applied(topology_.apply_tc(tc, now));
+      // Record our own flood so re-broadcasts that echo back are dropped.
+      duplicates_.check_and_insert(id_, header.sequence, now);
+      if (monitor_ != nullptr) monitor_->record_tc_emission(id_, tc.ansn, now);
+      auto bytes = make_shared_bytes(serialize(header, tc));
+      trace_.tc_originated += 1;
+      trace_.control_bytes += bytes->size();
+      medium_.broadcast(id_, std::move(bytes));
     }
-    if (role_ == AdversaryKind::kLiar) lie_in_tc(tc);
-    PacketHeader header;
-    header.type = MessageType::kTc;
-    header.originator = id_;
-    header.sequence = next_sequence_++;
-    header.ttl = kOriginTtl;
-    // Our own advertisement is part of the topology we route on.
-    const TopologyBase::TcOutcome applied = topology_.apply_tc(tc, now);
-    if (applied.links_changed) note_mutation();
-    if (applied.view_changed) knowledge_valid_ = false;
-    if (applied.fresh) schedule_topology_purge();
-    // Record our own flood so re-broadcasts that echo back are dropped.
-    duplicates_.check_and_insert(id_, header.sequence, now);
-    if (monitor_ != nullptr) monitor_->record_tc_emission(id_, tc.ansn, now);
-    auto bytes = make_shared_bytes(serialize(header, tc));
-    trace_.tc_originated += 1;
-    trace_.control_bytes += bytes->size();
-    medium_.broadcast(id_, std::move(bytes));
+    if (role_ == AdversaryKind::kReplayer && captured_valid_)
+      replay_captured_tc();
   }
-  if (role_ == AdversaryKind::kReplayer && captured_valid_)
-    replay_captured_tc();
 
   medium_.schedule_in(config_.tc_interval + rng_.uniform(0.0, config_.jitter),
                       [this] { tc_tick(); });
@@ -379,9 +373,7 @@ void OlsrNode::handle_tc(const PacketHeader& header, const TcMessage& tc,
     const TopologyBase::TcOutcome applied = topology_.apply_tc(tc, now);
     if (!applied.fresh && monitor_ != nullptr)
       monitor_->record_stale_tc_rejection(now);
-    if (applied.links_changed) note_mutation();
-    if (applied.view_changed) knowledge_valid_ = false;
-    if (applied.fresh) schedule_topology_purge();
+    note_tc_applied(applied);
     if (role_ == AdversaryKind::kReplayer && !captured_valid_) {
       // Capture the first foreign TC; tc_tick keeps re-emitting it with a
       // fresh message sequence but the original (aging) ANSN.
@@ -455,15 +447,13 @@ void OlsrNode::handle_data(PacketHeader header, const DataMessage& data) {
   if (role_ == AdversaryKind::kBlackhole) {
     // Transit traffic is silently absorbed; our honest-looking HELLOs made
     // sure routes lead through us.
-    trace_.data_dropped += 1;
-    mark_drop(data.payload_id, TraceStats::Journey::Drop::kAdversary);
+    drop_data(data.payload_id, TraceStats::Journey::Drop::kAdversary);
     if (monitor_ != nullptr)
       monitor_->record_blackhole_absorption(medium_.now());
     return;
   }
   if (header.ttl <= 1) {
-    trace_.data_dropped += 1;
-    mark_drop(data.payload_id, TraceStats::Journey::Drop::kTtl);
+    drop_data(data.payload_id, TraceStats::Journey::Drop::kTtl);
     return;
   }
   header.ttl -= 1;
@@ -481,8 +471,7 @@ void OlsrNode::forward_or_deliver(PacketHeader header,
     // here is a forged or wire-corrupted frame, not a routing failure —
     // charge the wire, not the knowledge graph, or the figure-B/R fate
     // columns misattribute corruption as `no route`.
-    trace_.data_dropped += 1;
-    mark_drop(data.payload_id, TraceStats::Journey::Drop::kMalformed);
+    drop_data(data.payload_id, TraceStats::Journey::Drop::kMalformed);
     return;
   }
   NodeId next = route_cache_[data.destination];
@@ -491,15 +480,15 @@ void OlsrNode::forward_or_deliver(PacketHeader header,
     route_cache_[data.destination] = next;
   }
   if (next == kInvalidNode) {
-    trace_.data_dropped += 1;
-    mark_drop(data.payload_id, TraceStats::Journey::Drop::kNoRoute);
+    drop_data(data.payload_id, TraceStats::Journey::Drop::kNoRoute);
     return;
   }
   medium_.unicast(id_, next, make_shared_bytes(serialize(header, data)));
 }
 
-void OlsrNode::mark_drop(std::uint32_t payload_id,
+void OlsrNode::drop_data(std::uint32_t payload_id,
                          TraceStats::Journey::Drop reason) {
+  trace_.data_dropped += 1;
   const auto it = trace_.journeys.find(payload_id);
   if (it != trace_.journeys.end() &&
       it->second.drop == TraceStats::Journey::Drop::kNone)
@@ -560,7 +549,10 @@ void OlsrNode::schedule_topology_purge() {
   // One pending event per node: it always fires no later than the base's
   // earliest deadline (deadlines only move up on refresh, and any new
   // entry expires at now + hold, never before an already-scheduled fire
-  // time), and reschedules itself against the then-current deadline.
+  // time), and reschedules itself against the then-current deadline. An
+  // entry expiring exactly at the fire time is still valid then (strict
+  // `<` everywhere), so the re-arm lags it by kPurgeLag instead of
+  // spinning at the same timestamp.
   if (purge_pending_) return;
   const double next = topology_.next_expiry();
   if (next == std::numeric_limits<double>::infinity()) return;
@@ -576,14 +568,7 @@ void OlsrNode::topology_purge_tick() {
     note_mutation();  // held entries left the digest
     knowledge_valid_ = false;
   }
-  // Re-arm at the new earliest deadline. An entry expiring exactly `now`
-  // is still valid at this instant (strict `<` everywhere), so the re-arm
-  // lags it by kPurgeLag instead of spinning at the same timestamp.
-  const double next = topology_.next_expiry();
-  if (next == std::numeric_limits<double>::infinity()) return;
-  purge_pending_ = true;
-  medium_.schedule_in(std::max(next - now, kPurgeLag),
-                      [this] { topology_purge_tick(); });
+  schedule_topology_purge();  // re-arm at the new earliest deadline
 }
 
 }  // namespace qolsr

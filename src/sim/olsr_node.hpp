@@ -69,9 +69,9 @@ class OlsrNode {
            const ProtocolTiming& config, std::uint64_t seed) = delete;
 
   /// Per-run reset of a reused node: forgets every table, rebinds the
-  /// heuristics, and re-derives the RNG stream from `seed` exactly as
-  /// construction would — a reset node is indistinguishable from a fresh
-  /// one. Does not reschedule ticks; call `start` afterwards.
+  /// heuristics, and re-derives the RNG stream from `seed`. Construction
+  /// runs it too, so a reset node is indistinguishable from a fresh one.
+  /// Does not reschedule ticks; call `start` afterwards.
   void reset(const AnsSelector& flooding_selector,
              const AnsSelector& ans_selector, const RouteFn& route_fn,
              const ProtocolTiming& config, std::uint64_t seed);
@@ -172,11 +172,17 @@ class OlsrNode {
   /// entries (the lazy-deletion timer: one pending event per node, fired
   /// at a past earliest-deadline, rescheduled at the then-current one).
   void schedule_topology_purge();
+  /// Forgets every table, the selections and the knowledge cache — what
+  /// both a reset and a crash lose. Sequence counters are the caller's.
+  void wipe_soft_state();
   /// Reports one digest-visible state change to the network clock.
   void note_mutation();
   /// Applies what a neighbor-table mutation changed to the derived state:
   /// the mutation clock, the knowledge cache and the selections.
   void note_table_change(const NeighborTables::Outcome& changed);
+  /// The same for an applied TC (our own or a neighbor's): the mutation
+  /// clock, the knowledge cache and the purge timer.
+  void note_tc_applied(const TopologyBase::TcOutcome& applied);
   /// Recomputes the flooding MPRs and the ANS from the local view, unless
   /// the view has not moved since the last recompute.
   void recompute_selection();
@@ -188,7 +194,9 @@ class OlsrNode {
                  NodeId from, const std::vector<std::byte>& bytes);
   void handle_data(PacketHeader header, const DataMessage& data);
   void forward_or_deliver(PacketHeader header, const DataMessage& data);
-  void mark_drop(std::uint32_t payload_id, TraceStats::Journey::Drop reason);
+  /// Counts one dropped data packet and, unless an earlier drop of the
+  /// same packet already set it, charges the journey's fate to `reason`.
+  void drop_data(std::uint32_t payload_id, TraceStats::Journey::Drop reason);
 
   NodeId id_;
   Medium& medium_;

@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "util/digest.hpp"
@@ -14,13 +15,25 @@ constexpr std::uint64_t kFaultStreamSalt = 0xc2b2ae3d27d4eb4fULL;
 /// The adversary roster draw: its own stream, touched only when an
 /// AdversarySpec is active — an honest run draws nothing from it.
 constexpr std::uint64_t kAdversaryStreamSalt = 0xbb67ae8584caa73bULL;
+
+/// Partial Fisher–Yates: moves `min(want, pool.size())` distinct entries of
+/// `pool`, drawn one `uniform_int` call per pick, to its front and drops
+/// the rest.
+template <typename T>
+void draw_distinct(util::Rng& rng, std::vector<T>& pool, std::size_t want) {
+  want = std::min(want, pool.size());
+  for (std::size_t i = 0; i < want; ++i)
+    std::swap(pool[i], pool[i + static_cast<std::size_t>(
+                                    rng.uniform_int(pool.size() - i))]);
+  pool.resize(want);
+}
 }  // namespace
 
 Simulator::Simulator(const Graph& graph, const AnsSelector& flooding_selector,
                      const AnsSelector& ans_selector,
                      OlsrNode::RouteFn route_fn, SimConfig config,
                      const FaultPlan* faults, const AdversarySpec* adversaries)
-    : config_(config), lossy_(*this, trace_), contended_(*this, trace_) {
+    : config_(config) {
   reset(graph, flooding_selector, ans_selector, std::move(route_fn),
         config.seed, faults, nullptr, adversaries);
 }
@@ -41,7 +54,8 @@ void Simulator::reset(const Graph& graph,
   mutations_.bind(&trace_);
   mutations_.reset(0.0);
   const bool adversarial = adversaries != nullptr && adversaries->active();
-  lossy_.reset(faults, seed, adversarial ? adversaries->corrupt_rate : 0.0);
+  lossy_.reset(faults, seed, adversarial ? adversaries->corrupt_rate : 0.0,
+               graph.node_count());
   contended_.reset(traffic);
   fault_rng_ = util::Rng(seed ^ kFaultStreamSalt);
   monitor_.reset();
@@ -56,7 +70,7 @@ void Simulator::reset(const Graph& graph,
   nodes_.reserve(n);
   while (nodes_.size() < n)
     nodes_.push_back(std::make_unique<OlsrNode>(
-        static_cast<NodeId>(nodes_.size()), lossy_, trace_, selection_scratch_,
+        static_cast<NodeId>(nodes_.size()), *this, trace_, selection_scratch_,
         flooding_selector, ans_selector, route_fn_, config_.node, seed));
   for (auto& node : nodes_) node->set_mutation_clock(&mutations_);
 
@@ -65,18 +79,11 @@ void Simulator::reset(const Graph& graph,
     // seed alone, identical for every protocol of the run and for every
     // thread count, and invisible to the honest RNG domains.
     std::vector<NodeId> roster = adversaries->nodes;
-    const std::size_t want = adversaries->roster_size(n);
-    if (roster.empty() && want > 0) {
+    if (roster.empty()) {
       util::Rng roster_rng(seed ^ kAdversaryStreamSalt);
-      std::vector<NodeId> pool(n);
-      for (NodeId id = 0; id < n; ++id) pool[id] = id;
-      // Partial Fisher–Yates: distinct victims, one draw per victim.
-      for (std::size_t i = 0; i < want; ++i) {
-        const std::size_t j =
-            i + static_cast<std::size_t>(roster_rng.uniform_int(n - i));
-        std::swap(pool[i], pool[j]);
-        roster.push_back(pool[i]);
-      }
+      roster.resize(n);
+      std::iota(roster.begin(), roster.end(), NodeId{0});
+      draw_distinct(roster_rng, roster, adversaries->roster_size(n));
     }
     for (std::size_t i = 0; i < roster.size(); ++i) {
       if (roster[i] >= n) continue;
@@ -149,19 +156,9 @@ void Simulator::inject(const FaultIncident& incident) {
       if (incident.node != kInvalidNode) {
         if (incident.node < nodes_.size()) victims.push_back(incident.node);
       } else {
-        // Partial Fisher–Yates over the currently-alive nodes: distinct
-        // victims, bounded work, one RNG draw per victim.
-        std::vector<NodeId> alive;
         for (NodeId u = 0; u < nodes_.size(); ++u)
-          if (!lossy_.node_down(u)) alive.push_back(u);
-        const std::size_t want = std::min(incident.count, alive.size());
-        for (std::size_t i = 0; i < want; ++i) {
-          const std::size_t j =
-              i + static_cast<std::size_t>(
-                      fault_rng_.uniform_int(alive.size() - i));
-          std::swap(alive[i], alive[j]);
-          victims.push_back(alive[i]);
-        }
+          if (!lossy_.node_down(u)) victims.push_back(u);
+        draw_distinct(fault_rng_, victims, incident.count);
       }
       for (NodeId v : victims) {
         lossy_.set_node_down(v, true);
@@ -183,19 +180,11 @@ void Simulator::inject(const FaultIncident& incident) {
             !lossy_.link_down(incident.link_u, incident.link_v))
           victims.emplace_back(incident.link_u, incident.link_v);
       } else {
-        std::vector<std::pair<NodeId, NodeId>> up;
         for (NodeId u = 0; u < graph_->node_count(); ++u)
           for (const Edge& e : graph_->neighbors(u))
             if (u < e.to && !lossy_.link_down(u, e.to))
-              up.emplace_back(u, e.to);
-        const std::size_t want = std::min(incident.count, up.size());
-        for (std::size_t i = 0; i < want; ++i) {
-          const std::size_t j =
-              i + static_cast<std::size_t>(
-                      fault_rng_.uniform_int(up.size() - i));
-          std::swap(up[i], up[j]);
-          victims.push_back(up[i]);
-        }
+              victims.emplace_back(u, e.to);
+        draw_distinct(fault_rng_, victims, incident.count);
       }
       for (const auto& [u, v] : victims) lossy_.set_link_down(u, v, true);
       if (incident.duration > 0.0 && !victims.empty())
@@ -214,37 +203,53 @@ void Simulator::inject(const FaultIncident& incident) {
   }
 }
 
+void Simulator::broadcast(NodeId from, SharedBytes bytes) {
+  // Legs go out in sorted neighbor order whether or not any gate is
+  // active, so the gate draws (and the event sequence) are deterministic.
+  batch_.clear();
+  for (const Edge& e : graph_->neighbors(from)) {
+    if (!lossy_.passes(from, e.to)) continue;
+    SharedBytes leg = lossy_.maybe_corrupt(bytes);
+    if (leg == bytes && !contended_.active()) {
+      batch_.push_back(e.to);
+    } else {
+      deliver(from, e.to, std::move(leg));
+    }
+  }
+  if (batch_.empty()) return;
+  // The batched legs share one delivery time, and as separate events they
+  // would hold contiguous sequence numbers at that time; one event in
+  // their place keeps the order at a fraction of the scheduling cost.
+  queue_.schedule_in(kPropagationDelay, [this, from, receivers = batch_,
+                                         bytes = std::move(bytes)] {
+    // One decode for the whole batch: it is a pure function of the shared
+    // bytes and the deployment size, so each receiver would compute the
+    // same.
+    const auto packet = OlsrNode::decode(*bytes, node_count());
+    const ParsedPacket* frame = packet.has_value() ? &*packet : nullptr;
+    for (const NodeId to : receivers) nodes_[to]->on_frame(from, frame, *bytes);
+  });
+}
+
+void Simulator::unicast(NodeId from, NodeId to, SharedBytes bytes) {
+  if (!graph_->has_edge(from, to)) return;  // out of range: lost
+  if (!lossy_.passes(from, to)) return;
+  deliver(from, to, lossy_.maybe_corrupt(bytes));
+}
+
 void Simulator::deliver(NodeId from, NodeId to, SharedBytes bytes) {
-  // Ideal MAC: the receiver gets the same intact buffer after the
-  // propagation delay — one immutable allocation shared across a whole
-  // broadcast fan-out, never a per-neighbor copy.
+  // The receiver gets the leg's buffer after the propagation delay — on a
+  // clean leg the one immutable allocation the whole broadcast shares.
   double delay = kPropagationDelay;
   if (contended_.active()) {
-    const double queued = contended_.admit(from, to, *bytes, now());
+    const double queued =
+        contended_.admit(from, to, graph_->edge_qos(from, to), *bytes, now());
     if (queued < 0.0) return;  // tail-dropped at the link queue
     delay += queued;
   }
   queue_.schedule_in(delay, [this, from, to, bytes = std::move(bytes)] {
     nodes_[to]->on_receive(from, *bytes);
   });
-}
-
-void Simulator::deliver_fanout(NodeId from,
-                               const std::vector<NodeId>& receivers,
-                               SharedBytes bytes) {
-  if (receivers.empty()) return;
-  queue_.schedule_in(kPropagationDelay,
-                     [this, from, receivers, bytes = std::move(bytes)] {
-                       // One decode for the whole fan-out: it is a pure
-                       // function of the shared bytes and the deployment
-                       // size, so each receiver would compute the same.
-                       const auto packet =
-                           OlsrNode::decode(*bytes, node_count());
-                       const ParsedPacket* frame =
-                           packet.has_value() ? &*packet : nullptr;
-                       for (const NodeId to : receivers)
-                         nodes_[to]->on_frame(from, frame, *bytes);
-                     });
 }
 
 }  // namespace qolsr

@@ -59,16 +59,17 @@ struct ConvergenceReport {
 /// `run_to_convergence()` — the node objects, queue and trace are reused
 /// instead of being reallocated per run.
 ///
-/// Faults never touch the ground truth: the graph is *borrowed* const (it
-/// must outlive the simulator's use, i.e. stay alive until the next
-/// reset), and everything adverse — Bernoulli frame loss, link flaps,
-/// node crashes, partitions — lives in the LossyMedium overlay the nodes
-/// transmit through. An optional FaultPlan (also borrowed) seeds the
+/// The Simulator is the only Medium its nodes see. Faults never touch the
+/// ground truth: the graph is *borrowed* const (it must outlive the
+/// simulator's use, i.e. stay alive until the next reset), and everything
+/// adverse — Bernoulli frame loss, link flaps, node crashes, partitions,
+/// wire corruption — lives in the LossyMedium overlay whose gates every
+/// frame leg passes. An optional FaultPlan (also borrowed) seeds the
 /// ambient loss; discrete incidents are injected mid-run via `inject`.
 class Simulator final : public Medium {
  public:
   /// An empty simulator (no nodes); bring it to life with `reset`.
-  Simulator() : lossy_(*this, trace_), contended_(*this, trace_) {}
+  Simulator() = default;
 
   Simulator(const Graph& graph, const AnsSelector& flooding_selector,
             const AnsSelector& ans_selector, OlsrNode::RouteFn route_fn,
@@ -143,10 +144,8 @@ class Simulator final : public Medium {
                               id);
   }
 
-  /// The capacity layer (inspection; tests assert on queue drops).
-  const ContendedMedium& contention() const { return contended_; }
   /// Whether a traffic spec is loading the medium this run — when false,
-  /// delivery takes the ideal-MAC fast path (and broadcast fan-outs may be
+  /// delivery takes the ideal-MAC fast path (and broadcast legs may be
   /// batched into a single event, since per-leg admission is moot).
   bool contention_active() const { return contended_.active(); }
 
@@ -171,36 +170,25 @@ class Simulator final : public Medium {
   /// converged-state snapshot changed.
   std::uint64_t state_digest() const;
 
-  /// Schedules the delivery of one frame after the propagation delay —
-  /// the ideal-MAC core the LossyMedium decorator forwards surviving
-  /// frames to. With an active traffic spec the frame first passes the
-  /// capacity layer's admission: it may be tail-dropped or delayed by the
-  /// link's queue backlog on top of propagation.
-  void deliver(NodeId from, NodeId to, SharedBytes bytes);
-
-  /// Batched broadcast fan-out: one scheduled event delivering `bytes` to
-  /// every receiver, instead of one event (and one std::function
-  /// allocation) per leg. Only valid on the uncontended fast path — the
-  /// legs share one delivery time — and ordering-equivalent to per-leg
-  /// deliver calls because those would occupy contiguous sequence numbers
-  /// at the same timestamp anyway. The event decodes the frame once and
-  /// hands the result to each receiver in order (OlsrNode::on_frame), so
-  /// a fan-out to k neighbors costs one parse, not k.
-  void deliver_fanout(NodeId from, const std::vector<NodeId>& receivers,
-                      SharedBytes bytes);
-
-  // -- Medium (delegates through the fault layer, so direct use of the
-  // simulator as a Medium sees the same lossy world the nodes do) --
+  // -- Medium (what the protocol nodes see) --
   SimTime now() const override { return queue_.now(); }
   void schedule_in(SimTime delay, std::function<void()> callback) override {
     queue_.schedule_in(delay, std::move(callback));
   }
-  void broadcast(NodeId from, SharedBytes bytes) override {
-    lossy_.broadcast(from, std::move(bytes));
-  }
-  void unicast(NodeId from, NodeId to, SharedBytes bytes) override {
-    lossy_.unicast(from, to, std::move(bytes));
-  }
+  /// Walks the ground-truth neighbors of `from` in order and sends each
+  /// leg through the fault overlay's gates: blocked or lost legs vanish, a
+  /// corrupted leg carries its own flipped copy. On the uncontended medium
+  /// every leg that still carries `bytes` joins one batch: a single event
+  /// that decodes the frame once and hands it to each receiver in order.
+  /// Every other leg is delivered on its own, before the batch event.
+  void broadcast(NodeId from, SharedBytes bytes) override;
+  /// One leg through the same gates. A frame to a node out of radio range
+  /// vanishes before them, uncounted (the caller charges the drop).
+  void unicast(NodeId from, NodeId to, SharedBytes bytes) override;
+  /// Link-quality *measurement* is outside the paper's scope (the
+  /// ideal-MAC assumption): nodes read the true value even on a lossy
+  /// link. Loss degrades what they learn by dropping the frames that
+  /// carry it.
   const LinkQos* measured_qos(NodeId a, NodeId b) const override {
     return graph_->edge_qos(a, b);
   }
@@ -209,14 +197,22 @@ class Simulator final : public Medium {
   }
 
  private:
+  /// Schedules one leg's delivery after the propagation delay. With an
+  /// active traffic spec the frame first passes the capacity layer's
+  /// admission: it may be tail-dropped or delayed by the link's queue
+  /// backlog on top of propagation.
+  void deliver(NodeId from, NodeId to, SharedBytes bytes);
+
   const Graph* graph_ = nullptr;  ///< borrowed; alive until the next reset
   SimConfig config_;
   EventQueue queue_;
   TraceStats trace_;
   TraceStats trace_at_convergence_;  ///< see trace_at_convergence()
   MutationClock mutations_;  ///< nodes report every state change here
-  LossyMedium lossy_;           ///< the Medium the nodes transmit through
-  ContendedMedium contended_;   ///< capacity layer under the fault layer
+  LossyMedium lossy_{trace_};          ///< fault overlay: every leg's gates
+  ContendedMedium contended_{trace_};  ///< link queues under traffic load
+  /// Receivers of the broadcast being sent, reused across calls.
+  std::vector<NodeId> batch_;
   util::Rng fault_rng_{1};      ///< victim draws for random incidents
   InvariantMonitor monitor_;    ///< armed only under an active AdversarySpec
   std::vector<NodeId> adversary_ids_;  ///< drawn roster, sorted

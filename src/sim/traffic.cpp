@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "proto/messages.hpp"
-#include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
 namespace qolsr {
@@ -142,14 +141,13 @@ void ContendedMedium::reset(const TrafficSpec* spec) {
   busy_until_.clear();
 }
 
-double ContendedMedium::admit(NodeId from, NodeId to,
+double ContendedMedium::admit(NodeId from, NodeId to, const LinkQos* qos,
                               const std::vector<std::byte>& bytes,
                               double now) {
   const bool data = is_data_frame(bytes);
   const double frame_bytes = static_cast<double>(
       bytes.size() + (data ? spec_->packet_bytes : 0));
 
-  const LinkQos* qos = sim_->network().edge_qos(from, to);
   const double scale = qos != nullptr && qos->bandwidth > 0.0
                            ? qos->bandwidth
                            : 1.0;
@@ -162,7 +160,7 @@ double ContendedMedium::admit(NodeId from, NodeId to,
       static_cast<double>(spec_->queue_bytes)) {
     trace_->frames_queue_dropped += 1;
     if (data) {
-      // First drop reason wins, mirroring OlsrNode::mark_drop — a packet
+      // First drop reason wins, mirroring OlsrNode::drop_data — a packet
       // tail-dropped at its first congested hop stays a queue drop even
       // if a retransmitted duplicate later dies differently.
       const auto it =

@@ -7,13 +7,10 @@
 
 #include "graph/graph.hpp"
 #include "graph/node_id.hpp"
-#include "sim/medium.hpp"
 #include "sim/trace.hpp"
 #include "util/names.hpp"
 
 namespace qolsr {
-
-class Simulator;
 
 /// Declarative, seeded traffic workload for one packet-backend run: a set
 /// of concurrent flows whose data packets are injected into the converged
@@ -125,10 +122,10 @@ class TrafficMatrix {
   std::vector<Packet> packets_;
 };
 
-/// The capacity layer of the packet backend: a Medium decorator between
-/// the protocol nodes and the LossyMedium fault layer, modeling each
-/// directed link as a FIFO queue drained at finite capacity. Every frame
-/// the fault layer would deliver passes admission first:
+/// The capacity layer of the packet backend: each directed link's FIFO
+/// queue, drained at finite capacity. Simulator::deliver admits every leg
+/// through it while a traffic spec is active, after the fault overlay let
+/// the leg pass:
 ///
 ///   - the link's virtual clock `busy_until` says when its queue drains;
 ///     the backlog implied by it is `(busy_until - now) * capacity` bytes;
@@ -145,11 +142,10 @@ class TrafficMatrix {
 /// frames contend too (a congested link delays HELLOs just as it delays
 /// data) but carry only their wire bytes; data frames add the modeled
 /// payload. The model draws no random numbers, and when no spec is active
-/// admission short-circuits to "deliver now" — contractually invisible.
+/// nothing is admitted through it — contractually invisible.
 class ContendedMedium {
  public:
-  ContendedMedium(Simulator& sim, TraceStats& trace)
-      : sim_(&sim), trace_(&trace) {}
+  explicit ContendedMedium(TraceStats& trace) : trace_(&trace) {}
 
   /// Per-run (re)configuration: binds the spec (nullptr = uncontended) and
   /// clears every link's virtual clock. The spec is borrowed and must stay
@@ -159,19 +155,19 @@ class ContendedMedium {
   bool active() const { return active_; }
 
   /// Admission decision for one frame delivery on the directed link
-  /// (from, to) at time `now`: the extra queueing delay in seconds to add
-  /// on top of propagation (0 on an idle link), or a negative value when
-  /// the frame is tail-dropped. Mutates the link's virtual clock and the
-  /// trace counters; the caller must honor the verdict.
-  double admit(NodeId from, NodeId to, const std::vector<std::byte>& bytes,
-               double now);
+  /// (from, to), whose ground-truth QoS is `qos`, at time `now`: the extra
+  /// queueing delay in seconds to add on top of propagation (0 on an idle
+  /// link), or a negative value when the frame is tail-dropped. Mutates
+  /// the link's virtual clock and the trace counters; the caller must
+  /// honor the verdict.
+  double admit(NodeId from, NodeId to, const LinkQos* qos,
+               const std::vector<std::byte>& bytes, double now);
 
  private:
   static std::uint64_t directed_key(NodeId from, NodeId to) {
     return (static_cast<std::uint64_t>(from) << 32) | to;
   }
 
-  Simulator* sim_;
   TraceStats* trace_;
   const TrafficSpec* spec_ = nullptr;
   bool active_ = false;

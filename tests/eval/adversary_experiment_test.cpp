@@ -66,15 +66,74 @@ constexpr const char* kCorruptedFigureBCsv =
     "0,0,984.5,400.5,4615,19661.5,884806,44.06104425,0.7287802245,2,0.1,0,"
     "0.05,0,2585,0,1375,0,0,408,331,471,88,16,2097,646.5,7.057279905\n";
 
+/// The same point under Poisson traffic at load 1: corruption on the
+/// contended medium, where every leg, clean or corrupted, is admitted
+/// through its link queue and delivered as its own event. Captured with the
+/// qolsr_eval of the commit before the Simulator became its nodes' only
+/// Medium; the one leg loop must not move a byte.
+constexpr const char* kContendedCorruptedFigureBCsv =
+    "metric,adversary,runs,avg_nodes,protocol,set_size_mean,set_size_stddev,"
+    "delivered,failed,overhead_mean,overhead_stddev,path_hops_mean,"
+    "hello_msgs_mean,tc_msgs_mean,tc_forwards_mean,duplicate_drops_mean,"
+    "control_bytes_mean,convergence_time_mean,convergence_time_stddev,"
+    "unconverged_runs,load,offered,traffic_delivered,traffic_delivery_ratio,"
+    "queue_drops,traffic_no_route_drops,traffic_loop_drops,"
+    "traffic_medium_drops,latency_p50,latency_p95,latency_p99,"
+    "flow_delivery_p50,flow_delivery_p95,flow_delivery_p99,throughput_p50,"
+    "throughput_p95,throughput_p99,adversary_fraction,adversary_count,"
+    "corrupt_rate,adversary_delivery_ratio,invariant_violations,"
+    "forwarding_loops,blackhole_absorptions,mpr_refusals,ansn_regressions,"
+    "stale_tc_rejections,phantom_links,inflated_qos,poisoned_nodes,"
+    "poisoned_routes,frames_corrupted_mean,frames_malformed_mean,"
+    "first_violation_mean\n"
+    "bandwidth,0.1,2,46.5,olsr_mpr,2.204861111,0.02455231879,0,16,0,0,0,999,"
+    "381.5,4376.5,18453,1021481.5,44.66973981,0.0150644867,2,1,6363,3483,"
+    "0.5473833098,5,822,0,1116,0.02520833333,0.3529865397,0.419575569,"
+    "0.8339944134,0.9513547467,0.977133925,8217.6,10081.28,10667.52,0.1,0,"
+    "0.05,0,3664,31,2372,0,0,451,395,415,88,15,3284.5,1039,7.062901941\n"
+    "bandwidth,0.1,2,46.5,qolsr_mpr1_bandwidth,2.194444444,0.03928371007,0,"
+    "16,0,0,0,990.5,375,4647.5,19731.5,1057165,44.02421822,1.12389906,2,1,"
+    "6363,3834,0.6025459689,9,398,0,1118,0.02742916667,0.3476864203,"
+    "0.4198028623,0.8485416667,0.9644217337,0.9783491633,8320,9978.88,"
+    "10565.12,0.1,0,0.05,0,3350,39,2023,0,0,443,369,476,88,15,3561.5,1146.5,"
+    "7.062318608\n"
+    "bandwidth,0.1,2,46.5,qolsr_mpr2_bandwidth,3.179861111,0.1286541505,0,16,"
+    "0,0,0,998.5,376,8328.5,45287,2052130.5,44.43381754,1.681650851,2,1,6363,"
+    "3619,0.5687568757,27,397,0,1337,0.02420833333,0.3786494912,0.4336668236,"
+    "0.8072346369,0.9621089069,0.9644348894,8217.6,10168.32,10782.208,0.1,0,"
+    "0.05,0,4902,23,3026,0,0,732,418,703,88,16,5617.5,1602,7.062479071\n"
+    "bandwidth,0.1,2,46.5,topology_filtering_bandwidth,3.084722222,"
+    "0.0569613796,0,16,0,0,0,999,396.5,4360.5,18191.5,1235346,44.52208912,"
+    "1.552255148,2,1,6363,1969,0.3094452302,0,652,0,1720,0.0266525,"
+    "0.04841078275,0.06708050676,0,0.9062243148,0.9204093054,0,9159.68,"
+    "9357.312,0.1,0,0.05,0,4649,45,3320,0,0,316,370,598,89,14,3404.5,1051.5,"
+    "7.063608608\n"
+    "bandwidth,0.1,2,46.5,fnbp_bandwidth,1.667361111,0.0304448753,0,16,0,0,0,"
+    "984,397.5,4400,18607.5,866623,43.98605531,0.7568145812,2,1,6363,1902,"
+    "0.2989156058,375,822,0,1575,0.0266525,0.1881383063,0.2371440029,"
+    "0.005334681042,0.8917740636,0.9079800377,51.2,8875.52,9313.28,0.1,0,"
+    "0.05,0,5770,1338,2971,0,0,662,343,456,88,15,3406.5,1203,7.062901941\n";
 
 TEST(AdversaryExperiment, CorruptedFigureBPointMatchesGoldenPin) {
-  const ExperimentSpec spec = parse_experiment_spec(
-      {"--densities=0.1", "--corrupt=0.05", "--field=400x400", "--runs=2",
-       "--seed=7", "--threads=1", "--format=csv"},
-      figure_by_name("B"));
-  std::ostringstream os;
-  CsvSink{}.write(run_experiment(spec), os);
-  EXPECT_EQ(os.str(), kCorruptedFigureBCsv);
+  const struct {
+    const char* name;
+    std::vector<std::string> extra;
+    const char* csv;
+  } pins[] = {{"uncontended", {}, kCorruptedFigureBCsv},
+              {"contended",
+               {"--traffic=poisson", "--load=1"},
+               kContendedCorruptedFigureBCsv}};
+  for (const auto& pin : pins) {
+    std::vector<std::string> flags = {"--densities=0.1", "--corrupt=0.05",
+                                      "--field=400x400", "--runs=2",
+                                      "--seed=7",        "--threads=1",
+                                      "--format=csv"};
+    flags.insert(flags.end(), pin.extra.begin(), pin.extra.end());
+    std::ostringstream os;
+    CsvSink{}.write(
+        run_experiment(parse_experiment_spec(flags, figure_by_name("B"))), os);
+    EXPECT_EQ(os.str(), pin.csv) << pin.name;
+  }
 }
 
 TEST(AdversaryExperiment, ZeroedAdversaryFlagsAreByteIdenticalToNoFlags) {

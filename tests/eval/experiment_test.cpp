@@ -367,15 +367,20 @@ TEST(RunExperiment, RejectsGeometryAndQosTheSamplerCannotTake) {
   // Before these checks a negative radius overflowed the deployment's
   // cell grid, a NaN Poisson mean never ended its draw, an infinite or
   // zero-radius field failed inside vector::reserve, and a bad --qos-hi
-  // ran on constant, negative or undefined link weights.
+  // ran on constant, negative or undefined link weights. A deployment
+  // expecting more nodes than half the NodeId space ran 10000 resamples
+  // (casting an out-of-range double to an integer in the Poisson draw) or
+  // failed to allocate.
   const std::vector<std::string> bad_inputs[] = {
-      {"--radius=-5"},      {"--radius=0"},
-      {"--radius=nan"},     {"--radius=inf"},
-      {"--densities=nan"},  {"--densities=inf"},
-      {"--field=infx100"},  {"--field=100x-1"},
-      {"--degree=nan"},     {"--qos-hi=-1"},
-      {"--qos-hi=0"},       {"--qos-hi=inf"},
-      {"--qos-hi=nan"},     {"--qos-hi=-1", "--continuous-qos"},
+      {"--radius=-5"},       {"--radius=0"},
+      {"--radius=nan"},      {"--radius=inf"},
+      {"--densities=nan"},   {"--densities=inf"},
+      {"--densities=1e300"}, {"--densities=1e12"},
+      {"--field=infx100"},   {"--field=100x-1"},
+      {"--degree=nan"},      {"--degree=1e300"},
+      {"--qos-hi=-1"},       {"--qos-hi=0"},
+      {"--qos-hi=inf"},      {"--qos-hi=nan"},
+      {"--qos-hi=-1", "--continuous-qos"},
       {"--qos-hi=0.5", "--continuous-qos"}};
   for (const std::vector<std::string>& bad : bad_inputs) {
     std::vector<std::string> flags = {"--densities=10"};
@@ -385,10 +390,11 @@ TEST(RunExperiment, RejectsGeometryAndQosTheSamplerCannotTake) {
           parse_experiment_spec(flags, figure_by_name("6", {1, 42, 1})));
       ADD_FAILURE() << bad.front() << " accepted";
     } catch (const ExperimentError& e) {
-      EXPECT_EQ(std::string(e.what()).rfind(
-                    "experiment 'fig6_ans_size_bandwidth': ", 0),
-                0u)
-          << e.what();
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("experiment 'fig6_ans_size_bandwidth': ", 0), 0u)
+          << what;
+      const std::string flag = bad.front().substr(0, bad.front().find('='));
+      EXPECT_NE(what.find(flag), std::string::npos) << what;
     }
   }
 }

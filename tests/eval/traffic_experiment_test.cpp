@@ -2,7 +2,8 @@
 // no traffic flags (or --load=0) keeps its pre-traffic byte layout,
 // schedules are deterministic and thread-count invariant, every offered
 // packet is charged to delivery or a drop fate, QoS distributions degrade
-// monotonically with offered load, and the oracle rejects the knobs.
+// monotonically with offered load, the oracle rejects the knobs, and the
+// packet backend rejects values its traffic generator cannot take.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -207,6 +208,43 @@ TEST(TrafficExperiment, OracleBackendRejectsTrafficKnobs) {
   // Unknown vocabulary is rejected at parse time.
   EXPECT_THROW(parse_experiment_spec({"--traffic=bogus"}), ExperimentError);
   EXPECT_THROW(parse_experiment_spec({"--pattern=bogus"}), ExperimentError);
+}
+
+TEST(TrafficExperiment, RejectsKnobsTheGeneratorCannotTake) {
+  // Before these checks an infinite load, rate or duration, or a finite
+  // load whose packet count overflows the payload ids, materialized
+  // packets until allocation failed; a NaN load or rate silently switched
+  // the traffic off; a NaN capacity charged every packet as dropped; a
+  // non-finite Pareto shape sent one packet per flow; and 2^32 probes
+  // wrapped the 32-bit probe id, so the send loop never ended.
+  const struct {
+    std::vector<std::string> extra;
+    const char* flag;
+  } bad_inputs[] = {
+      {{"--traffic=poisson", "--load=inf"}, "--load"},
+      {{"--traffic=poisson", "--traffic-duration=inf"}, "--traffic-duration"},
+      {{"--traffic=poisson", "--traffic-rate=inf"}, "--traffic-rate"},
+      {{"--traffic=poisson", "--load=1e300"}, "--load"},
+      {{"--traffic=poisson", "--load=nan"}, "--load"},
+      {{"--traffic=poisson", "--traffic-rate=nan"}, "--traffic-rate"},
+      {{"--traffic=poisson", "--capacity=nan"}, "--capacity"},
+      {{"--traffic=pareto", "--pareto-shape=inf"}, "--pareto-shape"},
+      {{"--traffic=pareto", "--pareto-shape=nan"}, "--pareto-shape"},
+      {{"--probes=4294967296"}, "--probes"}};
+  for (const auto& bad : bad_inputs) {
+    std::vector<std::string> flags = {"--backend=packet", "--densities=8",
+                                      "--runs=1", "--field=300x300",
+                                      "--threads=1"};
+    flags.insert(flags.end(), bad.extra.begin(), bad.extra.end());
+    try {
+      run_experiment(parse_experiment_spec(flags));
+      ADD_FAILURE() << bad.extra.back() << " accepted";
+    } catch (const ExperimentError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("experiment 'sweep': ", 0), 0u) << what;
+      EXPECT_NE(what.find(bad.flag), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(TrafficExperiment, UnknownAxisErrorListsTheValidNames) {

@@ -1,8 +1,9 @@
 // The fault-injection engine: Bernoulli frame loss and up/down overlays in
-// the LossyMedium decorator, crash/restart with RFC-style soft-state
-// expiry in OlsrNode, incident scheduling with timed re-convergence in the
-// Simulator — and the contract that an *inactive* plan is contractually
-// invisible (byte-identical behavior, zero RNG draws).
+// the LossyMedium gates every frame leg passes, crash/restart with
+// RFC-style soft-state expiry in OlsrNode, incident scheduling with timed
+// re-convergence in the Simulator — and the contract that an *inactive*
+// plan is contractually invisible (byte-identical behavior, zero RNG
+// draws).
 #include <gtest/gtest.h>
 
 #include <algorithm>
