@@ -22,29 +22,11 @@ namespace qolsr {
 /// picks exactly one node from the same candidate set) — property-tested in
 /// tests/core/multi_criteria_test.cpp — but steers the advertised structure
 /// toward cheaper links at equal primary QoS.
-template <Metric Primary, Metric Secondary>
-std::uint32_t pick_best_link_bicriteria(
-    const LocalView& view, std::span<const std::uint32_t> candidates) {
-  std::uint32_t best = kInvalidNode;
-  double best_secondary = Secondary::unreachable();
-  for (std::uint32_t w : candidates) {
-    const LinkQos* qos = view.local_edge_qos(LocalView::origin_index(), w);
-    if (qos == nullptr) continue;
-    const double value = Secondary::link_value(*qos);
-    if (best == kInvalidNode || Secondary::better(value, best_secondary) ||
-        (!Secondary::better(best_secondary, value) &&
-         view.global_id(w) < view.global_id(best))) {
-      best = w;
-      best_secondary = value;
-    }
-  }
-  return best;
-}
-
-/// FNBP with a bi-criteria pick inside fP — Algorithms 1/2 on `Primary`,
-/// `Secondary` as the tie-break dimension — behind the selector interface,
-/// e.g. `BicriteriaFnbpSelector<BandwidthMetric, EnergyMetric>` for the
-/// paper's "good bandwidth at low energy" future-work example.
+///
+/// The selector runs Algorithms 1/2 on `Primary` and picks inside fP with
+/// `pick_best_link<Secondary>` (max≺ on the secondary metric), e.g.
+/// `BicriteriaFnbpSelector<BandwidthMetric, EnergyMetric>` for the paper's
+/// "good bandwidth at low energy" future-work example.
 template <Metric Primary, Metric Secondary>
 class BicriteriaFnbpSelector final : public AnsSelector {
  public:
@@ -56,7 +38,7 @@ class BicriteriaFnbpSelector final : public AnsSelector {
   void select_into(const LocalView& view, SelectionWorkspace& ws,
                    std::vector<NodeId>& out) const override {
     select_fnbp_ans<Primary>(view, ws, out, /*loop_fix=*/true,
-                             pick_best_link_bicriteria<Primary, Secondary>);
+                             pick_best_link<Secondary>);
   }
 
  private:

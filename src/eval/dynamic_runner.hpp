@@ -44,19 +44,16 @@ namespace eval_detail {
 /// `refresh_interval` epochs, and route one packet per selector on the
 /// (possibly stale) advertised knowledge — counting delivery, stale-link
 /// losses, QoS overhead and hop stretch against the *current* optimum,
-/// and the TC re-advertisements each refresh triggers.
+/// and the TC re-advertisements each refresh triggers. `scenario` is the
+/// sweep point's (Scenario::at), which holds its density or speed.
 template <Metric M>
-void execute_dynamic_run(const Scenario& scenario, double axis_value,
-                         std::size_t run_index, std::uint64_t run_seed,
+void execute_dynamic_run(const Scenario& scenario, double /*axis_value*/,
+                         std::size_t /*run_index*/, std::uint64_t run_seed,
                          const std::vector<const AnsSelector*>& selectors,
                          DensityStats& stats, DynamicEvalWorkspace& ws) {
-  (void)run_index;
+  const DeploymentConfig& field = scenario.field;
   const DynamicsSpec& dyn = scenario.dynamics;
   util::Rng rng(run_seed);
-
-  DeploymentConfig field = scenario.field;
-  if (scenario.sweep_axis == Scenario::SweepAxis::kDensity)
-    field.degree = axis_value;
 
   Graph graph;
   sample_topology(scenario, field, rng, graph,
@@ -72,8 +69,6 @@ void execute_dynamic_run(const Scenario& scenario, double axis_value,
     config.radius = field.radius;
     config.speed_min = dyn.speed_min;
     config.speed_max = dyn.speed_max;
-    if (scenario.sweep_axis == Scenario::SweepAxis::kSpeed)
-      config.speed_min = config.speed_max = axis_value;
     config.pause_epochs = dyn.pause_epochs;
     config.epoch_duration = dyn.epoch_duration;
     config.qos = scenario.qos;
@@ -177,8 +172,8 @@ void execute_dynamic_run(const Scenario& scenario, double axis_value,
 
 /// The dynamics counterpart of run_sweep: same threaded harness, same
 /// determinism contract (run r of sweep-point index d derives its RNG
-/// stream from the scenario seed alone, so aggregates are thread-count
-/// invariant), but each run is a mobility/churn trace evaluated per epoch
+/// stream from the scenario seed alone, so every thread count prints the
+/// same bytes), but each run is a mobility/churn trace evaluated per epoch
 /// instead of one static topology. Sweep-point values are densities
 /// (kDensity) or waypoint speeds (kSpeed) per `scenario.sweep_axis`.
 template <Metric M>

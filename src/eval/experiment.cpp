@@ -195,18 +195,20 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     if (traffic.pattern == TrafficSpec::Pattern::kHotspot &&
         traffic.hotspots == 0)
       reject(spec, "--hotspots must be >= 1");
-    // The generator materializes every packet of a run up front.
+    // The generator materializes every packet of a run up front, and each
+    // flow sends one packet more than its rate alone makes: a Poisson or
+    // Pareto flow's first at offset 0, a CBR flow's at its phase.
     const double load =
         spec.scenario.sweep_axis == Scenario::SweepAxis::kLoad
             ? *std::max_element(spec.scenario.densities.begin(),
                                 spec.scenario.densities.end())
             : traffic.load;
-    if (static_cast<double>(traffic.flows) * traffic.packet_rate * load *
-            traffic.duration >
+    if (static_cast<double>(traffic.flows) *
+            (1.0 + traffic.packet_rate * load * traffic.duration) >
         kHalfIdSpace)
       reject(spec,
-             "--flows x --traffic-rate x --load x --traffic-duration expects "
-             "more than 2^31 packets per run");
+             "--flows x (1 + --traffic-rate x --load x --traffic-duration) "
+             "expects more than 2^31 packets per run");
   }
   if (spec.scenario.sweep_axis == Scenario::SweepAxis::kLoad) {
     if (spec.backend != BackendId::kPacket)

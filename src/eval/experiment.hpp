@@ -71,9 +71,10 @@ struct ExperimentSpec {
   /// Deployment, densities, runs, seed, routing model, pair mode, … (the
   /// scenario's densities default to empty — set them or use a figure).
   Scenario scenario;
-  /// Worker threads for run_sweep; 0 = hardware_concurrency. Benches and
-  /// CI set 1 for deterministic timing. The wire backend ignores it: one
-  /// thread drives all of its process fleets, which overlap under
+  /// Worker threads of the sweep harness; 0 = hardware_concurrency. Every
+  /// thread count prints the same bytes (JSON also echoes this field).
+  /// Benches and CI set 1 for steady timing. The wire backend ignores it:
+  /// one thread drives all of its process fleets, which overlap under
   /// net::kWireProcessBudget instead.
   unsigned threads = 0;
   /// Wire backend only (--wire-scale): uniform compression factor applied

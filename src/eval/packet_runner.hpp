@@ -72,41 +72,23 @@ inline void add_control_plane(ControlPlaneStats& stats,
 /// byte-identical: converge under ambient loss, measure, route the probe
 /// packets and classify every failure (blackhole / loop / medium loss),
 /// and only then inject the scheduled incidents one by one, timing each
-/// re-convergence. A loss-axis sweep overrides the plan's ambient rate
-/// with the sweep value — its loss = 0 point therefore reproduces the
-/// fault-free figures exactly.
+/// re-convergence. `scenario` is the sweep point's (Scenario::at): the
+/// simulator borrows its active specs.
 template <Metric M>
-void execute_packet_run(const Scenario& scenario, double axis_value,
-                        std::size_t run_index, std::uint64_t run_seed,
+void execute_packet_run(const Scenario& scenario, std::size_t run_index,
+                        std::uint64_t run_seed,
                         const ResolvedProtocols& protocols,
                         DensityStats& stats, PacketEvalWorkspace& ws) {
-  const bool loss_axis = scenario.sweep_axis == Scenario::SweepAxis::kLoss;
-  const bool load_axis = scenario.sweep_axis == Scenario::SweepAxis::kLoad;
-  const bool adversary_axis =
-      scenario.sweep_axis == Scenario::SweepAxis::kAdversary;
-  const double density = loss_axis || load_axis || adversary_axis
-                             ? scenario.field.degree
-                             : axis_value;
-  FaultPlan plan = scenario.faults;
-  if (loss_axis) plan.loss_rate = axis_value;
-  const FaultPlan* faults = plan.active() ? &plan : nullptr;
-  // A load-axis sweep overrides the spec's load multiplier with the sweep
-  // value; load = 0 deactivates the spec entirely, so that sweep point
-  // reproduces the traffic-free figures exactly.
-  TrafficSpec traffic = scenario.traffic;
-  if (load_axis) traffic.load = axis_value;
+  const FaultPlan* faults =
+      scenario.faults.active() ? &scenario.faults : nullptr;
+  const TrafficSpec& traffic = scenario.traffic;
   const TrafficSpec* traffic_spec = traffic.active() ? &traffic : nullptr;
-  // An adversary-axis sweep overrides the spec's roster fraction with the
-  // sweep value; fraction = 0 deactivates the spec entirely (unless it also
-  // corrupts the wire), so that sweep point reproduces the honest figures
-  // exactly.
-  AdversarySpec adversaries = scenario.adversaries;
-  if (adversary_axis) adversaries.fraction = axis_value;
   const AdversarySpec* adv_spec =
-      adversaries.active() ? &adversaries : nullptr;
+      scenario.adversaries.active() ? &scenario.adversaries : nullptr;
 
   util::Rng rng(run_seed);
-  SampledRun run = sample_run<M>(scenario, density, rng, ws.eval);
+  SampledRun run =
+      sample_run<M>(scenario, scenario.field.degree, rng, ws.eval);
   const std::size_t n = run.graph.node_count();
   stats.node_count.add(static_cast<double>(n));
   RunRecord record;
@@ -231,7 +213,7 @@ void execute_packet_run(const Scenario& scenario, double axis_value,
     // thread count): selectors compete on routing the *same* packets
     // through the *same* contended links. Ordered after the probe fates
     // so every figure above stays byte-identical when traffic is added.
-    util::DistributionAccumulator run_latency;
+    util::RunningStats run_latency;
     std::size_t traffic_delivered_run = 0;
     std::size_t traffic_offered_run = 0;
     if (traffic_spec != nullptr) {
@@ -386,8 +368,8 @@ void execute_packet_run(const Scenario& scenario, double axis_value,
 
 /// The packet-level counterpart of run_sweep: the same threaded harness
 /// and determinism contract (run r at sweep-point d derives its RNG stream
-/// and simulator seed from the scenario seed alone, so aggregates are
-/// thread-count invariant), but each run converges one Simulator per
+/// and simulator seed from the scenario seed alone, so every thread count
+/// prints the same bytes), but each run converges one Simulator per
 /// protocol and measures from distributed state.
 template <Metric M>
 std::vector<DensityStats> run_packet_sweep(const Scenario& scenario,
@@ -395,11 +377,11 @@ std::vector<DensityStats> run_packet_sweep(const Scenario& scenario,
                                            unsigned threads = 0) {
   return eval_detail::sweep_harness<PacketEvalWorkspace>(
       scenario, protocols.ans, threads,
-      [&protocols](const Scenario& sc, double density, std::size_t run_index,
-                   std::uint64_t run_seed,
+      [&protocols](const Scenario& point, double /*axis_value*/,
+                   std::size_t run_index, std::uint64_t run_seed,
                    const std::vector<const AnsSelector*>& /*selectors*/,
                    DensityStats& stats, PacketEvalWorkspace& ws) {
-        eval_detail::execute_packet_run<M>(sc, density, run_index, run_seed,
+        eval_detail::execute_packet_run<M>(point, run_index, run_seed,
                                            protocols, stats, ws);
       });
 }

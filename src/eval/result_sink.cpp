@@ -8,14 +8,12 @@
 
 namespace qolsr {
 
-DistributionSummary summarize_distribution(
-    const util::DistributionAccumulator& dist) {
+DistributionSummary summarize_distribution(const util::RunningStats& dist) {
   DistributionSummary summary;
   summary.count = dist.count();
   if (dist.empty()) return summary;
-  // Everything derives from the one sorted copy — including the mean,
-  // whose floating-point summation order must not depend on how many
-  // worker threads contributed samples.
+  // Everything derives from the one sorted copy, the mean included: it is
+  // summed in ascending order, not folded like RunningStats::mean.
   const std::vector<double> sorted = dist.sorted();
   double sum = 0.0;
   for (const double x : sorted) sum += x;
@@ -133,7 +131,7 @@ bool adversary_mode(const ExperimentSpec& spec) {
 }
 
 /// JSON object form of a DistributionSummary.
-std::string json_distribution(const util::DistributionAccumulator& dist) {
+std::string json_distribution(const util::RunningStats& dist) {
   const DistributionSummary s = summarize_distribution(dist);
   std::string out = "{\"count\": " + std::to_string(s.count) +
                     ", \"mean\": " + json_num(s.mean) +
@@ -255,13 +253,8 @@ void write_packet_csv(const ExperimentResult& result, std::ostream& os) {
           "poisoned_routes,frames_corrupted_mean,frames_malformed_mean,"
           "first_violation_mean";
   os << '\n';
-  const bool loss_axis =
-      result.spec.scenario.sweep_axis == Scenario::SweepAxis::kLoss;
-  const bool load_axis =
-      result.spec.scenario.sweep_axis == Scenario::SweepAxis::kLoad;
-  const bool adversary_axis =
-      result.spec.scenario.sweep_axis == Scenario::SweepAxis::kAdversary;
   for (const DensityStats& d : result.sweep) {
+    const Scenario point = result.spec.scenario.at(d.density);
     for (const ProtocolStats& p : d.protocols) {
       write_static_csv_row_prefix(result, d, p, os);
       os << ',' << fmt(p.control.hello_msgs.mean()) << ','
@@ -273,12 +266,10 @@ void write_packet_csv(const ExperimentResult& result, std::ostream& os) {
          << fmt(p.control.convergence_time.stddev()) << ','
          << p.control.unconverged;
       if (faults) {
-        const double loss_rate =
-            loss_axis ? d.density : result.spec.scenario.faults.loss_rate;
         const DistributionSummary probe_delivery =
             summarize_distribution(p.probe_delivery);
-        os << ',' << fmt(loss_rate) << ','
-           << result.spec.scenario.probe_packets << ','
+        os << ',' << fmt(point.faults.loss_rate) << ','
+           << point.probe_packets << ','
            << fmt(p.delivery_ratio()) << ',' << p.no_route_losses << ','
            << p.loop_losses << ',' << p.medium_losses << ','
            << fmt(p.control.frames_lost.mean()) << ','
@@ -289,16 +280,14 @@ void write_packet_csv(const ExperimentResult& result, std::ostream& os) {
            << ',' << fmt(probe_delivery.p99);
       }
       if (traffic) {
-        const double load =
-            load_axis ? d.density : result.spec.scenario.traffic.load;
         const DistributionSummary latency =
             summarize_distribution(p.traffic.latency);
         const DistributionSummary flow_delivery =
             summarize_distribution(p.traffic.flow_delivery);
         const DistributionSummary throughput =
             summarize_distribution(p.traffic.flow_throughput);
-        os << ',' << fmt(load) << ',' << p.traffic.offered << ','
-           << p.traffic.delivered << ','
+        os << ',' << fmt(point.traffic.load) << ',' << p.traffic.offered
+           << ',' << p.traffic.delivered << ','
            << fmt(p.traffic.delivery_ratio()) << ','
            << p.traffic.queue_drops << ',' << p.traffic.no_route_drops
            << ',' << p.traffic.loop_drops << ',' << p.traffic.medium_drops
@@ -309,13 +298,11 @@ void write_packet_csv(const ExperimentResult& result, std::ostream& os) {
            << ',' << fmt(throughput.p99);
       }
       if (adversary) {
-        const AdversarySpec& adv = result.spec.scenario.adversaries;
-        const double fraction =
-            adversary_axis ? d.density : (adv.fraction >= 0.0 ? adv.fraction
-                                                              : 0.0);
+        const AdversarySpec& adv = point.adversaries;
         const InvariantCounters& c = p.invariants.counters;
-        os << ',' << fmt(fraction) << ',' << adv.count << ','
-           << fmt(adv.corrupt_rate) << ',' << fmt(p.delivery_ratio()) << ','
+        os << ',' << fmt(adv.fraction >= 0.0 ? adv.fraction : 0.0) << ','
+           << adv.count << ',' << fmt(adv.corrupt_rate) << ','
+           << fmt(p.delivery_ratio()) << ','
            << c.total() << ',' << c.forwarding_loops << ','
            << c.blackhole_absorptions << ',' << c.mpr_refusals << ','
            << c.ansn_regressions << ',' << c.stale_tc_rejections << ','

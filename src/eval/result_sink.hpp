@@ -15,11 +15,10 @@ namespace qolsr {
 /// CSV carries the quantiles).
 inline constexpr std::size_t kDistributionHistogramBuckets = 8;
 
-/// What every sink reports about a retained-sample distribution (probe
+/// What every sink reports about a distribution-shaped accumulator (probe
 /// delivery, flow latency/delivery/throughput): exact quantiles plus a
 /// fixed-bucket histogram over the observed range. All fields derive from
-/// one ascending sort of the samples, so the summary is invariant to the
-/// merge order of worker-thread partials — i.e. to the thread count.
+/// one ascending sort of the samples.
 struct DistributionSummary {
   std::size_t count = 0;
   double mean = 0.0;
@@ -33,8 +32,7 @@ struct DistributionSummary {
   std::vector<std::size_t> histogram;
 };
 
-DistributionSummary summarize_distribution(
-    const util::DistributionAccumulator& dist);
+DistributionSummary summarize_distribution(const util::RunningStats& dist);
 
 /// Output side of the experiment engine: formats a finished
 /// ExperimentResult onto a stream. Every implementation emits the
@@ -69,6 +67,8 @@ class CsvSink final : public ResultSink {
 
 /// One JSON document: the spec echo, per-density aggregates with full
 /// RunningStats (mean/stddev/min/max), and per-run records when recorded.
+/// The echoed `threads` is the one field that differs between thread
+/// counts; every other byte is the same at every count.
 class JsonSink final : public ResultSink {
  public:
   std::string_view format_name() const override { return "json"; }

@@ -79,9 +79,9 @@ struct ControlPlaneStats {
 
 /// Flow-level outcome of the traffic workload of one protocol at one sweep
 /// point (packet backend with an active TrafficSpec; empty otherwise).
-/// Counters are packet totals across runs; the distributions keep every
-/// sample (per packet resp. per flow) so the sinks can report quantiles
-/// and histograms, not just means.
+/// Counters are packet totals across runs; the distributions sample per
+/// packet resp. per flow, and the sinks report their quantiles and
+/// histograms, not just means.
 struct TrafficStats {
   std::size_t offered = 0;    ///< data packets scheduled
   std::size_t delivered = 0;  ///< data packets that reached their sink
@@ -91,12 +91,12 @@ struct TrafficStats {
   std::size_t loop_drops = 0;     ///< TTL exhausted (routing loop)
   std::size_t medium_drops = 0;   ///< lost mid-flight on the lossy medium
   /// End-to-end latency of each delivered packet, seconds.
-  util::DistributionAccumulator latency;
+  util::RunningStats latency;
   /// Per-flow delivered fraction (one sample per flow per run).
-  util::DistributionAccumulator flow_delivery;
+  util::RunningStats flow_delivery;
   /// Per-flow goodput in bytes/second (delivered payload over the traffic
   /// duration; one sample per flow per run).
-  util::DistributionAccumulator flow_throughput;
+  util::RunningStats flow_throughput;
 
   bool measured() const { return offered > 0; }
 
@@ -189,7 +189,7 @@ struct ProtocolStats {
   /// Per-run probe delivery fraction (probes_delivered / probe_packets,
   /// one sample per run) — the distribution behind the delivered/failed
   /// totals, emitted alongside the fault block.
-  util::DistributionAccumulator probe_delivery;
+  util::RunningStats probe_delivery;
   /// Flow-level outcomes of the traffic workload (active TrafficSpec only).
   TrafficStats traffic;
   /// Invariant-monitor outcome under the adversary engine (active
@@ -239,7 +239,7 @@ struct DensityStats {
   std::size_t runs = 0;
   util::RunningStats node_count;
   std::vector<ProtocolStats> protocols;
-  /// Ascending by run_index; empty unless Scenario::record_runs.
+  /// In run order; empty unless Scenario::record_runs.
   std::vector<RunRecord> run_records;
 };
 
@@ -464,8 +464,8 @@ void execute_run(const Scenario& scenario, double density,
   if (scenario.record_runs) stats.run_records.push_back(std::move(record));
 }
 
-/// Folds a worker's partial stats into `into`. `from` is consumed: its
-/// run records (each holding a per-protocol vector) are moved, not copied.
+/// Appends a worker's partial stats to `into`. `from` is consumed: its run
+/// records (each holding a per-protocol vector) are moved, not copied.
 inline void merge_into(DensityStats& into, DensityStats& from) {
   into.node_count.merge(from.node_count);
   into.run_records.insert(into.run_records.end(),
@@ -516,17 +516,19 @@ inline std::uint64_t run_seed(const Scenario& scenario,
   return scenario.seed + 0x1000003 * (point_index + 1) + run_index;
 }
 
-/// The threaded sweep scaffold shared by the static and the dynamics
-/// evaluation modes: distributes `scenario.runs` independent runs per
-/// sweep point over `threads` workers (each worker owns one `Workspace`),
-/// merges the partial stats, and restores run-record order. `execute` is
-/// called as `execute(scenario, axis_value, run_index, run_seed,
-/// selectors, stats, ws)` — the per-run body is the only thing the two
-/// modes do differently.
+/// The threaded sweep scaffold of the static, dynamics and packet runners,
+/// and the one place that shapes a sweep. Per sweep point it builds the
+/// point's scenario (`scenario.at(axis_value)`), splits the
+/// `scenario.runs` independent runs into one contiguous block per worker
+/// (each worker owns one `Workspace`), and merges the partial stats in
+/// worker order. `execute` is called as `execute(point, axis_value,
+/// run_index, run_seed, selectors, stats, ws)` — the per-run body is the
+/// only thing the runners do differently.
 ///
-/// Runs are independent (each derives its own RNG stream from the scenario
-/// seed), so results are identical for every thread count, including 1.
-/// `threads == 0` means hardware_concurrency.
+/// Each run derives its own RNG stream from the scenario seed, and the
+/// merged accumulators and run records hold every sample in run order, so
+/// every thread count prints the same bytes. `threads == 0` means
+/// hardware_concurrency.
 template <typename Workspace, typename ExecuteRun>
 std::vector<DensityStats> sweep_harness(
     const Scenario& scenario, const std::vector<const AnsSelector*>& selectors,
@@ -539,17 +541,26 @@ std::vector<DensityStats> sweep_harness(
   std::vector<DensityStats> sweep;
   sweep.reserve(scenario.densities.size());
 
+  // Worker t runs the block [first_run(t), first_run(t + 1)) on its own
+  // workspace; the first runs % threads blocks hold one run more.
+  const auto first_run = [&](std::size_t t) {
+    return scenario.runs / threads * t +
+           std::min<std::size_t>(t, scenario.runs % threads);
+  };
+
   for (std::size_t di = 0; di < scenario.densities.size(); ++di) {
     const double axis_value = scenario.densities[di];
+    // Simulator::reset borrows the fault, traffic and adversary specs of
+    // the point, which outlives every worker's workspace.
+    const Scenario point = scenario.at(axis_value);
     std::vector<DensityStats> partials(
         threads,
         eval_detail::empty_stats(axis_value, scenario.runs, selectors));
-    // Worker t runs every threads-th run from t, on its own workspace.
     auto work = [&](unsigned t) {
       Workspace ws;
-      for (std::size_t r = t; r < scenario.runs; r += threads)
-        execute(scenario, axis_value, r, run_seed(scenario, di, r),
-                selectors, partials[t], ws);
+      for (std::size_t r = first_run(t); r < first_run(t + 1); ++r)
+        execute(point, axis_value, r, run_seed(scenario, di, r), selectors,
+                partials[t], ws);
     };
     if (threads == 1) {
       work(0);
@@ -577,12 +588,6 @@ std::vector<DensityStats> sweep_harness(
     DensityStats stats = std::move(partials[0]);
     for (unsigned t = 1; t < threads; ++t)
       eval_detail::merge_into(stats, partials[t]);
-    // Workers interleave run indices; restore run order so recorded output
-    // is identical for every thread count.
-    std::sort(stats.run_records.begin(), stats.run_records.end(),
-              [](const RunRecord& a, const RunRecord& b) {
-                return a.run_index < b.run_index;
-              });
     sweep.push_back(std::move(stats));
   }
   return sweep;

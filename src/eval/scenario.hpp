@@ -83,9 +83,9 @@ struct Scenario {
   bool hop_by_hop = false;
   /// For kAdvertisedUnion: merge the deciding node's full HELLO-derived
   /// 2-hop view into its routing knowledge (G_u ∪ A — what the node
-  /// actually knows). Default on; hop-by-hop mode with heterogeneous views
-  /// can loop (see routing/forwarding.hpp), source routing cannot.
-  bool use_local_views = true;
+  /// actually knows). Hop-by-hop mode with heterogeneous views can loop
+  /// (see routing/forwarding.hpp), source routing cannot.
+  static constexpr bool use_local_views = true;
   /// How the measured (source u, destination v) pair is drawn:
   ///  * kTwoHop (default) — v uniform in N²(u), the pairs the QANS designs
   ///    optimize for (the paper reuses the algorithm's u/v naming and its
@@ -155,6 +155,28 @@ struct Scenario {
   /// delivery and poisoned routes vs. adversary fraction).
   enum class SweepAxis { kDensity, kSpeed, kLoss, kLoad, kAdversary };
   SweepAxis sweep_axis = SweepAxis::kDensity;
+
+  /// This scenario at one sweep point: a copy with `value` written where
+  /// `sweep_axis` says. The sweep harness hands every per-run body this
+  /// copy, so no runner applies a sweep value itself. A load of 0
+  /// deactivates the traffic spec, and a roster fraction of 0 the roster
+  /// (the spec stays active only if it also corrupts the wire), so those
+  /// points reproduce the traffic-free and honest figures exactly; a loss
+  /// of 0 with no incident scheduled likewise reproduces the fault-free
+  /// ones.
+  Scenario at(double value) const {
+    Scenario point = *this;
+    switch (sweep_axis) {
+      case SweepAxis::kDensity: point.field.degree = value; break;
+      case SweepAxis::kSpeed:
+        point.dynamics.speed_min = point.dynamics.speed_max = value;
+        break;
+      case SweepAxis::kLoss: point.faults.loss_rate = value; break;
+      case SweepAxis::kLoad: point.traffic.load = value; break;
+      case SweepAxis::kAdversary: point.adversaries.fraction = value; break;
+    }
+    return point;
+  }
 };
 
 /// The name tables of the scenario's enums: CLI parsing, validation error

@@ -5,46 +5,35 @@
 
 namespace qolsr::util {
 
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
+RunningStats::Moments RunningStats::fold() const {
+  Moments m;
+  std::size_t n = 0;
+  for (const double x : samples_) {
+    if (n == 0) {
+      m.min = m.max = x;
+    } else {
+      m.min = std::min(m.min, x);
+      m.max = std::max(m.max, x);
+    }
+    ++n;
+    const double delta = x - m.mean;
+    m.mean += delta / static_cast<double>(n);
+    m.m2 += delta * (x - m.mean);
   }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(n_);
-  const auto n2 = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
+  return m;
 }
 
 double RunningStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
+  if (samples_.size() < 2) return 0.0;
+  return fold().m2 / static_cast<double>(samples_.size() - 1);
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-double RunningStats::sem() const {
-  if (n_ < 2) return 0.0;
-  return stddev() / std::sqrt(static_cast<double>(n_));
+std::vector<double> RunningStats::sorted() const {
+  std::vector<double> out = samples_;
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 double quantile_sorted(const std::vector<double>& sorted, double q) {
@@ -61,12 +50,6 @@ double quantile_sorted(const std::vector<double>& sorted, double q) {
 double quantile(std::vector<double> samples, double q) {
   std::sort(samples.begin(), samples.end());
   return quantile_sorted(samples, q);
-}
-
-std::vector<double> DistributionAccumulator::sorted() const {
-  std::vector<double> out = samples_;
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 std::vector<std::size_t> histogram_sorted(const std::vector<double>& sorted,

@@ -5,33 +5,39 @@
 
 namespace qolsr::util {
 
-/// Streaming accumulator for mean / variance / extrema (Welford's method).
-///
-/// Used throughout the evaluation harness to aggregate per-run measurements
-/// without storing every sample.
+/// Sample-keeping accumulator for the evaluation harness's per-run
+/// measurements: `add` appends a sample and `merge` appends another
+/// accumulator's samples after its own, so worker partials merged in run
+/// order hold exactly the samples of one sequential pass. The moments fold
+/// the samples in insertion order with Welford's method on every read;
+/// only the result sinks read them, never a runner.
 class RunningStats {
  public:
-  void add(double x);
-  void merge(const RunningStats& other);
+  void add(double x) { samples_.push_back(x); }
+  void merge(const RunningStats& other) {
+    samples_.insert(samples_.end(), other.samples_.begin(),
+                    other.samples_.end());
+  }
 
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ > 0 ? mean_ : 0.0; }
+  std::size_t count() const { return samples_.size(); }
+  bool empty() const { return samples_.empty(); }
+  double mean() const { return fold().mean; }
   /// Unbiased sample variance (0 when fewer than two samples).
   double variance() const;
   double stddev() const;
-  /// Standard error of the mean.
-  double sem() const;
-  /// Half-width of the ~95% normal confidence interval for the mean.
-  double ci95_halfwidth() const { return 1.959963984540054 * sem(); }
-  double min() const { return n_ > 0 ? min_ : 0.0; }
-  double max() const { return n_ > 0 ? max_ : 0.0; }
+  double min() const { return fold().min; }
+  double max() const { return fold().max; }
+
+  /// Ascending-sorted copy of the samples, for quantiles and histograms.
+  std::vector<double> sorted() const;
 
  private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
+  struct Moments {
+    double mean = 0.0, m2 = 0.0, min = 0.0, max = 0.0;
+  };
+  Moments fold() const;
+
+  std::vector<double> samples_;
 };
 
 /// Exact quantile of a sample (linear interpolation between order
@@ -41,32 +47,6 @@ double quantile(std::vector<double> samples, double q);
 
 /// Quantile of an already ascending-sorted sample.
 double quantile_sorted(const std::vector<double>& sorted, double q);
-
-/// Sample-retaining accumulator for distribution-shaped outputs (latency,
-/// per-flow delivery, throughput): where RunningStats keeps only moments,
-/// this keeps every sample so the sinks can report exact quantiles and
-/// histogram buckets. Mergeable across worker threads; every derived
-/// statistic is computed from the ascending-sorted samples, so the result
-/// is invariant to merge order — and therefore to the thread count.
-class DistributionAccumulator {
- public:
-  void add(double x) { samples_.push_back(x); }
-  void merge(const DistributionAccumulator& other) {
-    samples_.insert(samples_.end(), other.samples_.begin(),
-                    other.samples_.end());
-  }
-
-  std::size_t count() const { return samples_.size(); }
-  bool empty() const { return samples_.empty(); }
-  const std::vector<double>& samples() const { return samples_; }
-
-  /// Ascending-sorted copy of the samples — the canonical order every
-  /// emitted statistic (quantiles, mean, histogram) is derived from.
-  std::vector<double> sorted() const;
-
- private:
-  std::vector<double> samples_;
-};
 
 /// Counts an ascending-sorted sample into `buckets` equal-width bins over
 /// [lo, hi); values below lo land in the first bin, values >= hi in the

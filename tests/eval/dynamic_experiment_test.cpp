@@ -89,9 +89,8 @@ TEST(DynamicExperiment, CsvIsDeterministicAtAFixedSeed) {
 }
 
 TEST(DynamicExperiment, ThreadCountInvariance) {
-  // The satellite: same aggregates at threads=1 vs. threads=0 (hardware
-  // concurrency) — counters exactly, means to merge-order rounding,
-  // mirroring the static-sweep invariance test.
+  // Same aggregates, bit for bit, at threads=1 and threads=0 (hardware
+  // concurrency), mirroring the static-sweep invariance test.
   ExperimentSpec spec = small_dynamic_spec();
   spec.scenario.runs = 6;
   spec.threads = 1;
@@ -104,7 +103,7 @@ TEST(DynamicExperiment, ThreadCountInvariance) {
     const DensityStats& a = serial[di];
     const DensityStats& b = threaded[di];
     EXPECT_EQ(a.node_count.count(), b.node_count.count());
-    EXPECT_NEAR(a.node_count.mean(), b.node_count.mean(), 1e-9);
+    EXPECT_EQ(a.node_count.mean(), b.node_count.mean());
     ASSERT_EQ(a.protocols.size(), b.protocols.size());
     for (std::size_t si = 0; si < a.protocols.size(); ++si) {
       const ProtocolStats& pa = a.protocols[si];
@@ -113,11 +112,10 @@ TEST(DynamicExperiment, ThreadCountInvariance) {
       EXPECT_EQ(pa.failed, pb.failed) << pa.name;
       EXPECT_EQ(pa.set_size.count(), pb.set_size.count()) << pa.name;
       EXPECT_EQ(pa.readvertised.count(), pb.readvertised.count()) << pa.name;
-      EXPECT_NEAR(pa.set_size.mean(), pb.set_size.mean(), 1e-9) << pa.name;
-      EXPECT_NEAR(pa.overhead.mean(), pb.overhead.mean(), 1e-9) << pa.name;
-      EXPECT_NEAR(pa.stretch.mean(), pb.stretch.mean(), 1e-9) << pa.name;
-      EXPECT_NEAR(pa.readvertised.mean(), pb.readvertised.mean(), 1e-9)
-          << pa.name;
+      EXPECT_EQ(pa.set_size.mean(), pb.set_size.mean()) << pa.name;
+      EXPECT_EQ(pa.overhead.mean(), pb.overhead.mean()) << pa.name;
+      EXPECT_EQ(pa.stretch.mean(), pb.stretch.mean()) << pa.name;
+      EXPECT_EQ(pa.readvertised.mean(), pb.readvertised.mean()) << pa.name;
     }
   }
 }

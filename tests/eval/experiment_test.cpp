@@ -13,6 +13,7 @@
 
 #include "core/fnbp.hpp"
 #include "eval/figures.hpp"
+#include "eval/result_sink.hpp"
 
 namespace qolsr {
 namespace {
@@ -236,8 +237,9 @@ TEST(FigureByName, PinsEveryFieldOfEveryCannedSpec) {
 }
 
 TEST(RunExperiment, ThreadCountInvariance) {
-  // Aggregates agree to merge-order rounding; per-run records, which never
-  // cross a merge, are bitwise identical and come back in run order.
+  // Each worker runs one contiguous block of runs and the partials merge in
+  // worker order, so aggregates and per-run records are bitwise identical
+  // at every thread count, and the records come back in run order.
   ExperimentSpec spec = small_spec();
   spec.scenario.runs = 6;
   spec.per_run = true;
@@ -254,10 +256,10 @@ TEST(RunExperiment, ThreadCountInvariance) {
     for (std::size_t si = 0; si < a.protocols.size(); ++si) {
       EXPECT_EQ(a.protocols[si].delivered, b.protocols[si].delivered);
       EXPECT_EQ(a.protocols[si].failed, b.protocols[si].failed);
-      EXPECT_NEAR(a.protocols[si].set_size.mean(),
-                  b.protocols[si].set_size.mean(), 1e-9);
-      EXPECT_NEAR(a.protocols[si].overhead.mean(),
-                  b.protocols[si].overhead.mean(), 1e-9);
+      EXPECT_EQ(a.protocols[si].set_size.mean(),
+                b.protocols[si].set_size.mean());
+      EXPECT_EQ(a.protocols[si].overhead.mean(),
+                b.protocols[si].overhead.mean());
     }
     ASSERT_EQ(a.run_records.size(), spec.scenario.runs);
     ASSERT_EQ(b.run_records.size(), spec.scenario.runs);
@@ -274,6 +276,36 @@ TEST(RunExperiment, ThreadCountInvariance) {
         EXPECT_EQ(ra.protocols[si].value, rb.protocols[si].value);
         EXPECT_EQ(ra.protocols[si].overhead, rb.protocols[si].overhead);
         EXPECT_EQ(ra.protocols[si].hops, rb.protocols[si].hops);
+      }
+    }
+  }
+
+  // Every document of an oracle, a dynamics and a packet spec is the same
+  // bytes at every thread count. JSON echoes spec.threads, so it is reset
+  // before writing.
+  const std::vector<std::vector<std::string>> flag_lists = {
+      {"--field=300x300", "--densities=8,12", "--runs=20", "--seed=3"},
+      {"--mobility=churn", "--densities=8,12", "--runs=6", "--epochs=6",
+       "--field=400x400"},
+      {"--backend=packet", "--densities=6", "--field=300x300", "--runs=4",
+       "--per-run"}};
+  for (const std::vector<std::string>& flags : flag_lists) {
+    std::vector<std::string> serial_documents;
+    for (const unsigned threads : {1u, 2u, 3u, 7u}) {
+      ExperimentSpec document_spec = parse_experiment_spec(flags);
+      document_spec.threads = threads;
+      ExperimentResult result = run_experiment(document_spec);
+      result.spec.threads = 0;
+      std::size_t fi = 0;
+      for (const char* format : {"table", "csv", "json"}) {
+        std::ostringstream os;
+        make_result_sink(format)->write(result, os);
+        if (threads == 1)
+          serial_documents.push_back(os.str());
+        else
+          EXPECT_EQ(os.str(), serial_documents[fi])
+              << flags.front() << ' ' << format << " at threads=" << threads;
+        ++fi;
       }
     }
   }

@@ -1,8 +1,8 @@
 // End-to-end smoke test of run_sweep: a tiny 2-density × 4-run sweep for
 // both metric families, exercising the multithreaded partial-stats merge
-// path against the single-threaded reference. Thread partitioning changes
-// only the floating-point merge order, so aggregates must agree to
-// rounding and counters must agree exactly.
+// path against the single-threaded reference. Each worker runs a
+// contiguous block of runs and the partials merge in worker order, so
+// aggregates and counters must agree exactly.
 #include "eval/runner.hpp"
 
 #include <gtest/gtest.h>
@@ -46,17 +46,15 @@ void check_sweep_merge() {
       const ProtocolStats& pa = a.protocols[si];
       const ProtocolStats& pb = b.protocols[si];
       EXPECT_EQ(pa.name, pb.name);
-      // Counters are integer-exact regardless of the merge order.
       EXPECT_EQ(pa.delivered, pb.delivered);
       EXPECT_EQ(pa.failed, pb.failed);
       EXPECT_EQ(pa.delivered + pa.failed, s.runs);
       EXPECT_EQ(pa.set_size.count(), pb.set_size.count());
       EXPECT_EQ(pa.set_size.count(), s.runs);
-      // Means agree to merge-order rounding.
-      EXPECT_NEAR(pa.set_size.mean(), pb.set_size.mean(), 1e-9);
+      EXPECT_EQ(pa.set_size.mean(), pb.set_size.mean());
       if (pa.delivered > 0) {
-        EXPECT_NEAR(pa.overhead.mean(), pb.overhead.mean(), 1e-9);
-        EXPECT_NEAR(pa.path_hops.mean(), pb.path_hops.mean(), 1e-9);
+        EXPECT_EQ(pa.overhead.mean(), pb.overhead.mean());
+        EXPECT_EQ(pa.path_hops.mean(), pb.path_hops.mean());
       }
       EXPECT_GT(pa.set_size.mean(), 0.0);
     }

@@ -215,8 +215,10 @@ TEST(TrafficExperiment, RejectsKnobsTheGeneratorCannotTake) {
   // load whose packet count overflows the payload ids, materialized
   // packets until allocation failed; a NaN load or rate silently switched
   // the traffic off; a NaN capacity charged every packet as dropped; a
-  // non-finite Pareto shape sent one packet per flow; and 2^32 probes
-  // wrapped the 32-bit probe id, so the send loop never ended.
+  // non-finite Pareto shape sent one packet per flow; 2^32 probes wrapped
+  // the 32-bit probe id, so the send loop never ended; and 10^11 flows
+  // passed as 2 expected packets, because the packet bound left out each
+  // flow's first packet.
   const struct {
     std::vector<std::string> extra;
     const char* flag;
@@ -230,7 +232,10 @@ TEST(TrafficExperiment, RejectsKnobsTheGeneratorCannotTake) {
       {{"--traffic=poisson", "--capacity=nan"}, "--capacity"},
       {{"--traffic=pareto", "--pareto-shape=inf"}, "--pareto-shape"},
       {{"--traffic=pareto", "--pareto-shape=nan"}, "--pareto-shape"},
-      {{"--probes=4294967296"}, "--probes"}};
+      {{"--probes=4294967296"}, "--probes"},
+      {{"--traffic=poisson", "--flows=100000000000",
+        "--traffic-duration=1e-12"},
+       "--flows"}};
   for (const auto& bad : bad_inputs) {
     std::vector<std::string> flags = {"--backend=packet", "--densities=8",
                                       "--runs=1", "--field=300x300",

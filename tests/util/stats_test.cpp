@@ -37,19 +37,22 @@ TEST(RunningStats, KnownMoments) {
 }
 
 TEST(RunningStats, MergeEqualsSequential) {
+  // Contiguous halves merged in order hold the samples of the sequential
+  // pass, so every moment is bit for bit the same: the sweep harness's
+  // thread-count invariance rests on this.
   Rng rng(99);
   RunningStats whole, left, right;
   for (int i = 0; i < 1000; ++i) {
     const double x = rng.uniform(-5.0, 20.0);
     whole.add(x);
-    (i % 2 == 0 ? left : right).add(x);
+    (i < 500 ? left : right).add(x);
   }
   left.merge(right);
   EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
+  EXPECT_EQ(left.mean(), whole.mean());
+  EXPECT_EQ(left.variance(), whole.variance());
+  EXPECT_EQ(left.min(), whole.min());
+  EXPECT_EQ(left.max(), whole.max());
 }
 
 TEST(RunningStats, MergeWithEmpty) {
@@ -62,15 +65,6 @@ TEST(RunningStats, MergeWithEmpty) {
   b.merge(a);  // adopt
   EXPECT_EQ(b.count(), 2u);
   EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
-TEST(RunningStats, Ci95ShrinksWithSamples) {
-  Rng rng(7);
-  RunningStats small, large;
-  for (int i = 0; i < 20; ++i) small.add(rng.uniform01());
-  for (int i = 0; i < 2000; ++i) large.add(rng.uniform01());
-  EXPECT_GT(small.ci95_halfwidth(), large.ci95_halfwidth());
-  EXPECT_GT(small.ci95_halfwidth(), 0.0);
 }
 
 TEST(Quantile, EmptyAndEdges) {
@@ -93,18 +87,17 @@ TEST(Quantile, SortedVariantAgrees) {
     EXPECT_DOUBLE_EQ(quantile_sorted(sorted, q), quantile(sorted, q));
 }
 
-TEST(DistributionAccumulator, SortedIsInvariantToMergeOrder) {
-  // The thread-invariance contract: however the per-worker partials are
-  // merged, the sorted sample (and thus every emitted statistic) is the
-  // same as the single-threaded accumulation.
+TEST(RunningStats, SortedIsInvariantToMergeOrder) {
+  // However the partials are merged, the sorted sample (and thus every
+  // quantile and histogram) is the same as the sequential accumulation.
   Rng rng(13);
-  DistributionAccumulator whole, a, b, c;
+  RunningStats whole, a, b, c;
   for (int i = 0; i < 300; ++i) {
     const double x = rng.uniform(-2.0, 8.0);
     whole.add(x);
     (i % 3 == 0 ? a : i % 3 == 1 ? b : c).add(x);
   }
-  DistributionAccumulator abc = a, cba = c;
+  RunningStats abc = a, cba = c;
   abc.merge(b);
   abc.merge(c);
   cba.merge(b);
@@ -114,8 +107,8 @@ TEST(DistributionAccumulator, SortedIsInvariantToMergeOrder) {
   EXPECT_EQ(cba.sorted(), whole.sorted());
 }
 
-TEST(DistributionAccumulator, EmptyMergeIsNoOp) {
-  DistributionAccumulator a, empty;
+TEST(RunningStats, EmptyMergeKeepsTheSortedSample) {
+  RunningStats a, empty;
   a.add(1.0);
   a.merge(empty);
   EXPECT_EQ(a.count(), 1u);
